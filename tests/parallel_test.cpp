@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SimStatsEq.h"
+
 #include "harness/Experiment.h"
 #include "workloads/Workload.h"
 
@@ -19,59 +21,11 @@ using namespace ssp::harness;
 
 namespace {
 
-void expectStatsEqual(const sim::SimStats &A, const sim::SimStats &B,
-                      const std::string &What) {
-  SCOPED_TRACE(What);
-  EXPECT_EQ(A.Cycles, B.Cycles);
-  EXPECT_EQ(A.MainInsts, B.MainInsts);
-  EXPECT_EQ(A.SpecInsts, B.SpecInsts);
-  for (unsigned C = 0; C < sim::NumCycleCats; ++C)
-    EXPECT_EQ(A.CatCycles[C], B.CatCycles[C]) << "category " << C;
-
-  EXPECT_EQ(A.TriggersFired, B.TriggersFired);
-  EXPECT_EQ(A.TriggersIgnored, B.TriggersIgnored);
-  EXPECT_EQ(A.SpawnsSucceeded, B.SpawnsSucceeded);
-  EXPECT_EQ(A.SpawnsDropped, B.SpawnsDropped);
-  EXPECT_EQ(A.SpecWildLoads, B.SpecWildLoads);
-  EXPECT_EQ(A.SpecPrefetches, B.SpecPrefetches);
-  EXPECT_EQ(A.UsefulPrefetches, B.UsefulPrefetches);
-  EXPECT_EQ(A.ThrottleEvents, B.ThrottleEvents);
-
-  EXPECT_EQ(A.Branches, B.Branches);
-  EXPECT_EQ(A.BranchMispredicts, B.BranchMispredicts);
-
-  EXPECT_EQ(A.CacheTotals.Accesses, B.CacheTotals.Accesses);
-  EXPECT_EQ(A.CacheTotals.FillBufferStallCycles,
-            B.CacheTotals.FillBufferStallCycles);
-  EXPECT_EQ(A.CacheTotals.TLBMisses, B.CacheTotals.TLBMisses);
-  for (unsigned L = 0; L < 4; ++L) {
-    EXPECT_EQ(A.CacheTotals.Hits[L], B.CacheTotals.Hits[L]) << "level " << L;
-    EXPECT_EQ(A.CacheTotals.Partials[L], B.CacheTotals.Partials[L])
-        << "level " << L;
-  }
-
-  // The per-load profile must match entry for entry, in insertion order
-  // (the order loads first execute — a pure function of the program).
-  ASSERT_EQ(A.LoadProfile.size(), B.LoadProfile.size());
-  auto ItB = B.LoadProfile.begin();
-  for (const auto &[Sid, SA] : A.LoadProfile) {
-    EXPECT_EQ(Sid, ItB->first);
-    const cache::PcCacheStats &SB = ItB->second;
-    EXPECT_EQ(SA.Accesses, SB.Accesses);
-    EXPECT_EQ(SA.MissCycles, SB.MissCycles);
-    for (unsigned L = 0; L < 4; ++L) {
-      EXPECT_EQ(SA.Hits[L], SB.Hits[L]);
-      EXPECT_EQ(SA.Partials[L], SB.Partials[L]);
-    }
-    ++ItB;
-  }
-}
-
 void expectResultsEqual(const BenchResult &A, const BenchResult &B) {
-  expectStatsEqual(A.BaseIO, B.BaseIO, "BaseIO");
-  expectStatsEqual(A.SspIO, B.SspIO, "SspIO");
-  expectStatsEqual(A.BaseOOO, B.BaseOOO, "BaseOOO");
-  expectStatsEqual(A.SspOOO, B.SspOOO, "SspOOO");
+  sim::expectStatsEqual(A.BaseIO, B.BaseIO, "BaseIO");
+  sim::expectStatsEqual(A.SspIO, B.SspIO, "SspIO");
+  sim::expectStatsEqual(A.BaseOOO, B.BaseOOO, "BaseOOO");
+  sim::expectStatsEqual(A.SspOOO, B.SspOOO, "SspOOO");
   EXPECT_EQ(A.ChecksumsOk, B.ChecksumsOk);
 }
 

@@ -19,6 +19,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SimStatsEq.h"
+
 #include "core/PostPassTool.h"
 #include "harness/Experiment.h"
 #include "obs/TraceSink.h"
@@ -32,47 +34,6 @@ using namespace ssp;
 using namespace ssp::harness;
 
 namespace {
-
-/// Full SimStats comparison (the skip_test idiom): everything except the
-/// simulator diagnostics, which differ by design.
-void expectStatsEqual(const sim::SimStats &A, const sim::SimStats &B,
-                      const std::string &What) {
-  SCOPED_TRACE(What);
-  EXPECT_EQ(A.Cycles, B.Cycles);
-  EXPECT_EQ(A.MainInsts, B.MainInsts);
-  EXPECT_EQ(A.SpecInsts, B.SpecInsts);
-  for (unsigned C = 0; C < sim::NumCycleCats; ++C)
-    EXPECT_EQ(A.CatCycles[C], B.CatCycles[C]) << "category " << C;
-
-  EXPECT_EQ(A.TriggersFired, B.TriggersFired);
-  EXPECT_EQ(A.TriggersIgnored, B.TriggersIgnored);
-  EXPECT_EQ(A.SpawnsSucceeded, B.SpawnsSucceeded);
-  EXPECT_EQ(A.SpawnsDropped, B.SpawnsDropped);
-  EXPECT_EQ(A.SpecWildLoads, B.SpecWildLoads);
-  EXPECT_EQ(A.SpecPrefetches, B.SpecPrefetches);
-  EXPECT_EQ(A.UsefulPrefetches, B.UsefulPrefetches);
-  EXPECT_EQ(A.ThrottleEvents, B.ThrottleEvents);
-  EXPECT_EQ(A.Branches, B.Branches);
-  EXPECT_EQ(A.BranchMispredicts, B.BranchMispredicts);
-
-  EXPECT_EQ(A.CacheTotals.Accesses, B.CacheTotals.Accesses);
-  EXPECT_EQ(A.CacheTotals.TLBMisses, B.CacheTotals.TLBMisses);
-  for (unsigned L = 0; L < 4; ++L) {
-    EXPECT_EQ(A.CacheTotals.Hits[L], B.CacheTotals.Hits[L]) << "level " << L;
-    EXPECT_EQ(A.CacheTotals.Partials[L], B.CacheTotals.Partials[L])
-        << "level " << L;
-  }
-
-  ASSERT_EQ(A.Attribution.size(), B.Attribution.size());
-  for (size_t I = 0; I < A.Attribution.size(); ++I) {
-    const sim::PrefetchAttribution &PA = A.Attribution[I];
-    const sim::PrefetchAttribution &PB = B.Attribution[I];
-    EXPECT_EQ(PA.Trigger, PB.Trigger);
-    EXPECT_EQ(PA.Spawns, PB.Spawns);
-    for (unsigned F = 0; F < sim::NumPrefetchFates; ++F)
-      EXPECT_EQ(PA.Fates[F], PB.Fates[F]) << "fate " << F;
-  }
-}
 
 double relErrPct(uint64_t Got, uint64_t Want) {
   if (Want == 0)
@@ -179,7 +140,7 @@ TEST(SampledSimulation, DisabledPlanSpellingIsExact) {
   EXPECT_FALSE(Cfg.Sample.enabled());
   sim::SimStats S = SuiteRunner::simulate(P, W, Cfg);
   EXPECT_FALSE(S.Sampled);
-  expectStatsEqual(S, Exact, "0:N:0 plan");
+  sim::expectStatsEqual(S, Exact, "0:N:0 plan");
 }
 
 TEST(SampledSimulation, WholeProgramDetailIntervalIsExact) {
@@ -195,7 +156,8 @@ TEST(SampledSimulation, WholeProgramDetailIntervalIsExact) {
   EXPECT_TRUE(S.Sampled);
   EXPECT_EQ(S.SampleIntervals, 1u);
   EXPECT_EQ(S.SampleFunctionalInsts, 0u);
-  expectStatsEqual(S, Exact, "whole-program detail interval");
+  sim::expectStatsEqual(S, Exact, "whole-program detail interval",
+                        sim::SampleDiagnostics);
 }
 
 //===----------------------------------------------------------------------===//
@@ -218,8 +180,8 @@ TEST(SampledSimulation, StatsBitIdenticalAcrossJobCounts) {
     SspRuns.push_back(B.SspIO);
   }
   for (size_t I = 1; I < BaseRuns.size(); ++I) {
-    expectStatsEqual(BaseRuns[I], BaseRuns[0], "baseline in-order");
-    expectStatsEqual(SspRuns[I], SspRuns[0], "enhanced in-order");
+    sim::expectStatsEqual(BaseRuns[I], BaseRuns[0], "baseline in-order");
+    sim::expectStatsEqual(SspRuns[I], SspRuns[0], "enhanced in-order");
   }
 }
 

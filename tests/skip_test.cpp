@@ -13,6 +13,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SimStatsEq.h"
+
 #include "core/PostPassTool.h"
 #include "harness/Experiment.h"
 #include "workloads/Workload.h"
@@ -24,55 +26,12 @@ using namespace ssp::harness;
 
 namespace {
 
-void expectStatsEqual(const sim::SimStats &Skip, const sim::SimStats &NoSkip,
-                      const std::string &What) {
-  SCOPED_TRACE(What);
-  EXPECT_EQ(Skip.Cycles, NoSkip.Cycles);
-  EXPECT_EQ(Skip.MainInsts, NoSkip.MainInsts);
-  EXPECT_EQ(Skip.SpecInsts, NoSkip.SpecInsts);
-  for (unsigned C = 0; C < sim::NumCycleCats; ++C)
-    EXPECT_EQ(Skip.CatCycles[C], NoSkip.CatCycles[C]) << "category " << C;
-
-  EXPECT_EQ(Skip.TriggersFired, NoSkip.TriggersFired);
-  EXPECT_EQ(Skip.TriggersIgnored, NoSkip.TriggersIgnored);
-  EXPECT_EQ(Skip.SpawnsSucceeded, NoSkip.SpawnsSucceeded);
-  EXPECT_EQ(Skip.SpawnsDropped, NoSkip.SpawnsDropped);
-  EXPECT_EQ(Skip.SpecWildLoads, NoSkip.SpecWildLoads);
-  EXPECT_EQ(Skip.SpecPrefetches, NoSkip.SpecPrefetches);
-  EXPECT_EQ(Skip.UsefulPrefetches, NoSkip.UsefulPrefetches);
-  EXPECT_EQ(Skip.ThrottleEvents, NoSkip.ThrottleEvents);
-
-  EXPECT_EQ(Skip.Branches, NoSkip.Branches);
-  EXPECT_EQ(Skip.BranchMispredicts, NoSkip.BranchMispredicts);
-
-  EXPECT_EQ(Skip.CacheTotals.Accesses, NoSkip.CacheTotals.Accesses);
-  EXPECT_EQ(Skip.CacheTotals.FillBufferStallCycles,
-            NoSkip.CacheTotals.FillBufferStallCycles);
-  EXPECT_EQ(Skip.CacheTotals.TLBMisses, NoSkip.CacheTotals.TLBMisses);
-  for (unsigned L = 0; L < 4; ++L) {
-    EXPECT_EQ(Skip.CacheTotals.Hits[L], NoSkip.CacheTotals.Hits[L])
-        << "level " << L;
-    EXPECT_EQ(Skip.CacheTotals.Partials[L], NoSkip.CacheTotals.Partials[L])
-        << "level " << L;
-  }
-
-  ASSERT_EQ(Skip.LoadProfile.size(), NoSkip.LoadProfile.size());
-  auto ItB = NoSkip.LoadProfile.begin();
-  for (const auto &[Sid, SA] : Skip.LoadProfile) {
-    EXPECT_EQ(Sid, ItB->first);
-    const cache::PcCacheStats &SB = ItB->second;
-    EXPECT_EQ(SA.Accesses, SB.Accesses);
-    EXPECT_EQ(SA.MissCycles, SB.MissCycles);
-    for (unsigned L = 0; L < 4; ++L) {
-      EXPECT_EQ(SA.Hits[L], SB.Hits[L]);
-      EXPECT_EQ(SA.Partials[L], SB.Partials[L]);
-    }
-    ++ItB;
-  }
-
+void expectSkipMatches(const sim::SimStats &Skip,
+                       const sim::SimStats &NoSkip, const std::string &What) {
+  sim::expectStatsEqual(Skip, NoSkip, What, sim::SkipDiagnostics);
   // A serial run never skips; the diagnostics must say so.
-  EXPECT_EQ(NoSkip.SkippedCycles, 0u);
-  EXPECT_EQ(NoSkip.SkipEvents, 0u);
+  EXPECT_EQ(NoSkip.SkippedCycles, 0u) << What;
+  EXPECT_EQ(NoSkip.SkipEvents, 0u) << What;
 }
 
 sim::MachineConfig cfgFor(sim::PipelineKind Pipe, bool SkipEnabled) {
@@ -91,7 +50,7 @@ void diffOnPipe(const ir::Program &P, const workloads::Workload &W,
       SuiteRunner::simulate(P, W, cfgFor(Pipe, true), &OkSkip);
   sim::SimStats NoSkip =
       SuiteRunner::simulate(P, W, cfgFor(Pipe, false), &OkNoSkip);
-  expectStatsEqual(Skip, NoSkip, What);
+  expectSkipMatches(Skip, NoSkip, What);
   EXPECT_TRUE(OkSkip);
   EXPECT_TRUE(OkNoSkip);
   // On the in-order model the memory-bound workloads stall for hundreds of
@@ -162,7 +121,7 @@ TEST_P(SkipDifferential, ThrottleBoundaries) {
     Skip.ThrottleEvalPeriod = NoSkip.ThrottleEvalPeriod = Period;
     sim::SimStats A = SuiteRunner::simulate(Enhanced, W, Skip);
     sim::SimStats B = SuiteRunner::simulate(Enhanced, W, NoSkip);
-    expectStatsEqual(A, B, "throttled phased kernel");
+    expectSkipMatches(A, B, "throttled phased kernel");
   }
 }
 
@@ -184,10 +143,10 @@ TEST(SkipDifferential, SuiteRunnerFlagMatches) {
   NoSkip.setSkipIdleCycles(false);
   const BenchResult &A = Default.run(W);
   const BenchResult &B = NoSkip.run(W);
-  expectStatsEqual(A.BaseIO, B.BaseIO, "BaseIO");
-  expectStatsEqual(A.SspIO, B.SspIO, "SspIO");
-  expectStatsEqual(A.BaseOOO, B.BaseOOO, "BaseOOO");
-  expectStatsEqual(A.SspOOO, B.SspOOO, "SspOOO");
+  expectSkipMatches(A.BaseIO, B.BaseIO, "BaseIO");
+  expectSkipMatches(A.SspIO, B.SspIO, "SspIO");
+  expectSkipMatches(A.BaseOOO, B.BaseOOO, "BaseOOO");
+  expectSkipMatches(A.SspOOO, B.SspOOO, "SspOOO");
   EXPECT_EQ(A.ChecksumsOk, B.ChecksumsOk);
   EXPECT_GT(A.BaseIO.SkippedCycles, 0u);
 }
