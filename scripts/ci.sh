@@ -126,6 +126,22 @@ else
   python3 scripts/check_serve_json.py build-ci/BENCH_serve.json
 fi
 
+echo "== Repository benchmark correctness gate (perfbench) =="
+# perfbench/ is a project of its own (see perfbench/README.md). Its ctest
+# covers the benchmark's statistics; a short `pipeline` run re-checks the
+# checksum of every simulation and the determinism of the simulated
+# counts. The run's last stdout line is one JSON object, and a simulator
+# change that breaks either check reports "correct": false there.
+cmake -S perfbench -B build-perfbench >/dev/null
+cmake --build build-perfbench -j "$JOBS"
+ctest --test-dir build-perfbench --output-on-failure
+python3 perfbench/run.py --workload pipeline --seed 1 --seconds 3 --trace 0 \
+  >build-ci/perfbench-pipeline.txt
+tail -n 1 build-ci/perfbench-pipeline.txt | python3 -c '
+import json, sys
+if json.loads(sys.stdin.read()).get("correct") is not True:
+    sys.exit("perfbench: the pipeline run is not correct")'
+
 echo "== Sanitized build (ASan+UBSan) + tests =="
 cmake -B build-asan -S . -DSSP_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$JOBS"
