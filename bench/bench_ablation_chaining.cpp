@@ -17,6 +17,7 @@ using namespace ssp;
 using namespace ssp::harness;
 
 int main(int argc, char **argv) {
+  const BenchArgs Args = parseBenchArgs(argc, argv, JobsFlag | SampleFlag);
   std::printf("=== Ablation: chaining SP vs basic-only SP (in-order "
               "speedups) ===\n");
   printMachineBanner();
@@ -31,10 +32,9 @@ int main(int argc, char **argv) {
   // results, so the output is identical for any --jobs value.
   const std::vector<workloads::Workload> Suite = workloads::fullSuite();
   SuiteRunner *Runners[] = {&Full, &BasicOnly};
-  support::ThreadPool Pool(jobsFromArgs(argc, argv));
-  const sim::SamplingPlan Sample = sampleFromArgs(argc, argv);
+  support::ThreadPool Pool(Args.Jobs);
   for (SuiteRunner *R : Runners)
-    R->setSamplingPlan(Sample);
+    R->setSamplingPlan(Args.Sample);
   Pool.parallelFor(2 * Suite.size(), [&](size_t I) {
     Runners[I % 2]->run(Suite[I / 2], nullptr);
   });

@@ -18,6 +18,7 @@ using namespace ssp;
 using namespace ssp::harness;
 
 int main(int argc, char **argv) {
+  const BenchArgs Args = parseBenchArgs(argc, argv, JobsFlag | SampleFlag);
   std::printf("=== Ablation: dependence reduction (loop rotation, "
               "condition prediction) ===\n");
   printMachineBanner();
@@ -35,10 +36,9 @@ int main(int argc, char **argv) {
   // results, so the output is identical for any --jobs value.
   const std::vector<workloads::Workload> Suite = workloads::fullSuite();
   SuiteRunner *Runners[] = {&Full, &NoRotation, &NoPrediction};
-  support::ThreadPool Pool(jobsFromArgs(argc, argv));
-  const sim::SamplingPlan Sample = sampleFromArgs(argc, argv);
+  support::ThreadPool Pool(Args.Jobs);
   for (SuiteRunner *R : Runners)
-    R->setSamplingPlan(Sample);
+    R->setSamplingPlan(Args.Sample);
   Pool.parallelFor(3 * Suite.size(), [&](size_t I) {
     Runners[I % 3]->run(Suite[I / 3], nullptr);
   });

@@ -56,6 +56,7 @@ Row measure(const workloads::Workload &W, const ir::Program &Orig,
 } // namespace
 
 int main(int argc, char **argv) {
+  const BenchArgs Args = parseBenchArgs(argc, argv, JobsFlag | SampleFlag);
   std::printf("=== Ablation: dynamic trigger throttling (paper Section "
               "4.4.1 future work) ===\n");
   printMachineBanner();
@@ -76,8 +77,7 @@ int main(int argc, char **argv) {
   // one job per (workload, pipeline) point; each point runs its three
   // simulations serially inside the job. The print loop then only reads
   // the Rows array, so the output is identical for any --jobs value.
-  support::ThreadPool Pool(jobsFromArgs(argc, argv));
-  const sim::SamplingPlan Sample = sampleFromArgs(argc, argv);
+  support::ThreadPool Pool(Args.Jobs);
   struct Prepared {
     ir::Program Orig, Enhanced;
   };
@@ -94,7 +94,7 @@ int main(int argc, char **argv) {
     Rows[I] = measure(Suite[I / 2], Prep[I / 2].Orig, Prep[I / 2].Enhanced,
                       I % 2 == 0 ? sim::PipelineKind::InOrder
                                  : sim::PipelineKind::OutOfOrder,
-                      Sample);
+                      Args.Sample);
   });
 
   for (size_t WI = 0; WI < Suite.size(); ++WI) {

@@ -19,12 +19,13 @@ using namespace ssp;
 using namespace ssp::harness;
 
 int main(int argc, char **argv) {
+  const BenchArgs Args = parseBenchArgs(argc, argv, JobsFlag | SampleFlag);
   std::printf("=== Figure 10: cycle breakdown normalized to baseline "
               "in-order (%%) ===\n");
   printMachineBanner();
 
-  ParallelSuiteRunner Runner(core::ToolOptions(), jobsFromArgs(argc, argv));
-  Runner.setSamplingPlan(sampleFromArgs(argc, argv));
+  ParallelSuiteRunner Runner(core::ToolOptions(), Args.Jobs);
+  Runner.setSamplingPlan(Args.Sample);
   Runner.runAll(workloads::paperSuite());
   TablePrinter T;
   T.row();

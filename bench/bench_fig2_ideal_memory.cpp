@@ -19,12 +19,13 @@ using namespace ssp;
 using namespace ssp::harness;
 
 int main(int argc, char **argv) {
+  const BenchArgs Args = parseBenchArgs(argc, argv, JobsFlag | SampleFlag);
   std::printf("=== Figure 2: speedup with perfect memory vs. perfect "
               "delinquent loads ===\n");
   printMachineBanner();
 
-  ParallelSuiteRunner Runner(core::ToolOptions(), jobsFromArgs(argc, argv));
-  Runner.setSamplingPlan(sampleFromArgs(argc, argv));
+  ParallelSuiteRunner Runner(core::ToolOptions(), Args.Jobs);
+  Runner.setSamplingPlan(Args.Sample);
 
   // "Delinquent loads always hit" must be computed to a fixpoint: on
   // lines shared by several loads, idealizing the profiled miss-taker

@@ -18,11 +18,12 @@ using namespace ssp;
 using namespace ssp::harness;
 
 int main(int argc, char **argv) {
+  const BenchArgs Args = parseBenchArgs(argc, argv, JobsFlag | SampleFlag);
   std::printf("=== Figure 8: speedups over the baseline in-order model ===\n");
   printMachineBanner();
 
-  ParallelSuiteRunner Runner(core::ToolOptions(), jobsFromArgs(argc, argv));
-  Runner.setSamplingPlan(sampleFromArgs(argc, argv));
+  ParallelSuiteRunner Runner(core::ToolOptions(), Args.Jobs);
+  Runner.setSamplingPlan(Args.Sample);
   Runner.runAll(workloads::fullSuite());
   TablePrinter T;
   T.row();

@@ -56,12 +56,13 @@ Breakdown breakdownOf(const sim::SimStats &S,
 } // namespace
 
 int main(int argc, char **argv) {
+  const BenchArgs Args = parseBenchArgs(argc, argv, JobsFlag | SampleFlag);
   std::printf("=== Figure 9: where delinquent loads are satisfied when "
               "missing L1 (%% of accesses) ===\n");
   printMachineBanner();
 
-  ParallelSuiteRunner Runner(core::ToolOptions(), jobsFromArgs(argc, argv));
-  Runner.setSamplingPlan(sampleFromArgs(argc, argv));
+  ParallelSuiteRunner Runner(core::ToolOptions(), Args.Jobs);
+  Runner.setSamplingPlan(Args.Sample);
   Runner.runAll(workloads::fullSuite());
   TablePrinter T;
   T.row();

@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -205,12 +204,10 @@ int run(const char *OutPath, unsigned Jobs) {
 } // namespace
 
 int main(int argc, char **argv) {
-  const char *OutPath = "BENCH_serve.json";
-  for (int I = 1; I < argc; ++I)
-    if (std::strcmp(argv[I], "--out") == 0 && I + 1 < argc)
-      OutPath = argv[++I];
-  unsigned Jobs = harness::jobsFromArgs(argc, argv);
-  return run(OutPath, Jobs == 0
-                          ? std::max(1u, std::thread::hardware_concurrency())
-                          : Jobs);
+  const harness::BenchArgs Args =
+      harness::parseBenchArgs(argc, argv, harness::JobsFlag | harness::OutFlag);
+  return run(Args.OutPath ? Args.OutPath : "BENCH_serve.json",
+             Args.Jobs == 0
+                 ? std::max(1u, std::thread::hardware_concurrency())
+                 : Args.Jobs);
 }

@@ -17,6 +17,7 @@ using namespace ssp;
 using namespace ssp::harness;
 
 int main(int argc, char **argv) {
+  const BenchArgs Args = parseBenchArgs(argc, argv, JobsFlag | SampleFlag);
   std::printf("=== Sweep: in-order SSP speedup vs. hardware contexts and "
               "fetch policy ===\n");
   printMachineBanner();
@@ -35,8 +36,7 @@ int main(int argc, char **argv) {
   // counts plus ICOUNT at four contexts.
   const std::vector<workloads::Workload> Suite = workloads::paperSuite();
   constexpr size_t NumCfgs = 4;
-  support::ThreadPool Pool(jobsFromArgs(argc, argv));
-  const sim::SamplingPlan Sample = sampleFromArgs(argc, argv);
+  support::ThreadPool Pool(Args.Jobs);
   struct Prepared {
     ir::Program Orig, Enhanced;
   };
@@ -52,7 +52,7 @@ int main(int argc, char **argv) {
   Pool.parallelFor(Speedups.size(), [&](size_t I) {
     size_t WI = I / NumCfgs, CI = I % NumCfgs;
     sim::MachineConfig Cfg = sim::MachineConfig::inOrder();
-    Cfg.Sample = Sample;
+    Cfg.Sample = Args.Sample;
     Cfg.NumThreads = CI < 3 ? Contexts[CI] : 4;
     Cfg.Fetch =
         CI < 3 ? sim::FetchPolicy::RoundRobin : sim::FetchPolicy::ICount;

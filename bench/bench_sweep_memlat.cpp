@@ -17,6 +17,7 @@ using namespace ssp;
 using namespace ssp::harness;
 
 int main(int argc, char **argv) {
+  const BenchArgs Args = parseBenchArgs(argc, argv, JobsFlag | SampleFlag);
   std::printf("=== Sweep: in-order SSP speedup vs. memory latency ===\n");
   printMachineBanner();
 
@@ -33,8 +34,7 @@ int main(int argc, char **argv) {
   // (230-cycle) machine — the paper's flow fixes the binary and varies
   // the hardware. Phase 2: one pool job per (workload, latency) point.
   const std::vector<workloads::Workload> Suite = workloads::paperSuite();
-  support::ThreadPool Pool(jobsFromArgs(argc, argv));
-  const sim::SamplingPlan Sample = sampleFromArgs(argc, argv);
+  support::ThreadPool Pool(Args.Jobs);
   struct Prepared {
     ir::Program Orig, Enhanced;
   };
@@ -50,7 +50,7 @@ int main(int argc, char **argv) {
   Pool.parallelFor(Speedups.size(), [&](size_t I) {
     const workloads::Workload &W = Suite[I / NumLat];
     sim::MachineConfig Cfg = sim::MachineConfig::inOrder();
-    Cfg.Sample = Sample;
+    Cfg.Sample = Args.Sample;
     Cfg.Cache.MemLatency = Latencies[I % NumLat];
     uint64_t Base = SuiteRunner::simulate(Prep[I / NumLat].Orig, W, Cfg).Cycles;
     uint64_t Ssp =

@@ -17,6 +17,7 @@ using namespace ssp;
 using namespace ssp::harness;
 
 int main(int argc, char **argv) {
+  const BenchArgs Args = parseBenchArgs(argc, argv, JobsFlag | SampleFlag);
   std::printf("=== Table 2: slice characteristics ===\n");
   printMachineBanner();
 
@@ -28,17 +29,16 @@ int main(int argc, char **argv) {
       {"vpr", {6, 0, 13.5, 4.0}},
   };
 
-  unsigned Jobs = jobsFromArgs(argc, argv);
-  ParallelSuiteRunner Runner(core::ToolOptions(), Jobs);
-  Runner.setSamplingPlan(sampleFromArgs(argc, argv));
+  ParallelSuiteRunner Runner(core::ToolOptions(), Args.Jobs);
+  Runner.setSamplingPlan(Args.Sample);
   Runner.runAll(workloads::paperSuite());
   // The spec-deps arm: same pipeline with profile-cold may-dependences
   // pruned from the slices (the "spec size/drops" columns below).
   core::ToolOptions SpecOpts;
   SpecOpts.EnableSpecDeps = true;
   SpecOpts.SpecDepThreshold = 0.05;
-  ParallelSuiteRunner SpecRunner(SpecOpts, Jobs);
-  SpecRunner.setSamplingPlan(sampleFromArgs(argc, argv));
+  ParallelSuiteRunner SpecRunner(SpecOpts, Args.Jobs);
+  SpecRunner.setSamplingPlan(Args.Sample);
   SpecRunner.runAll(workloads::paperSuite());
   TablePrinter T;
   T.row();

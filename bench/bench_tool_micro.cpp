@@ -320,14 +320,18 @@ int main(int argc, char **argv) {
   // Scan-style parsing (not the strict FlagParser): google-benchmark's
   // own --benchmark_* flags must pass through to Initialize below.
   const char *OutPath = nullptr;
-  for (int I = 1; I < argc; ++I)
+  uint64_t Jobs = 0;
+  for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--out") == 0 && I + 1 < argc)
       OutPath = argv[++I];
-  unsigned Jobs = harness::jobsFromArgs(argc, argv);
+    else if (std::strcmp(argv[I], "--jobs") == 0 &&
+             !support::parseUnsignedFlag(argc, argv, I, 0, 512, Jobs))
+      return 1;
+  }
+  if (Jobs == 0)
+    Jobs = std::max(1u, std::thread::hardware_concurrency());
   if (OutPath)
-    return jsonMain(
-        OutPath,
-        Jobs == 0 ? std::max(1u, std::thread::hardware_concurrency()) : Jobs);
+    return jsonMain(OutPath, static_cast<unsigned>(Jobs));
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -12,7 +12,7 @@ import json
 import sys
 
 KNOWN_PHASES = {"i", "X"}
-KNOWN_NAMES = {"trigger", "spawn", "prefetch", "retire", "idle"}
+KNOWN_NAMES = {"trigger", "spawn", "prefetch", "retire", "idle", "throttle"}
 
 
 def fail(msg):

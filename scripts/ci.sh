@@ -114,6 +114,19 @@ serve_request() { # id program profile
 } | ./build-ci/tools/ssp-adaptd >build-ci/served.txt
 grep -q '^response r1 ok$' build-ci/served.txt
 grep -q '^response r2 ok$' build-ci/served.txt
+# Negative smokes: the CLIs reject the values and spellings the request
+# parser rejects, exiting non-zero with their usage text.
+expect_usage() { # command...
+  if "$@" >/dev/null 2>build-ci/usage.txt; then
+    echo "expected a usage error from: $*" >&2
+    exit 1
+  fi
+  grep -q '^usage:' build-ci/usage.txt
+}
+expect_usage ./build-ci/tools/ssp-adapt examples/listsum.ssp --feedback=+1
+expect_usage ./build-ci/tools/ssp-adapt examples/listsum.ssp '--feedback= 2'
+expect_usage ./build-ci/bench/bench_fig8_speedup --jobs=4
+expect_usage ./build-ci/bench/bench_fig8_speedup --job 4
 # The load generator re-checks every response byte-for-byte against the
 # one-shot tool output and reports cold/warm throughput + latency. The
 # warm-over-cold speedup is only gated on quiet machines (SSP_CI_SPEEDUP,

@@ -4,6 +4,7 @@
 
 #include "core/AnalysisCache.h"
 #include "core/Feedback.h"
+#include "core/OptionKeys.h"
 #include "core/PostPassTool.h"
 #include "core/ReportRender.h"
 #include "ir/Parser.h"
@@ -11,13 +12,11 @@
 #include "obs/Percentile.h"
 #include "obs/Registry.h"
 #include "profile/ProfileIO.h"
+#include "support/Args.h"
 
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -25,10 +24,6 @@
 
 using namespace ssp;
 using namespace ssp::core;
-
-//===----------------------------------------------------------------------===//
-// Request options: strict parsing + canonical rendering
-//===----------------------------------------------------------------------===//
 
 namespace {
 
@@ -39,238 +34,6 @@ std::string trimmed(const std::string &S) {
   while (E > B && std::isspace(static_cast<unsigned char>(S[E - 1])))
     --E;
   return S.substr(B, E - B);
-}
-
-bool strictU64(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  Out = 0;
-  for (char Ch : S) {
-    if (!std::isdigit(static_cast<unsigned char>(Ch)))
-      return false;
-    uint64_t Digit = static_cast<uint64_t>(Ch - '0');
-    if (Out > (~0ULL - Digit) / 10)
-      return false;
-    Out = Out * 10 + Digit;
-  }
-  return true;
-}
-
-bool strictBool(const std::string &S, bool &Out) {
-  if (S == "1" || S == "true") {
-    Out = true;
-    return true;
-  }
-  if (S == "0" || S == "false") {
-    Out = false;
-    return true;
-  }
-  return false;
-}
-
-bool strictFraction(const std::string &S, double &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtod(S.c_str(), &End);
-  return End == S.c_str() + S.size() && std::isfinite(Out) && Out >= 0.0 &&
-         Out <= 1.0;
-}
-
-std::string fmtDouble(double V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-  return Buf;
-}
-
-/// Applies one `option KEY=VALUE` to \p TO; false + \p Msg on error.
-/// The key set mirrors the semantic ToolOptions knobs — serving-level
-/// knobs (jobs, metrics) are daemon flags, not request options, so they
-/// can never split the cache key.
-bool applyOption(core::ToolOptions &TO, const std::string &Key,
-                 const std::string &Value, std::string &Msg) {
-  uint64_t U = 0;
-  bool B = false;
-  double D = 0;
-  auto Bad = [&](const char *Want) {
-    Msg = "option " + Key + ": expected " + Want + ", got '" + Value + "'";
-    return false;
-  };
-  if (Key == "chaining")
-    return strictBool(Value, TO.EnableChaining) || Bad("0/1");
-  if (Key == "cond-prediction")
-    return strictBool(Value, TO.EnableConditionPrediction) || Bad("0/1");
-  if (Key == "coverage") {
-    if (!strictFraction(Value, D))
-      return Bad("a fraction in [0, 1]");
-    TO.DelinquentCoverage = D;
-    return true;
-  }
-  if (Key == "cutoff") {
-    if (!strictFraction(Value, D))
-      return Bad("a fraction in [0, 1]");
-    TO.ReducedMissCutoff = D;
-    return true;
-  }
-  if (Key == "feedback-deepen-late") {
-    if (!strictFraction(Value, D))
-      return Bad("a fraction in [0, 1]");
-    TO.Feedback.DeepenLateMax = D;
-    return true;
-  }
-  if (Key == "feedback-drop-max") {
-    if (!strictFraction(Value, D))
-      return Bad("a fraction in [0, 1]");
-    TO.Feedback.DropUsefulMax = D;
-    return true;
-  }
-  if (Key == "feedback-hoist-late") {
-    if (!strictFraction(Value, D))
-      return Bad("a fraction in [0, 1]");
-    TO.Feedback.HoistLateMin = D;
-    return true;
-  }
-  if (Key == "feedback-min-sample") {
-    if (!strictU64(Value, U))
-      return Bad("an unsigned integer");
-    TO.Feedback.MinSample = U;
-    return true;
-  }
-  if (Key == "feedback-rounds") {
-    if (!strictU64(Value, U) || U > 64)
-      return Bad("an integer in [0, 64]");
-    TO.FeedbackRounds = static_cast<unsigned>(U);
-    return true;
-  }
-  if (Key == "feedback-throttle-evicted") {
-    if (!strictFraction(Value, D))
-      return Bad("a fraction in [0, 1]");
-    TO.Feedback.ThrottleEvictedMin = D;
-    return true;
-  }
-  if (Key == "inner-unroll") {
-    if (!strictU64(Value, U) || U < 1 || U > 64)
-      return Bad("an integer in [1, 64]");
-    TO.InnerUnroll = static_cast<unsigned>(U);
-    return true;
-  }
-  if (Key == "loop-rotation")
-    return strictBool(Value, TO.EnableLoopRotation) || Bad("0/1");
-  if (Key == "max-depth") {
-    if (!strictU64(Value, U) || U < 1 || U > 64)
-      return Bad("an integer in [1, 64]");
-    TO.MaxRegionDepth = static_cast<unsigned>(U);
-    return true;
-  }
-  if (Key == "max-loads") {
-    if (!strictU64(Value, U) || U < 1 || U > 4096)
-      return Bad("an integer in [1, 4096]");
-    TO.MaxDelinquentLoads = static_cast<unsigned>(U);
-    return true;
-  }
-  if (Key == "min-slack") {
-    if (!strictU64(Value, U))
-      return Bad("an unsigned integer");
-    TO.MinSlackCycles = U;
-    return true;
-  }
-  if (Key == "reject-store-dep")
-    return strictBool(Value, TO.Slicing.RejectStoreDependent) || Bad("0/1");
-  if (Key == "restart-triggers")
-    return strictBool(Value, TO.EnableRestartTriggers) || Bad("0/1");
-  if (Key == "slice-max") {
-    if (!strictU64(Value, U) || U < 1 || U > 4096)
-      return Bad("an integer in [1, 4096]");
-    TO.Slicing.MaxSize = static_cast<unsigned>(U);
-    return true;
-  }
-  if (Key == "spec-deps")
-    return strictBool(Value, TO.EnableSpecDeps) || Bad("0/1");
-  if (Key == "spec-threshold") {
-    if (!strictFraction(Value, D))
-      return Bad("a fraction in [0, 1]");
-    TO.SpecDepThreshold = D;
-    return true;
-  }
-  if (Key == "speculative") {
-    if (!strictBool(Value, B))
-      return Bad("0/1");
-    TO.EnableSpeculativeSlicing = B;
-    return true;
-  }
-  if (Key == "streams")
-    return strictBool(Value, TO.EnableStreams) || Bad("0/1");
-  if (Key == "trip-budget") {
-    if (!strictU64(Value, U) || U < 1)
-      return Bad("a positive integer");
-    TO.MaxTripBudget = U;
-    return true;
-  }
-  Msg = "option " + Key + ": unknown option";
-  return false;
-}
-
-/// Canonical option text: every semantic knob, fixed (alphabetical)
-/// order, defaults filled in — so two requests that differ only in how
-/// they spelled the defaults share one cache key.
-std::string canonicalOptionsText(const core::ToolOptions &TO) {
-  std::string S;
-  S += "chaining=" + std::string(TO.EnableChaining ? "1" : "0") + "\n";
-  S += "cond-prediction=" +
-       std::string(TO.EnableConditionPrediction ? "1" : "0") + "\n";
-  S += "coverage=" + fmtDouble(TO.DelinquentCoverage) + "\n";
-  S += "cutoff=" + fmtDouble(TO.ReducedMissCutoff) + "\n";
-  // Feedback knobs are part of the result-cache key even though the
-  // one-shot tool ignores them: with feedback-rounds > 0 the served
-  // binary is the loop's fixpoint, and the attribution evidence the loop
-  // folds in travels inside the profile text (already keyed above the
-  // options). Same pattern as the PR 8 spec-deps keys.
-  S += "feedback-deepen-late=" + fmtDouble(TO.Feedback.DeepenLateMax) + "\n";
-  S += "feedback-drop-max=" + fmtDouble(TO.Feedback.DropUsefulMax) + "\n";
-  S += "feedback-hoist-late=" + fmtDouble(TO.Feedback.HoistLateMin) + "\n";
-  S += "feedback-min-sample=" + std::to_string(TO.Feedback.MinSample) + "\n";
-  S += "feedback-rounds=" + std::to_string(TO.FeedbackRounds) + "\n";
-  S += "feedback-throttle-evicted=" +
-       fmtDouble(TO.Feedback.ThrottleEvictedMin) + "\n";
-  S += "inner-unroll=" + std::to_string(TO.InnerUnroll) + "\n";
-  S += "loop-rotation=" + std::string(TO.EnableLoopRotation ? "1" : "0") +
-       "\n";
-  S += "max-depth=" + std::to_string(TO.MaxRegionDepth) + "\n";
-  S += "max-loads=" + std::to_string(TO.MaxDelinquentLoads) + "\n";
-  S += "min-slack=" + std::to_string(TO.MinSlackCycles) + "\n";
-  S += "reject-store-dep=" +
-       std::string(TO.Slicing.RejectStoreDependent ? "1" : "0") + "\n";
-  S += "restart-triggers=" +
-       std::string(TO.EnableRestartTriggers ? "1" : "0") + "\n";
-  S += "slice-max=" + std::to_string(TO.Slicing.MaxSize) + "\n";
-  S += "spec-deps=" + std::string(TO.EnableSpecDeps ? "1" : "0") + "\n";
-  S += "spec-threshold=" + fmtDouble(TO.SpecDepThreshold) + "\n";
-  S += "speculative=" +
-       std::string(TO.EnableSpeculativeSlicing ? "1" : "0") + "\n";
-  S += "streams=" + std::string(TO.EnableStreams ? "1" : "0") + "\n";
-  S += "trip-budget=" + std::to_string(TO.MaxTripBudget) + "\n";
-  return S;
-}
-
-/// The subset of option text the AnalysisCache construction depends on:
-/// the warm-memo key. Requests differing only in non-analysis knobs
-/// (coverage, trip budget, ...) share one warm analysis state.
-std::string analysisOptionsText(const core::ToolOptions &TO) {
-  slicer::SliceOptions SO = core::PostPassTool::sliceOptionsOf(TO);
-  sched::ScheduleOptions SchO = core::PostPassTool::scheduleOptionsOf(TO);
-  analysis::SpecDepOptions SpO = core::PostPassTool::specDepOptionsOf(TO);
-  std::string S;
-  S += "cond-prediction=" +
-       std::string(SchO.EnableConditionPrediction ? "1" : "0") + "\n";
-  S += "loop-rotation=" + std::string(SchO.EnableLoopRotation ? "1" : "0") +
-       "\n";
-  S += "reject-store-dep=" +
-       std::string(SO.RejectStoreDependent ? "1" : "0") + "\n";
-  S += "slice-max=" + std::to_string(SO.MaxSize) + "\n";
-  S += "spec-deps=" + std::string(SpO.Enabled ? "1" : "0") + "\n";
-  S += "spec-threshold=" + fmtDouble(SpO.Threshold) + "\n";
-  S += "speculative=" + std::string(SO.Speculative ? "1" : "0") + "\n";
-  return S;
 }
 
 } // namespace
@@ -426,7 +189,7 @@ void AdaptService::executeBatch(std::vector<Request> &Batch,
       }
       std::string Msg;
       for (const auto &[Key, Value] : R.RawOptions)
-        if (!applyOption(R.TO, Key, Value, Msg)) {
+        if (!setOption(R.TO, Key, Value, Msg)) {
           R.fail(Msg);
           break;
         }
@@ -436,7 +199,7 @@ void AdaptService::executeBatch(std::vector<Request> &Batch,
       R.TO.Metrics = M;
       R.TO.Pool = &Pool;
       R.Key = ServeKey{R.ProgramText, R.ProfileText,
-                       canonicalOptionsText(R.TO)};
+                       renderOptions(R.TO)};
       if (const ServeResult *Hit = Cache.lookup(R.Key)) {
         R.Report = Hit->Report;
         R.Binary = Hit->Binary;
@@ -459,7 +222,7 @@ void AdaptService::executeBatch(std::vector<Request> &Batch,
     if (!R.isMiss())
       continue;
     R.Entry = findWarm(R.ProgramText, R.ProfileText,
-                       analysisOptionsText(R.TO));
+                       renderAnalysisOptions(R.TO));
     if (!R.Entry->Built) {
       R.Entry->SliceOpts = PostPassTool::sliceOptionsOf(R.TO);
       R.Entry->SchedOpts = PostPassTool::scheduleOptionsOf(R.TO);
@@ -680,7 +443,7 @@ uint64_t AdaptService::serve(std::istream &In, std::ostream &Out) {
       bool IsProfile = T.compare(0, 8, "profile ") == 0;
       if (IsProgram || IsProfile) {
         uint64_t N = 0;
-        if (!strictU64(trimmed(T.substr(8)), N)) {
+        if (!support::parseUnsigned(trimmed(T.substr(8)), N)) {
           R.fail(Located("bad payload length in '" + T + "'"));
           Resync();
           break;

@@ -2,13 +2,11 @@
 
 #include "harness/Experiment.h"
 
-#include "support/Args.h"
 #include "support/Assert.h"
 #include "support/FlagParser.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 using namespace ssp;
 using namespace ssp::harness;
@@ -120,58 +118,32 @@ void ParallelSuiteRunner::runAll(const std::vector<workloads::Workload> &Ws) {
   Pool.parallelFor(Ws.size(), [&](size_t I) { Inner.run(Ws[I], nullptr); });
 }
 
-unsigned ssp::harness::jobsFromArgs(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--jobs") == 0) {
-      uint64_t N = 0;
-      if (!support::parseUnsignedFlag(argc, argv, I, 0, 512, N))
-        std::exit(1);
-      return static_cast<unsigned>(N);
-    }
-  }
-  return 0; // Default: hardware_concurrency.
-}
-
-bool ssp::harness::noSkipFromArgs(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I)
-    if (std::strcmp(argv[I], "--no-skip") == 0)
-      return true;
-  return false;
-}
-
-sim::SamplingPlan ssp::harness::sampleFromArgs(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--sample") == 0)
-      return sim::SamplingPlan::defaults();
-    if (std::strncmp(argv[I], "--sample=", 9) == 0) {
-      sim::SamplingPlan Plan;
-      if (!sim::parseSamplingPlan(argv[I] + 9, Plan)) {
-        std::fprintf(stderr, "error: invalid --sample plan '%s' "
-                             "(expected W:D:F[:R] instruction counts)\n",
-                     argv[I] + 9);
-        std::exit(1);
-      }
-      return Plan;
-    }
-  }
-  return sim::SamplingPlan(); // Disabled: exact simulation.
-}
-
-BenchArgs ssp::harness::parseBenchArgs(int argc, char **argv) {
+BenchArgs ssp::harness::parseBenchArgs(int argc, char **argv,
+                                       unsigned Flags) {
   BenchArgs A;
   support::FlagParser P(argc, argv);
-  P.flag("--jobs", A.Jobs, 0, 512);
-  P.flag("--no-skip", A.NoSkip);
-  P.flag("--out", A.OutPath);
-  P.flagEq("--sample", [&A](const char *V) {
-    return V ? sim::parseSamplingPlan(V, A.Sample)
-             : (A.Sample = sim::SamplingPlan::defaults(), true);
-  });
+  std::string Usage;
+  if (Flags & JobsFlag) {
+    P.flag("--jobs", A.Jobs, 0, 512);
+    Usage += " [--jobs N]";
+  }
+  if (Flags & NoSkipFlag) {
+    P.flag("--no-skip", A.NoSkip);
+    Usage += " [--no-skip]";
+  }
+  if (Flags & OutFlag) {
+    P.flag("--out", A.OutPath);
+    Usage += " [--out FILE]";
+  }
+  if (Flags & SampleFlag) {
+    P.flagEq("--sample", [&A](const char *V) {
+      return V ? sim::parseSamplingPlan(V, A.Sample)
+               : (A.Sample = sim::SamplingPlan::defaults(), true);
+    });
+    Usage += " [--sample[=W:D:F[:R]]]";
+  }
   if (!P.parse()) {
-    std::fprintf(stderr,
-                 "usage: %s [--jobs N] [--no-skip] [--out FILE] "
-                 "[--sample[=W:D:F[:R]]]\n",
-                 argv[0]);
+    std::fprintf(stderr, "usage: %s%s\n", argv[0], Usage.c_str());
     std::exit(1);
   }
   return A;

@@ -219,34 +219,26 @@ private:
   support::ThreadPool Pool;
 };
 
-/// Parses a `--jobs N` argument from the command line (for the bench
-/// binaries and tools). Returns 0 — "use hardware_concurrency" — when the
-/// flag is absent or given as the explicit auto spelling `--jobs 0`;
-/// exits with a usage error on a malformed value.
-unsigned jobsFromArgs(int argc, char **argv);
-
-/// Parses a `--no-skip` argument (disable event-driven idle-cycle
-/// skipping; see MachineConfig::SkipIdleCycles). Returns true when present.
-bool noSkipFromArgs(int argc, char **argv);
-
-/// Parses a `--sample[=W:D:F[:R]]` argument: bare `--sample` selects
-/// SamplingPlan::defaults(), `--sample=W:D:F[:R]` an explicit plan. Returns a
-/// disabled plan when the flag is absent; exits with a usage error on a
-/// malformed plan. Scan-style like jobsFromArgs so the google-benchmark
-/// binaries can mix it with --benchmark_* flags.
-sim::SamplingPlan sampleFromArgs(int argc, char **argv);
-
-/// The shared command line of the JSON-emitting bench binaries:
+/// The shared command line of the bench binaries:
 ///   [--jobs N] [--no-skip] [--out FILE] [--sample[=W:D:F[:R]]]
-/// Parsed strictly with support::FlagParser (unknown flags are an error);
-/// exits non-zero on malformed input.
+/// Each binary registers only the flags it honours (a BenchFlag mask) and
+/// parses strictly with support::FlagParser: an unknown flag or malformed
+/// value prints the usage text and exits non-zero.
+enum BenchFlag : unsigned {
+  JobsFlag = 1u << 0,   ///< `--jobs N`, N in [0, 512]; 0 = hardware.
+  NoSkipFlag = 1u << 1, ///< `--no-skip`: disable idle-cycle skipping.
+  OutFlag = 1u << 2,    ///< `--out FILE`: write the JSON report there.
+  SampleFlag = 1u << 3, ///< `--sample[=W:D:F[:R]]`: sampled simulation.
+  AllBenchFlags = JobsFlag | NoSkipFlag | OutFlag | SampleFlag,
+};
 struct BenchArgs {
   unsigned Jobs = 0; ///< 0 = hardware concurrency.
   bool NoSkip = false;
   const char *OutPath = nullptr;
   sim::SamplingPlan Sample; ///< Disabled unless --sample was given.
 };
-BenchArgs parseBenchArgs(int argc, char **argv);
+BenchArgs parseBenchArgs(int argc, char **argv,
+                         unsigned Flags = AllBenchFlags);
 
 /// Prints the Table 1 machine-model banner every bench emits.
 void printMachineBanner();

@@ -20,6 +20,8 @@ const char *ssp::obs::eventKindName(EventKind K) {
     return "retire";
   case EventKind::IdleSpan:
     return "idle";
+  case EventKind::Throttle:
+    return "throttle";
   }
   return "?";
 }
@@ -98,6 +100,7 @@ void appendEvent(std::string &Out, const TraceEvent &E) {
   Out += ", \"args\": {";
   switch (E.Kind) {
   case EventKind::Trigger:
+  case EventKind::Throttle:
     Out += "\"trigger\": ";
     appendHex(Out, E.A);
     break;

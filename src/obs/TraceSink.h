@@ -48,9 +48,11 @@ enum class EventKind : uint8_t {
   Retire = 3,   ///< Main thread consumed a tracked line. A = line number,
                 ///< B = trigger sid, Extra = PrefetchFate.
   IdleSpan = 4, ///< Skipped idle cycles. A = CycleCat, Dur = span length.
+  Throttle = 5, ///< The hardware throttle disabled a trigger for one
+                ///< penalty period. A = trigger sid.
 };
 
-inline constexpr unsigned NumEventKinds = 5;
+inline constexpr unsigned NumEventKinds = 6;
 
 const char *eventKindName(EventKind K);
 

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 
 using namespace ssp;
 using namespace ssp::sim;
@@ -123,15 +122,6 @@ void Simulator::evaluateThrottle() {
     // nor still awaiting consumption (a healthy long-range chain is
     // *supposed* to be far ahead, so pending lines count as presumed
     // useful).
-    if (std::getenv("SSP_THROTTLE_TRACE"))
-      std::fprintf(stderr,
-                   "[throttle] now=%llu sid=%llx pre=%llu trk=%llu use=%llu "
-                   "inflight=%llu\n",
-                   (unsigned long long)Now, (unsigned long long)Sid,
-                   (unsigned long long)H.Prefetches,
-                   (unsigned long long)H.Tracked,
-                   (unsigned long long)H.Useful,
-                   (unsigned long long)H.InFlight);
     if (H.Prefetches < Cfg.ThrottleMinSample)
       continue; // Too small a sample; let it accumulate.
     // Credits (timely consumptions plus lines still pending) must keep
@@ -145,6 +135,8 @@ void Simulator::evaluateThrottle() {
     if (Cfg.EnableSSPThrottle && Useless) {
       H.DisabledUntil = Now + Cfg.ThrottlePenalty;
       ++Stats.ThrottleEvents;
+      if (Trace)
+        Trace->record(0, obs::EventKind::Throttle, Now, 0, Sid, 0);
     }
     H.Prefetches = 0;
     H.Tracked = 0;

@@ -6,14 +6,14 @@
 
 using namespace ssp;
 
-bool support::parseUnsigned(const char *Text, uint64_t &Out) {
-  if (!Text || *Text == '\0')
+bool support::parseUnsigned(std::string_view Text, uint64_t &Out) {
+  if (Text.empty())
     return false;
   uint64_t V = 0;
-  for (const char *P = Text; *P; ++P) {
-    if (*P < '0' || *P > '9')
+  for (char C : Text) {
+    if (C < '0' || C > '9')
       return false;
-    unsigned Digit = static_cast<unsigned>(*P - '0');
+    unsigned Digit = static_cast<unsigned>(C - '0');
     if (V > (UINT64_MAX - Digit) / 10)
       return false; // Overflow.
     V = V * 10 + Digit;

@@ -17,13 +17,14 @@
 #define SSP_SUPPORT_ARGS_H
 
 #include <cstdint>
+#include <string_view>
 
 namespace ssp::support {
 
 /// Parses \p Text as a full-string base-10 unsigned integer into \p Out.
 /// Rejects empty strings, any non-digit character (including signs and
 /// leading/trailing whitespace) and values that overflow uint64_t.
-bool parseUnsigned(const char *Text, uint64_t &Out);
+bool parseUnsigned(std::string_view Text, uint64_t &Out);
 
 /// Parses the value of numeric flag Argv[I] (e.g. "--jobs"): consumes
 /// Argv[I+1], advancing \p I, and range-checks against [\p Min, \p Max].

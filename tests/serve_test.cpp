@@ -11,6 +11,8 @@
 
 #include "ProfiledFixture.h"
 #include "core/AdaptService.h"
+#include "core/OptionKeys.h"
+#include "support/FlagParser.h"
 #include "core/PostPassTool.h"
 #include "core/ReportRender.h"
 #include "profile/ProfileIO.h"
@@ -326,6 +328,164 @@ TEST(Serve, ErrorStateDoesNotPoisonWarmOrCacheState) {
             okResponse("y", J.Report, J.Binary));
   // And the failed request was not cached as a success.
   EXPECT_EQ(S.cache().size(), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// The ToolOptions key table (core/OptionKeys.h)
+//===----------------------------------------------------------------------===//
+
+/// Every request key set to a non-default value, field by field.
+ToolOptions allKeysNonDefault() {
+  ToolOptions N;
+  N.EnableChaining = false;
+  N.EnableConditionPrediction = false;
+  N.DelinquentCoverage = 0.85;
+  N.ReducedMissCutoff = 0.1;
+  N.Feedback.DeepenLateMax = 0.2;
+  N.Feedback.DropUsefulMax = 0.05;
+  N.Feedback.HoistLateMin = 0.6;
+  N.Feedback.MinSample = 128;
+  N.FeedbackRounds = 3;
+  N.Feedback.ThrottleEvictedMin = 0.35;
+  N.InnerUnroll = 4;
+  N.EnableLoopRotation = false;
+  N.MaxRegionDepth = 3;
+  N.MaxDelinquentLoads = 12;
+  N.MinSlackCycles = 8;
+  N.Slicing.RejectStoreDependent = true;
+  N.EnableRestartTriggers = false;
+  N.Slicing.MaxSize = 32;
+  N.EnableSpecDeps = true;
+  N.SpecDepThreshold = 0.05;
+  N.EnableSpeculativeSlicing = false;
+  N.EnableStreams = true;
+  N.MaxTripBudget = 2048;
+  return N;
+}
+
+// Byte-for-byte output of the hand-written renderers the key table
+// replaced: the serve cache key and the warm-memo key must not move.
+const char DefaultCanonical[] =
+    "chaining=1\ncond-prediction=1\ncoverage=0.90000000000000002\n"
+    "cutoff=0.29999999999999999\nfeedback-deepen-late=0.29999999999999999\n"
+    "feedback-drop-max=0.02\nfeedback-hoist-late=0.5\n"
+    "feedback-min-sample=256\nfeedback-rounds=0\n"
+    "feedback-throttle-evicted=0.25\ninner-unroll=2\nloop-rotation=1\n"
+    "max-depth=4\nmax-loads=10\nmin-slack=16\nreject-store-dep=0\n"
+    "restart-triggers=1\nslice-max=48\nspec-deps=0\nspec-threshold=0\n"
+    "speculative=1\nstreams=0\ntrip-budget=4096\n";
+const char DefaultAnalysis[] =
+    "cond-prediction=1\nloop-rotation=1\nreject-store-dep=0\nslice-max=48\n"
+    "spec-deps=0\nspec-threshold=0\nspeculative=1\n";
+const char NonDefaultCanonical[] =
+    "chaining=0\ncond-prediction=0\ncoverage=0.84999999999999998\n"
+    "cutoff=0.10000000000000001\nfeedback-deepen-late=0.20000000000000001\n"
+    "feedback-drop-max=0.050000000000000003\n"
+    "feedback-hoist-late=0.59999999999999998\nfeedback-min-sample=128\n"
+    "feedback-rounds=3\nfeedback-throttle-evicted=0.34999999999999998\n"
+    "inner-unroll=4\nloop-rotation=0\nmax-depth=3\nmax-loads=12\n"
+    "min-slack=8\nreject-store-dep=1\nrestart-triggers=0\nslice-max=32\n"
+    "spec-deps=1\nspec-threshold=0.050000000000000003\nspeculative=0\n"
+    "streams=1\ntrip-budget=2048\n";
+const char NonDefaultAnalysis[] =
+    "cond-prediction=0\nloop-rotation=0\nreject-store-dep=1\nslice-max=32\n"
+    "spec-deps=1\nspec-threshold=0.050000000000000003\nspeculative=0\n";
+
+/// Splits rendered option text into its "KEY=VALUE" lines.
+std::vector<std::string> lines(const std::string &Text) {
+  std::vector<std::string> Out;
+  for (size_t B = 0, E; B < Text.size(); B = E + 1) {
+    E = Text.find('\n', B);
+    Out.push_back(Text.substr(B, E - B));
+  }
+  return Out;
+}
+
+TEST(OptionKeys, RenderingIsByteIdenticalToTheReplacedRenderers) {
+  EXPECT_EQ(renderOptions(ToolOptions()), DefaultCanonical);
+  EXPECT_EQ(renderAnalysisOptions(ToolOptions()), DefaultAnalysis);
+  EXPECT_EQ(renderOptions(allKeysNonDefault()), NonDefaultCanonical);
+  EXPECT_EQ(renderAnalysisOptions(allKeysNonDefault()), NonDefaultAnalysis);
+}
+
+TEST(OptionKeys, ParseOfRenderRoundTripsEveryRow) {
+  // The canonical text has one line per table row, so this walks every
+  // row. Each row's parser must write exactly the field its renderer
+  // reads: applying one non-default line to the defaults changes that
+  // line only.
+  const std::vector<std::string> Default = lines(DefaultCanonical);
+  const std::vector<std::string> Changed = lines(NonDefaultCanonical);
+  ASSERT_EQ(Default.size(), 23u);
+  ASSERT_EQ(Changed.size(), Default.size());
+  for (size_t I = 0; I < Changed.size(); ++I) {
+    SCOPED_TRACE(Changed[I]);
+    size_t Eq = Changed[I].find('=');
+    ToolOptions TO;
+    std::string Msg;
+    ASSERT_TRUE(setOption(TO, Changed[I].substr(0, Eq),
+                          Changed[I].substr(Eq + 1), Msg))
+        << Msg;
+    std::vector<std::string> Expected = Default;
+    Expected[I] = Changed[I];
+    EXPECT_EQ(lines(renderOptions(TO)), Expected);
+  }
+  // And the whole text parses back into itself from either end.
+  ToolOptions FromDefault, FromChanged = allKeysNonDefault();
+  std::string Msg;
+  for (const std::string &L : Changed)
+    ASSERT_TRUE(setOption(FromDefault, L.substr(0, L.find('=')),
+                          L.substr(L.find('=') + 1), Msg));
+  for (const std::string &L : Default)
+    ASSERT_TRUE(setOption(FromChanged, L.substr(0, L.find('=')),
+                          L.substr(L.find('=') + 1), Msg));
+  EXPECT_EQ(renderOptions(FromDefault), NonDefaultCanonical);
+  EXPECT_EQ(renderOptions(FromChanged), DefaultCanonical);
+}
+
+TEST(OptionKeys, CliAndRequestSpellingsShareOneCanonicalText) {
+  std::vector<std::string> Args = {"ssp-adapt", "--no-chaining",
+                                   "--spec-deps=0.05", "--streams",
+                                   "--feedback=2"};
+  std::vector<char *> Argv;
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  ToolOptions Cli;
+  support::FlagParser P(static_cast<int>(Argv.size()), Argv.data());
+  addToolFlags(P, Cli);
+  ASSERT_TRUE(P.parse());
+
+  ToolOptions Request;
+  std::string Msg;
+  for (const char *KV : {"chaining=0", "spec-deps=1", "spec-threshold=0.05",
+                         "streams=1", "feedback-rounds=2"}) {
+    std::string S = KV;
+    ASSERT_TRUE(setOption(Request, S.substr(0, S.find('=')),
+                          S.substr(S.find('=') + 1), Msg))
+        << Msg;
+  }
+  EXPECT_EQ(renderOptions(Cli), renderOptions(Request));
+  EXPECT_NE(renderOptions(Cli), DefaultCanonical);
+}
+
+TEST(OptionKeys, CliRejectsWhatRequestsReject) {
+  // Values the request parser rejects fail the CLI flag too (the flags
+  // used to parse with strtoul/strtod and let signs and spaces through).
+  for (const char *Flag : {"--feedback=+1", "--feedback= 2", "--feedback=65",
+                           "--feedback=", "--spec-deps=2", "--spec-deps=",
+                           "--no-chaining=1", "--streams=0"}) {
+    SCOPED_TRACE(Flag);
+    std::string Arg0 = "ssp-adapt", Arg1 = Flag;
+    char *Argv[] = {Arg0.data(), Arg1.data()};
+    ToolOptions TO;
+    support::FlagParser P(2, Argv);
+    addToolFlags(P, TO);
+    EXPECT_FALSE(P.parse());
+  }
+  ToolOptions TO;
+  std::string Msg;
+  EXPECT_FALSE(setOption(TO, "feedback-rounds", "+1", Msg));
+  EXPECT_EQ(Msg, "option feedback-rounds: expected an integer in [0, 64], "
+                 "got '+1'");
 }
 
 } // namespace

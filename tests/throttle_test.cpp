@@ -1,6 +1,7 @@
 //===- tests/throttle_test.cpp - Dynamic trigger throttling tests ---------===//
 
 #include "core/PostPassTool.h"
+#include "obs/TraceSink.h"
 #include "sim/Simulator.h"
 #include "workloads/Workload.h"
 
@@ -23,11 +24,13 @@ struct PhasedSetup {
   }
 
   sim::SimStats run(const ir::Program &P, sim::MachineConfig Cfg,
-                    uint64_t *Checksum = nullptr) {
+                    uint64_t *Checksum = nullptr,
+                    obs::TraceSink *Trace = nullptr) {
     ir::LinkedProgram LP = ir::LinkedProgram::link(P);
     mem::SimMemory Mem;
     uint64_t Expected = W.BuildMemory(Mem);
     sim::Simulator Sim(Cfg, LP, Mem);
+    Sim.setTraceSink(Trace);
     sim::SimStats S = Sim.run();
     EXPECT_EQ(Mem.read(ResultAddr), Expected);
     if (Checksum)
@@ -45,6 +48,26 @@ TEST(Throttle, PhasedKernelTriggersThrottleEvents) {
   sim::SimStats Stats = S.run(S.Enhanced, Cfg);
   EXPECT_GT(Stats.ThrottleEvents, 0u)
       << "cache-resident passes must be detected as useless prefetching";
+}
+
+TEST(Throttle, TraceRecordsOneEventPerThrottleVerdict) {
+  PhasedSetup S;
+  for (sim::MachineConfig Cfg :
+       {sim::MachineConfig::inOrder(), sim::MachineConfig::outOfOrder()}) {
+    Cfg.EnableSSPThrottle = true;
+    // 2^20-entry rings so nothing drops and the count is exact.
+    obs::TraceSink Sink(8, 20);
+    sim::SimStats Stats = S.run(S.Enhanced, Cfg, nullptr, &Sink);
+    ASSERT_EQ(Sink.dropped(), 0u);
+    uint64_t Throttles = 0;
+    for (const obs::TraceEvent &E : Sink.drain())
+      if (E.Kind == obs::EventKind::Throttle) {
+        ++Throttles;
+        EXPECT_NE(E.A, 0u) << "the event names the disabled trigger";
+      }
+    EXPECT_GT(Stats.ThrottleEvents, 0u);
+    EXPECT_EQ(Throttles, Stats.ThrottleEvents);
+  }
 }
 
 TEST(Throttle, RecoversOOORegression) {

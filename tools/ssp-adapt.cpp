@@ -68,6 +68,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Feedback.h"
+#include "core/OptionKeys.h"
 #include "core/PostPassTool.h"
 #include "core/ReportRender.h"
 #include "ir/Parser.h"
@@ -77,8 +78,6 @@
 #include "support/FlagParser.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -121,7 +120,6 @@ int main(int argc, char **argv) {
   const char *ProfilePath = nullptr;
   const char *EmitProfilePath = nullptr;
   bool Emit = false, Run = false, Throttle = false, Werror = false;
-  bool NoChaining = false;
   sim::SamplingPlan Sample;
   core::ToolOptions Opts;
   // Report verification findings here instead of aborting inside the
@@ -134,39 +132,13 @@ int main(int argc, char **argv) {
   obs::Registry Metrics;
   std::vector<std::string> Paths;
   support::FlagParser Parser(argc, argv);
+  core::addToolFlags(Parser, Opts);
   Parser.flag("--emit", Emit)
       .flag("--run", Run)
-      .flag("--no-chaining", NoChaining)
       .flag("--jobs", Opts.Jobs, 0, 512)
-      .flagEq("--spec-deps",
-              [&](const char *V) {
-                Opts.EnableSpecDeps = true;
-                if (!V)
-                  return true;
-                char *End = nullptr;
-                double D = std::strtod(V, &End);
-                if (*V == '\0' || *End != '\0' || !(D >= 0.0 && D <= 1.0))
-                  return false;
-                Opts.SpecDepThreshold = D;
-                return true;
-              })
-      .flag("--streams", Opts.EnableStreams)
       .flag("--metrics", MetricsPath)
       .flag("--profile", ProfilePath)
       .flag("--emit-profile", EmitProfilePath)
-      .flagEq("--feedback",
-              [&](const char *V) {
-                if (!V) {
-                  Opts.FeedbackRounds = core::FeedbackOptions().MaxRounds;
-                  return true;
-                }
-                char *End = nullptr;
-                unsigned long N = std::strtoul(V, &End, 10);
-                if (*V == '\0' || *End != '\0' || N > 64)
-                  return false;
-                Opts.FeedbackRounds = static_cast<unsigned>(N);
-                return true;
-              })
       .flagEq("--sample",
               [&](const char *V) {
                 if (!V) {
@@ -180,8 +152,6 @@ int main(int argc, char **argv) {
       .flag("--Werror", Werror);
   if (!Parser.parse(&Paths))
     return usage(argv[0]);
-  if (NoChaining)
-    Opts.EnableChaining = false;
   if (MetricsPath)
     Opts.Metrics = &Metrics;
   if (Paths.size() != 1)
@@ -229,7 +199,7 @@ int main(int argc, char **argv) {
     }
     if (PD.BlockCounts.size() != Orig.numFuncs()) {
       std::fprintf(stderr,
-                   "%s: profile has %zu functions, program has %u\n",
+                   "%s: profile has %zu functions, program has %zu\n",
                    ProfilePath, PD.BlockCounts.size(), Orig.numFuncs());
       return 1;
     }
