@@ -17,13 +17,14 @@ FunctionDeps::FunctionDeps(const Program &P, uint32_t Func)
 std::vector<InstRef> FunctionDeps::dataSources(const InstRef &I) const {
   assert(I.Func == Func && "query for wrong function");
   std::vector<InstRef> Sources;
+  std::vector<uint32_t> Scratch;
   const Instruction &Inst = I.get(P);
   Inst.forEachUse([&](Reg R) {
     // Hardwired registers have no producers.
     if ((R.isInt() || R.isPred()) && R.Num == 0)
       return;
-    for (const InstRef &Def : RD.reachingDefs(I.Block, I.Inst, R))
-      Sources.push_back(Def);
+    RD.forEachReachingDef(I.Block, I.Inst, R, Scratch,
+                          [&](const InstRef &Def) { Sources.push_back(Def); });
   });
   std::sort(Sources.begin(), Sources.end());
   Sources.erase(std::unique(Sources.begin(), Sources.end()), Sources.end());

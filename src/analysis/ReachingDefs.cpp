@@ -2,8 +2,6 @@
 
 #include "analysis/ReachingDefs.h"
 
-#include <cassert>
-
 using namespace ssp;
 using namespace ssp::analysis;
 using namespace ssp::ir;
@@ -13,12 +11,13 @@ ReachingDefs ReachingDefs::build(const Program &P, uint32_t Func,
   ReachingDefs RD;
   RD.Prog = &P;
   RD.Func = Func;
-  RD.G = &G;
   const Function &F = P.func(Func);
 
-  // Enumerate definition sites.
+  // Enumerate definition sites; each block's ids are contiguous.
   RD.DefsOfReg.resize(Reg::NumDenseIndices);
+  RD.BlockDefBegin.reserve(F.numBlocks() + 1);
   for (uint32_t BI = 0; BI < F.numBlocks(); ++BI) {
+    RD.BlockDefBegin.push_back(static_cast<uint32_t>(RD.Defs.size()));
     const BasicBlock &BB = F.block(BI);
     if (BB.isAttachment())
       continue;
@@ -32,6 +31,7 @@ ReachingDefs ReachingDefs::build(const Program &P, uint32_t Func,
       RD.DefsOfReg[D.denseIndex()].push_back(Id);
     }
   }
+  RD.BlockDefBegin.push_back(static_cast<uint32_t>(RD.Defs.size()));
 
   size_t NumDefs = RD.Defs.size();
   size_t NumBlocks = F.numBlocks();
@@ -49,35 +49,35 @@ ReachingDefs ReachingDefs::build(const Program &P, uint32_t Func,
     RD.EntryReachesIn[G.entry()].set(R);
 
   // GEN/KILL per block, derived on the fly inside the transfer function.
+  // Walking the block's defs backwards, the first def seen of a register
+  // is its last one: it kills every def of that register and gens itself,
+  // and the register's earlier defs in the block are skipped. Killed is
+  // stamped per call (a per-block stamp would match on the block's next
+  // visit and skip every def).
+  std::vector<uint32_t> Killed(Reg::NumDenseIndices, 0);
+  uint32_t Stamp = 0;
   auto Transfer = [&](uint32_t BI, const support::BitVector &InSet,
                       const support::BitVector &EntryIn,
                       support::BitVector &OutSet,
                       support::BitVector &EntryOut) {
     OutSet = InSet;
     EntryOut = EntryIn;
-    const BasicBlock &BB = F.block(BI);
-    uint32_t DefCursor = 0;
-    // Find the first def id belonging to this block by scanning; def ids
-    // are in layout order, so a linear pass works.
-    while (DefCursor < RD.Defs.size() && RD.Defs[DefCursor].Block != BI)
-      ++DefCursor;
-    for (uint32_t II = 0; II < BB.Insts.size(); ++II) {
-      Reg D = BB.Insts[II].def();
-      if (!D.isValid())
+    ++Stamp;
+    for (uint32_t Id = RD.BlockDefBegin[BI + 1];
+         Id-- > RD.BlockDefBegin[BI];) {
+      unsigned D = RD.DefRegs[Id].denseIndex();
+      if (Killed[D] == Stamp)
         continue;
-      // Kill all other defs of D, then gen this def.
-      for (uint32_t Killed : RD.DefsOfReg[D.denseIndex()])
-        OutSet.reset(Killed);
-      assert(DefCursor < RD.Defs.size() &&
-             RD.Defs[DefCursor].Block == BI &&
-             RD.Defs[DefCursor].Inst == II && "def enumeration mismatch");
-      OutSet.set(DefCursor);
-      ++DefCursor;
-      EntryOut.reset(D.denseIndex());
+      Killed[D] = Stamp;
+      for (uint32_t K : RD.DefsOfReg[D])
+        OutSet.reset(K);
+      OutSet.set(Id);
+      EntryOut.reset(D);
     }
   };
 
   // Iterate to a fixed point over the RPO.
+  support::BitVector NewOut(NumDefs), NewEntryOut(Reg::NumDenseIndices);
   bool Changed = true;
   while (Changed) {
     Changed = false;
@@ -88,9 +88,6 @@ ReachingDefs ReachingDefs::build(const Program &P, uint32_t Func,
         if (RD.EntryReachesIn[BI].unionWith(EntryReachesOut[Pred]))
           Changed = true;
       }
-      support::BitVector NewOut, NewEntryOut;
-      NewOut.resize(NumDefs);
-      NewEntryOut.resize(Reg::NumDenseIndices);
       Transfer(BI, RD.In[BI], RD.EntryReachesIn[BI], NewOut, NewEntryOut);
       if (Out[BI].unionWith(NewOut))
         Changed = true;
@@ -101,50 +98,29 @@ ReachingDefs ReachingDefs::build(const Program &P, uint32_t Func,
   return RD;
 }
 
-void ReachingDefs::stateBefore(uint32_t Block, uint32_t Inst, ir::Reg R,
-                               std::vector<uint32_t> &DefsOut,
-                               bool &EntrySurvives) const {
-  const Function &F = Prog->func(Func);
-  const BasicBlock &BB = F.block(Block);
+bool ReachingDefs::stateBefore(uint32_t Block, uint32_t Inst, ir::Reg R,
+                               std::vector<uint32_t> *DefsOut) const {
   unsigned Dense = R.denseIndex();
+  if (DefsOut)
+    DefsOut->clear();
 
-  // Start from the block-entry state for register R.
-  EntrySurvives = EntryReachesIn[Block].test(Dense);
-  std::vector<uint32_t> &Live = DefsOut;
-  Live.clear();
-  for (uint32_t Id : DefsOfReg[Dense])
-    if (In[Block].test(Id))
-      Live.push_back(Id);
+  // Attachment blocks trail the body and have no CFG edges (CFG::build),
+  // so no def and no entry value reaches any point in them.
+  if (Prog->func(Func).block(Block).isAttachment())
+    return false;
 
-  // Walk the block up to (exclusive) Inst.
-  for (uint32_t II = 0; II < Inst && II < BB.Insts.size(); ++II) {
-    Reg D = BB.Insts[II].def();
-    if (!D.isValid() || D.denseIndex() != Dense)
-      continue;
-    Live.clear();
-    EntrySurvives = false;
-    // Find this def's id.
+  // The last def of R in the block before Inst, if any, is the answer.
+  for (uint32_t Id = BlockDefBegin[Block + 1]; Id-- > BlockDefBegin[Block];)
+    if (Defs[Id].Inst < Inst && DefRegs[Id].denseIndex() == Dense) {
+      if (DefsOut)
+        DefsOut->push_back(Id);
+      return false;
+    }
+
+  // Otherwise the block-entry state for R.
+  if (DefsOut)
     for (uint32_t Id : DefsOfReg[Dense])
-      if (Defs[Id].Block == Block && Defs[Id].Inst == II)
-        Live.push_back(Id);
-  }
-}
-
-std::vector<InstRef> ReachingDefs::reachingDefs(uint32_t Block, uint32_t Inst,
-                                                Reg R) const {
-  std::vector<uint32_t> Ids;
-  bool EntrySurvives = false;
-  stateBefore(Block, Inst, R, Ids, EntrySurvives);
-  std::vector<InstRef> Result;
-  Result.reserve(Ids.size());
-  for (uint32_t Id : Ids)
-    Result.push_back(Defs[Id]);
-  return Result;
-}
-
-bool ReachingDefs::mayBeLiveIn(uint32_t Block, uint32_t Inst, Reg R) const {
-  std::vector<uint32_t> Ids;
-  bool EntrySurvives = false;
-  stateBefore(Block, Inst, R, Ids, EntrySurvives);
-  return EntrySurvives;
+      if (In[Block].test(Id))
+        DefsOut->push_back(Id);
+  return EntryReachesIn[Block].test(Dense);
 }

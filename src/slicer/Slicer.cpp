@@ -37,7 +37,7 @@ bool Slicer::regionContains(int RegionIdx, uint32_t Func,
 }
 
 //===----------------------------------------------------------------------===//
-// Callee summaries (Section 3.1.1): worklist fixed point over recursion.
+// Callee summaries (Section 3.1.1): one closure pass per register.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -62,99 +62,78 @@ void Slicer::computeSummaries() {
   const Program &P = Deps.program();
   const InstIndex &Index = Deps.instIndex();
   std::vector<FuncSummary> Tab(P.numFuncs());
-  for (FuncSummary &Sum : Tab) {
-    Sum.DefinedRegs.resize(Reg::NumDenseIndices);
-    Sum.Defined.resize(Reg::NumDenseIndices);
-  }
 
-  // Per-def closure state, reused across defs: membership bits over dense
-  // program-wide instruction ids and dense register indices.
+  // Closure state of one register, kept across its defs: membership bits
+  // over dense program-wide instruction ids (Touched lists the set ones,
+  // in insertion order) and over dense register indices.
   support::BitVector Members(Index.numInsts());
   support::BitVector Entry(Reg::NumDenseIndices);
+  std::vector<uint32_t> Touched;
+  std::deque<InstRef> Work;
+  auto Add = [&](const InstRef &I) {
+    uint32_t Id = Index.id(I);
+    if (Members.testAndSet(Id)) {
+      Touched.push_back(Id);
+      Work.push_back(I);
+    }
+  };
 
-  // Iterate all function summaries to a fixed point. Sets only grow and
-  // are bounded, so this terminates; recursion (e.g. treeadd) converges in
-  // a few rounds.
-  bool Changed = true;
-  unsigned Round = 0;
-  while (Changed && Round < 8) {
-    Changed = false;
-    ++Round;
-    for (uint32_t FI = 0; FI < P.numFuncs(); ++FI) {
-      const FunctionDeps &FD = Deps.forFunction(FI);
-      FuncSummary &Sum = Tab[FI];
+  // A summary's closure follows reaching defs and control dependences
+  // inside its own function and never reads another summary, so one pass
+  // over each function's registers is final, recursion included.
+  for (uint32_t FI = 0; FI < P.numFuncs(); ++FI) {
+    const FunctionDeps &FD = Deps.forFunction(FI);
+    const ReachingDefs &RD = FD.reachingDefs();
+    FuncSummary &Sum = Tab[FI];
+    Sum.DefinedRegs.resize(Reg::NumDenseIndices);
+    Sum.Defined.resize(Reg::NumDenseIndices);
 
-      for (const InstRef &Def : FD.reachingDefs().allDefs()) {
-        Reg R = Def.get(P).def();
+    for (unsigned Dense = 0; Dense < Reg::NumDenseIndices; ++Dense) {
+      // Each warm def of the register, in layout order, extends the
+      // register's closure; past SummaryRegCap a def adds only itself.
+      for (uint32_t DefId : RD.defIdsOf(Dense)) {
+        const InstRef &Def = RD.allDefs()[DefId];
         if (blockIsCold(FI, Def.Block))
           continue;
-        Sum.Defined.set(R.denseIndex());
-        FuncSummary::RegInfo &Info = Sum.DefinedRegs[R.denseIndex()];
-
-        // Closure of this def within the function.
-        Members.clearAll();
-        Entry.clearAll();
-        size_t NumMembers = Info.Insts.size();
-        size_t NumEntry = Info.EntryDeps.size();
-        for (const InstRef &M : Info.Insts)
-          Members.set(Index.id(M));
-        for (Reg E : Info.EntryDeps)
-          Entry.set(E.denseIndex());
-        size_t OldMembers = NumMembers, OldEntry = NumEntry;
-
-        std::deque<InstRef> Work;
-        if (Members.testAndSet(Index.id(Def))) {
-          ++NumMembers;
-          Work.push_back(Def);
-        }
+        Work.clear();
+        Add(Def);
         while (!Work.empty()) {
           InstRef I = Work.front();
           Work.pop_front();
-          if (NumMembers > SummaryRegCap)
+          if (Touched.size() > SummaryRegCap)
             break;
-          const Instruction &Inst = I.get(P);
-          Inst.forEachUse([&](Reg U) {
+          I.get(P).forEachUse([&](Reg U) {
             if ((U.isInt() || U.isPred()) && U.Num == 0)
               return;
-            FD.reachingDefs().forEachReachingDef(
+            bool LiveIn = RD.forEachReachingDef(
                 I.Block, I.Inst, U, RDScratch, [&](const InstRef &Prod) {
-                  if (blockIsCold(FI, Prod.Block))
-                    return;
-                  if (Members.testAndSet(Index.id(Prod))) {
-                    ++NumMembers;
-                    Work.push_back(Prod);
-                  }
+                  if (!blockIsCold(FI, Prod.Block))
+                    Add(Prod);
                 });
-            if (FD.reachingDefs().mayBeLiveIn(I.Block, I.Inst, U) &&
-                Entry.testAndSet(U.denseIndex()))
-              ++NumEntry;
+            if (LiveIn)
+              Entry.set(U.denseIndex());
           });
-          for (const InstRef &Ctrl : FD.controlSources(I)) {
-            if (blockIsCold(FI, Ctrl.Block))
-              continue;
-            if (Members.testAndSet(Index.id(Ctrl))) {
-              ++NumMembers;
-              Work.push_back(Ctrl);
-            }
-          }
-        }
-
-        if (NumMembers != OldMembers || NumEntry != OldEntry) {
-          Changed = true;
-          Info.Insts.clear();
-          Info.Insts.reserve(NumMembers);
-          Members.forEachSetBit([&](size_t Id) {
-            Info.Insts.push_back(Index.ref(static_cast<uint32_t>(Id)));
-          });
-          Info.EntryDeps.clear();
-          Info.EntryDeps.reserve(NumEntry);
-          Entry.forEachSetBit([&](size_t Dense) {
-            Info.EntryDeps.push_back(
-                regFromDenseIndex(static_cast<unsigned>(Dense)));
-          });
+          for (const InstRef &Ctrl : FD.controlSources(I))
+            if (!blockIsCold(FI, Ctrl.Block))
+              Add(Ctrl);
         }
       }
-      Sum.Computed = true;
+      if (Touched.empty())
+        continue;
+
+      Sum.Defined.set(Dense);
+      FuncSummary::RegInfo &Info = Sum.DefinedRegs[Dense];
+      std::sort(Touched.begin(), Touched.end());
+      Info.Insts.reserve(Touched.size());
+      for (uint32_t Id : Touched) {
+        Info.Insts.push_back(Index.ref(Id));
+        Members.reset(Id);
+      }
+      Touched.clear();
+      Entry.forEachSetBit([&](size_t E) {
+        Info.EntryDeps.push_back(regFromDenseIndex(static_cast<unsigned>(E)));
+      });
+      Entry.clearAll();
     }
   }
   Summaries =
@@ -256,7 +235,7 @@ Slice Slicer::computeSlice(const InstRef &Load, int RegionIdx,
           return;
         const FunctionDeps &FD = Deps.forFunction(Pos.Func);
 
-        FD.reachingDefs().forEachReachingDef(
+        bool LiveIn = FD.reachingDefs().forEachReachingDef(
             Pos.Block, Pos.Inst, R, RDScratch, [&](const InstRef &Prod) {
               if (!InRegionAtFrame(Prod, K)) {
                 // Producer outside the region: the value is a live-in.
@@ -298,7 +277,7 @@ Slice Slicer::computeSlice(const InstRef &Load, int RegionIdx,
             ExpandUse(C.Site, K, E); // Actuals just before the call.
         }
 
-        if (FD.reachingDefs().mayBeLiveIn(Pos.Block, Pos.Inst, R)) {
+        if (LiveIn) {
           if (K < TopFrame) {
             // Continue in the caller just before the context call site:
             // the context-sensitive contextmap(f, c) step.

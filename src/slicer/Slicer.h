@@ -16,10 +16,10 @@
 ///    through a call site c, the slice continues in the caller just before
 ///    c — the slice(r, [c1..cn]) formula of Section 3.1, which only builds
 ///    the slice up the chain of calls on the call stack.
-///  * Callee summaries with a fixed-point over recursion: values produced
-///    inside callees are expanded through per-function register summaries
-///    (slice summaries of Section 3.1.1); recursion is resolved by
-///    iterating summaries to a fixed point.
+///  * Callee summaries: values produced inside callees are expanded
+///    through per-function register summaries (slice summaries of Section
+///    3.1.1). A summary's closure stays inside its function, so one pass
+///    per register builds it, recursion included.
 ///  * Control-flow speculative slicing (Section 3.1.2): blocks never
 ///    executed during profiling are filtered out of the slice, and
 ///    indirect calls are resolved only to their profiled targets.
@@ -96,7 +96,6 @@ struct FuncSummary {
   /// on the slicer's hottest lookup).
   std::vector<RegInfo> DefinedRegs;
   support::BitVector Defined;
-  bool Computed = false;
 
   /// Summary for dense register index \p Dense, or nullptr when the
   /// function never defines it.
@@ -140,10 +139,10 @@ public:
   /// e.g. treeadd's left- and right-child call sites.
   static void mergeInto(Slice &A, const Slice &B);
 
-  /// Summary of \p Func, computed on demand with recursion fixed point.
+  /// Summary of \p Func; the first call builds every function's summary.
   const FuncSummary &summaryOf(uint32_t Func);
 
-  /// Forces the summary fixed point now. Call once before handing copies
+  /// Builds the summaries now. Call once before handing copies
   /// of this slicer to worker threads so they never race to build it.
   void ensureSummaries();
 

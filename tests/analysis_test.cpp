@@ -9,6 +9,8 @@
 #include "analysis/SCC.h"
 #include "ir/IRBuilder.h"
 
+#include "DifferentialCorpus.h"
+
 #include <gtest/gtest.h>
 
 using namespace ssp;
@@ -187,8 +189,10 @@ TEST(ReachingDefs, FindsLoopCarriedAndInit) {
   // Use of r1 in the loop's addI: producers are the entry movI and the
   // addI itself (around the back edge).
   InstRef AddI{0, 1, 0};
-  std::vector<InstRef> Defs =
-      FD.reachingDefs().reachingDefs(1, 0, ireg(1));
+  std::vector<InstRef> Defs;
+  std::vector<uint32_t> Scratch;
+  FD.reachingDefs().forEachReachingDef(
+      1, 0, ireg(1), Scratch, [&](const InstRef &D) { Defs.push_back(D); });
   EXPECT_EQ(Defs.size(), 2u);
   (void)AddI;
 }
@@ -200,6 +204,172 @@ TEST(ReachingDefs, LiveInAtEntry) {
   EXPECT_TRUE(FD.reachingDefs().mayBeLiveIn(0, 0, ireg(9)));
   // r1 at the join is always defined on both paths.
   EXPECT_FALSE(FD.reachingDefs().mayBeLiveIn(2, 0, ireg(1)));
+}
+
+namespace {
+
+/// The reaching-definitions analysis as it was before queries used
+/// per-block def ranges: the transfer function kills every def of a
+/// register once per def of it in the block, and a query walks the block
+/// and rescans the register's defs for each redefinition it meets. Kept
+/// as the reference the current analysis must match exactly.
+struct BlockWalkReachingDefs {
+  const Program *Prog = nullptr;
+  uint32_t Func = 0;
+  std::vector<InstRef> Defs;
+  std::vector<std::vector<uint32_t>> DefsOfReg;
+  std::vector<support::BitVector> In;
+  std::vector<support::BitVector> EntryReachesIn;
+
+  BlockWalkReachingDefs(const Program &P, uint32_t Func, const CFG &G)
+      : Prog(&P), Func(Func) {
+    const Function &F = P.func(Func);
+    DefsOfReg.resize(Reg::NumDenseIndices);
+    for (uint32_t BI = 0; BI < F.numBlocks(); ++BI) {
+      const BasicBlock &BB = F.block(BI);
+      if (BB.isAttachment())
+        continue;
+      for (uint32_t II = 0; II < BB.Insts.size(); ++II) {
+        Reg D = BB.Insts[II].def();
+        if (!D.isValid())
+          continue;
+        DefsOfReg[D.denseIndex()].push_back(
+            static_cast<uint32_t>(Defs.size()));
+        Defs.push_back({Func, BI, II});
+      }
+    }
+
+    size_t NumDefs = Defs.size();
+    size_t NumBlocks = F.numBlocks();
+    In.resize(NumBlocks);
+    EntryReachesIn.resize(NumBlocks);
+    std::vector<support::BitVector> Out(NumBlocks), EntryReachesOut(NumBlocks);
+    for (size_t B = 0; B < NumBlocks; ++B) {
+      In[B].resize(NumDefs);
+      Out[B].resize(NumDefs);
+      EntryReachesIn[B].resize(Reg::NumDenseIndices);
+      EntryReachesOut[B].resize(Reg::NumDenseIndices);
+    }
+    for (unsigned R = 0; R < Reg::NumDenseIndices; ++R)
+      EntryReachesIn[G.entry()].set(R);
+
+    auto Transfer = [&](uint32_t BI, support::BitVector &OutSet,
+                        support::BitVector &EntryOut) {
+      OutSet = In[BI];
+      EntryOut = EntryReachesIn[BI];
+      const BasicBlock &BB = F.block(BI);
+      uint32_t DefCursor = 0;
+      while (DefCursor < Defs.size() && Defs[DefCursor].Block != BI)
+        ++DefCursor;
+      for (uint32_t II = 0; II < BB.Insts.size(); ++II) {
+        Reg D = BB.Insts[II].def();
+        if (!D.isValid())
+          continue;
+        for (uint32_t Killed : DefsOfReg[D.denseIndex()])
+          OutSet.reset(Killed);
+        OutSet.set(DefCursor);
+        ++DefCursor;
+        EntryOut.reset(D.denseIndex());
+      }
+    };
+
+    bool Changed = true;
+    while (Changed) {
+      Changed = false;
+      for (uint32_t BI : G.rpo()) {
+        for (uint32_t Pred : G.preds(BI)) {
+          Changed |= In[BI].unionWith(Out[Pred]);
+          Changed |= EntryReachesIn[BI].unionWith(EntryReachesOut[Pred]);
+        }
+        support::BitVector NewOut(NumDefs),
+            NewEntryOut(Reg::NumDenseIndices);
+        Transfer(BI, NewOut, NewEntryOut);
+        Changed |= Out[BI].unionWith(NewOut);
+        Changed |= EntryReachesOut[BI].unionWith(NewEntryOut);
+      }
+    }
+  }
+
+  /// Reaching defs of \p R before (\p Block, \p Inst); sets \p LiveIn.
+  std::vector<InstRef> query(uint32_t Block, uint32_t Inst, Reg R,
+                             bool &LiveIn) const {
+    const BasicBlock &BB = Prog->func(Func).block(Block);
+    unsigned Dense = R.denseIndex();
+    LiveIn = EntryReachesIn[Block].test(Dense);
+    std::vector<uint32_t> Live;
+    for (uint32_t Id : DefsOfReg[Dense])
+      if (In[Block].test(Id))
+        Live.push_back(Id);
+    for (uint32_t II = 0; II < Inst && II < BB.Insts.size(); ++II) {
+      Reg D = BB.Insts[II].def();
+      if (!D.isValid() || D.denseIndex() != Dense)
+        continue;
+      Live.clear();
+      LiveIn = false;
+      for (uint32_t Id : DefsOfReg[Dense])
+        if (Defs[Id].Block == Block && Defs[Id].Inst == II)
+          Live.push_back(Id);
+    }
+    std::vector<InstRef> Result;
+    for (uint32_t Id : Live)
+      Result.push_back(Defs[Id]);
+    return Result;
+  }
+};
+
+} // namespace
+
+TEST(ReachingDefs, MatchesBlockWalkReference) {
+  size_t Queries = 0, AttachmentRedefs = 0;
+  std::vector<uint32_t> Scratch;
+  for (const tests::CorpusProgram &C : tests::differentialCorpus()) {
+    SCOPED_TRACE(C.Name);
+    for (uint32_t FI = 0; FI < C.P.numFuncs(); ++FI) {
+      const Function &F = C.P.func(FI);
+      CFG G = CFG::build(F);
+      ReachingDefs RD = ReachingDefs::build(C.P, FI, G);
+      BlockWalkReachingDefs Ref(C.P, FI, G);
+      ASSERT_EQ(RD.allDefs(), Ref.Defs) << F.getName();
+      for (unsigned Dense = 0; Dense < Reg::NumDenseIndices; ++Dense)
+        ASSERT_EQ(RD.defIdsOf(Dense), Ref.DefsOfReg[Dense]) << F.getName();
+
+      size_t Mismatches = 0;
+      for (uint32_t BI = 0; BI < F.numBlocks(); ++BI) {
+        const BasicBlock &BB = F.block(BI);
+        for (uint32_t II = 0; II < BB.Insts.size(); ++II) {
+          BB.Insts[II].forEachUse([&](Reg U) {
+            bool WantLiveIn = false;
+            std::vector<InstRef> Want = Ref.query(BI, II, U, WantLiveIn);
+            std::vector<InstRef> Got;
+            bool LiveIn = RD.forEachReachingDef(
+                BI, II, U, Scratch,
+                [&](const InstRef &D) { Got.push_back(D); });
+            ++Queries;
+            if (BB.isAttachment())
+              for (uint32_t Prev = 0; Prev < II; ++Prev)
+                if (BB.Insts[Prev].def() == U) {
+                  ++AttachmentRedefs;
+                  break;
+                }
+            if (Got == Want && LiveIn == WantLiveIn &&
+                RD.mayBeLiveIn(BI, II, U) == WantLiveIn)
+              return;
+            if (++Mismatches <= 5)
+              ADD_FAILURE() << F.getName() << " bb" << BI << " inst " << II
+                            << " use " << U.str() << ": " << Got.size()
+                            << " reaching defs (want " << Want.size()
+                            << "), live-in " << LiveIn << " (want "
+                            << WantLiveIn << ")";
+          });
+        }
+      }
+      ASSERT_EQ(Mismatches, 0u) << F.getName();
+    }
+  }
+  // The corpus includes uses in attachment blocks after a redefinition
+  // there, which reach no def and no entry value.
+  EXPECT_GT(Queries, 50000u);
+  EXPECT_GT(AttachmentRedefs, 0u);
 }
 
 TEST(DependenceGraph, CarriedVsIntra) {

@@ -304,8 +304,9 @@ TEST(ParserHardening, HighBitBytesAreAParseErrorNotUB) {
     T[Pos] = static_cast<char>(0xC3);
     Program P;
     std::string Err;
-    if (!parseProgram(T, P, Err))
+    if (!parseProgram(T, P, Err)) {
       EXPECT_FALSE(Err.empty());
+    }
   }
   SUCCEED();
 }

@@ -6,7 +6,11 @@
 #include "slicer/Slicer.h"
 #include "workloads/Workload.h"
 
+#include "DifferentialCorpus.h"
+
 #include <gtest/gtest.h>
+
+#include <deque>
 
 using namespace ssp;
 using namespace ssp::ir;
@@ -183,10 +187,8 @@ TEST(Slicer, SummariesCoverRecursion) {
   profile::ProfileData PD = profile::collectControlFlowProfile(LP, Mem);
   SliceHarness H(std::move(P), std::move(PD));
   Slicer S = H.makeSlicer();
-  // The recursive function's summary must exist and terminate (fixed
-  // point over the recursion).
+  // The recursive function's summary must exist.
   const FuncSummary &Sum = S.summaryOf(1);
-  EXPECT_TRUE(Sum.Computed);
   EXPECT_GT(Sum.Defined.count(), 0u);
   // Every defined register's summary carries at least its defining
   // instruction.
@@ -274,4 +276,143 @@ TEST(Slicer, RejectsOversizedSlices) {
   Slice Sl = S.computeSlice(Load, H.RG.innermostRegionOf(Load, H.Deps));
   EXPECT_FALSE(Sl.Valid);
   EXPECT_NE(Sl.RejectReason.find("size"), std::string::npos);
+}
+
+namespace {
+
+/// Callee summaries as they were built before one pass per register: a
+/// fixed point of up to eight rounds over every function, in which each
+/// def re-seeds its register's closure from the summary so far and
+/// rebuilds the summary. Kept as the reference the current summaries must
+/// match exactly.
+std::vector<FuncSummary> reseedingSummaries(const ProgramDeps &Deps,
+                                            const profile::ProfileData &PD,
+                                            bool Speculative) {
+  const Program &P = Deps.program();
+  const InstIndex &Index = Deps.instIndex();
+  auto Cold = [&](uint32_t Func, uint32_t Block) {
+    return Speculative && PD.blockCount(Func, Block) == 0;
+  };
+  std::vector<FuncSummary> Tab(P.numFuncs());
+  for (FuncSummary &Sum : Tab) {
+    Sum.DefinedRegs.resize(Reg::NumDenseIndices);
+    Sum.Defined.resize(Reg::NumDenseIndices);
+  }
+  support::BitVector Members(Index.numInsts());
+  support::BitVector Entry(Reg::NumDenseIndices);
+  std::vector<uint32_t> Scratch;
+  bool Changed = true;
+  unsigned Round = 0;
+  while (Changed && Round < 8) {
+    Changed = false;
+    ++Round;
+    for (uint32_t FI = 0; FI < P.numFuncs(); ++FI) {
+      const FunctionDeps &FD = Deps.forFunction(FI);
+      FuncSummary &Sum = Tab[FI];
+      for (const InstRef &Def : FD.reachingDefs().allDefs()) {
+        Reg R = Def.get(P).def();
+        if (Cold(FI, Def.Block))
+          continue;
+        Sum.Defined.set(R.denseIndex());
+        FuncSummary::RegInfo &Info = Sum.DefinedRegs[R.denseIndex()];
+        Members.clearAll();
+        Entry.clearAll();
+        size_t NumMembers = Info.Insts.size();
+        size_t NumEntry = Info.EntryDeps.size();
+        for (const InstRef &M : Info.Insts)
+          Members.set(Index.id(M));
+        for (Reg E : Info.EntryDeps)
+          Entry.set(E.denseIndex());
+        size_t OldMembers = NumMembers, OldEntry = NumEntry;
+        std::deque<InstRef> Work;
+        if (Members.testAndSet(Index.id(Def))) {
+          ++NumMembers;
+          Work.push_back(Def);
+        }
+        while (!Work.empty()) {
+          InstRef I = Work.front();
+          Work.pop_front();
+          if (NumMembers > 200) // The summary size cap.
+            break;
+          I.get(P).forEachUse([&](Reg U) {
+            if ((U.isInt() || U.isPred()) && U.Num == 0)
+              return;
+            FD.reachingDefs().forEachReachingDef(
+                I.Block, I.Inst, U, Scratch, [&](const InstRef &Prod) {
+                  if (Cold(FI, Prod.Block))
+                    return;
+                  if (Members.testAndSet(Index.id(Prod))) {
+                    ++NumMembers;
+                    Work.push_back(Prod);
+                  }
+                });
+            if (FD.reachingDefs().mayBeLiveIn(I.Block, I.Inst, U) &&
+                Entry.testAndSet(U.denseIndex()))
+              ++NumEntry;
+          });
+          for (const InstRef &Ctrl : FD.controlSources(I)) {
+            if (Cold(FI, Ctrl.Block))
+              continue;
+            if (Members.testAndSet(Index.id(Ctrl))) {
+              ++NumMembers;
+              Work.push_back(Ctrl);
+            }
+          }
+        }
+        if (NumMembers != OldMembers || NumEntry != OldEntry) {
+          Changed = true;
+          Info.Insts.clear();
+          Members.forEachSetBit([&](size_t Id) {
+            Info.Insts.push_back(Index.ref(static_cast<uint32_t>(Id)));
+          });
+          Info.EntryDeps.clear();
+          Entry.forEachSetBit([&](size_t Dense) {
+            Info.EntryDeps.push_back(
+                regFromDenseIndex(static_cast<unsigned>(Dense)));
+          });
+        }
+      }
+    }
+  }
+  return Tab;
+}
+
+} // namespace
+
+TEST(Slicer, SummariesMatchReseedingReference) {
+  size_t Regs = 0, CappedRegs = 0;
+  for (const tests::CorpusProgram &C : tests::differentialCorpus()) {
+    SCOPED_TRACE(C.Name);
+    ProgramDeps Deps(C.P);
+    RegionGraph RG = RegionGraph::build(Deps);
+    CallGraph CG =
+        CallGraph::build(C.P, C.PD.IndirectTargets, C.PD.CallSiteCounts);
+    for (bool Speculative : {true, false}) {
+      SCOPED_TRACE(Speculative ? "speculative" : "static");
+      SliceOptions Opts;
+      Opts.Speculative = Speculative;
+      Slicer S(Deps, RG, CG, C.PD, Opts);
+      std::vector<FuncSummary> Ref =
+          reseedingSummaries(Deps, C.PD, Speculative);
+      for (uint32_t FI = 0; FI < C.P.numFuncs(); ++FI) {
+        const FuncSummary &Sum = S.summaryOf(FI);
+        const std::string &Name = C.P.func(FI).getName();
+        ASSERT_TRUE(Sum.Defined == Ref[FI].Defined) << Name;
+        for (unsigned Dense = 0; Dense < Reg::NumDenseIndices; ++Dense) {
+          const FuncSummary::RegInfo &Got = Sum.DefinedRegs[Dense];
+          const FuncSummary::RegInfo &Want = Ref[FI].DefinedRegs[Dense];
+          ASSERT_EQ(Got.Insts, Want.Insts)
+              << Name << " " << regFromDenseIndex(Dense).str();
+          ASSERT_EQ(Got.EntryDeps, Want.EntryDeps)
+              << Name << " " << regFromDenseIndex(Dense).str();
+          Regs += !Want.Insts.empty();
+          CappedRegs += Want.Insts.size() > 200;
+        }
+      }
+    }
+  }
+  // Some summaries pass the size cap, where each further def adds only
+  // itself.
+  EXPECT_GT(Regs, 1000u);
+  EXPECT_GT(CappedRegs, 0u);
 }
