@@ -7,14 +7,15 @@
 // report the speedup delta of the fixpoint binary over the one-shot one.
 //
 // The per-round decision trace (hoists, deepenings, throttles, drops) is
-// printed for every workload, the fixpoint binary's checksum is validated
-// against the analytically expected value, and the JSON report
-// (BENCH_feedback.json via --out) carries per-workload one-shot/feedback
-// speedups plus the counts scripts/check_feedback_json.py gates in CI:
-// >= 2 workloads must improve, none may regress, and every loop must
-// reach its fixpoint within the round bound.
+// printed for every workload, and the fixpoint binary's checksum is
+// validated against the analytically expected value.
 //
-//   bench_feedback [--jobs N] [--out FILE] [--no-skip] [--sample[=W:D:F[:R]]]
+// The exit code is the loop's acceptance bar: it is 1 unless checksums
+// hold, verify reports no errors, no workload regresses, every loop
+// reaches its fixpoint with its round counts in bounds, every improvement
+// is backed by feedback decisions, and >= 2 workloads improve.
+//
+//   bench_feedback [--jobs N] [--no-skip] [--sample[=W:D:F[:R]]]
 //
 // --sample applies to the loop's *internal* per-round simulations; the
 // final reported speedups always come from full-detail runs so the
@@ -36,8 +37,8 @@ using namespace ssp::harness;
 
 namespace {
 
-/// Feedback-round cap: the acceptance bar (and the CI gate) is a fixpoint
-/// within 4 rounds on every workload.
+/// Feedback-round cap: the acceptance bar is a fixpoint within 4 rounds on
+/// every workload.
 constexpr unsigned kMaxRounds = 4;
 
 struct WorkloadOutcome {
@@ -143,71 +144,40 @@ int main(int argc, char **argv) {
 
   unsigned Improved = 0, Regressed = 0, MaxRoundsUsed = 0;
   unsigned TotalErrors = 0;
-  bool AllFixpoint = true, ChecksumsOk = true;
-  std::string Json = "{\n  \"max_rounds\": " + std::to_string(kMaxRounds) +
-                     ",\n  \"jobs\": " +
-                     std::to_string(Pool.numThreads()) +
-                     ",\n  \"workloads\": [\n";
-  char Buf[512];
-  for (size_t I = 0; I < Out.size(); ++I) {
-    const WorkloadOutcome &O = Out[I];
+  bool AllFixpoint = true, ChecksumsOk = true, LoopOk = true;
+  for (const WorkloadOutcome &O : Out) {
     // Strict comparison: the monotonic-accept rule makes feedback < one-
     // shot impossible, so any regression here is a harness/loop bug.
-    if (O.Feedback > O.OneShot)
+    if (O.Feedback > O.OneShot) {
       ++Improved;
+      if (O.Decisions == 0) {
+        std::fprintf(stderr, "%s: improved with zero feedback decisions\n",
+                     O.Name.c_str());
+        LoopOk = false;
+      }
+    }
     if (O.Feedback < O.OneShot)
       ++Regressed;
+    // Round 1 (the one-shot binary) is always accepted.
+    if (O.Rounds < 1 || O.Rounds > kMaxRounds || O.AcceptedRounds < 1 ||
+        O.AcceptedRounds > O.Rounds) {
+      std::fprintf(stderr, "%s: %u rounds, %u accepted, outside bounds\n",
+                   O.Name.c_str(), O.Rounds, O.AcceptedRounds);
+      LoopOk = false;
+    }
     MaxRoundsUsed = std::max(MaxRoundsUsed, O.Rounds);
     AllFixpoint = AllFixpoint && O.Fixpoint;
     ChecksumsOk = ChecksumsOk && O.ChecksumOk;
     TotalErrors += O.VerifyErrors;
-    std::snprintf(Buf, sizeof(Buf),
-                  "    {\n"
-                  "      \"name\": \"%s\",\n"
-                  "      \"speedup_oneshot\": %.4f,\n"
-                  "      \"speedup_feedback\": %.4f,\n"
-                  "      \"speedup_delta\": %.4f,\n"
-                  "      \"rounds\": %u,\n"
-                  "      \"accepted_rounds\": %u,\n"
-                  "      \"decisions\": %u,\n"
-                  "      \"fixpoint\": %s,\n"
-                  "      \"checksum_ok\": %s,\n"
-                  "      \"verify_errors\": %u\n"
-                  "    }%s\n",
-                  O.Name.c_str(), O.OneShot, O.Feedback,
-                  O.Feedback - O.OneShot, O.Rounds, O.AcceptedRounds,
-                  O.Decisions, O.Fixpoint ? "true" : "false",
-                  O.ChecksumOk ? "true" : "false", O.VerifyErrors,
-                  I + 1 == Out.size() ? "" : ",");
-    Json += Buf;
   }
-  std::snprintf(Buf, sizeof(Buf),
-                "  ],\n"
-                "  \"workloads_improved\": %u,\n"
-                "  \"workloads_regressed\": %u,\n"
-                "  \"max_rounds_used\": %u,\n"
-                "  \"all_fixpoint\": %s,\n"
-                "  \"verify_errors\": %u,\n"
-                "  \"checksum_ok\": %s\n"
-                "}\n",
-                Improved, Regressed, MaxRoundsUsed,
-                AllFixpoint ? "true" : "false", TotalErrors,
-                ChecksumsOk ? "true" : "false");
-  Json += Buf;
 
   std::printf("feedback: %u workloads improved, %u regressed, max %u "
               "rounds, fixpoint %s, %u verify errors\n",
               Improved, Regressed, MaxRoundsUsed,
               AllFixpoint ? "everywhere" : "NOT reached", TotalErrors);
 
-  if (Args.OutPath) {
-    std::FILE *F = std::fopen(Args.OutPath, "w");
-    if (!F) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", Args.OutPath);
-      return 1;
-    }
-    std::fputs(Json.c_str(), F);
-    std::fclose(F);
-  }
-  return (ChecksumsOk && TotalErrors == 0 && Regressed == 0) ? 0 : 1;
+  return (ChecksumsOk && TotalErrors == 0 && Regressed == 0 && AllFixpoint &&
+          LoopOk && Improved >= 2)
+             ? 0
+             : 1;
 }

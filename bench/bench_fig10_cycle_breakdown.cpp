@@ -24,9 +24,10 @@ int main(int argc, char **argv) {
               "in-order (%%) ===\n");
   printMachineBanner();
 
-  ParallelSuiteRunner Runner(core::ToolOptions(), Args.Jobs);
+  SuiteRunner Runner;
   Runner.setSamplingPlan(Args.Sample);
-  Runner.runAll(workloads::paperSuite());
+  support::ThreadPool Pool(Args.Jobs);
+  Runner.runAll(workloads::paperSuite(), Pool);
   TablePrinter T;
   T.row();
   T.cell(std::string("benchmark"));

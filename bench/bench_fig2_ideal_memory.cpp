@@ -24,8 +24,9 @@ int main(int argc, char **argv) {
               "delinquent loads ===\n");
   printMachineBanner();
 
-  ParallelSuiteRunner Runner(core::ToolOptions(), Args.Jobs);
+  SuiteRunner Runner;
   Runner.setSamplingPlan(Args.Sample);
+  support::ThreadPool Pool(Args.Jobs);
 
   // "Delinquent loads always hit" must be computed to a fixpoint: on
   // lines shared by several loads, idealizing the profiled miss-taker
@@ -79,7 +80,7 @@ int main(int argc, char **argv) {
     size_t DelinquentLoads;
   };
   std::vector<RowData> Rows(Suite.size());
-  Runner.pool().parallelFor(Suite.size(), [&](size_t I) {
+  Pool.parallelFor(Suite.size(), [&](size_t I) {
     const workloads::Workload &W = Suite[I];
     std::unordered_set<ir::StaticId> Delinquent = DelinquentFixpoint(W);
 

@@ -22,9 +22,10 @@ int main(int argc, char **argv) {
   std::printf("=== Figure 8: speedups over the baseline in-order model ===\n");
   printMachineBanner();
 
-  ParallelSuiteRunner Runner(core::ToolOptions(), Args.Jobs);
+  SuiteRunner Runner;
   Runner.setSamplingPlan(Args.Sample);
-  Runner.runAll(workloads::fullSuite());
+  support::ThreadPool Pool(Args.Jobs);
+  Runner.runAll(workloads::fullSuite(), Pool);
   TablePrinter T;
   T.row();
   T.cell(std::string("benchmark"));

@@ -61,9 +61,10 @@ int main(int argc, char **argv) {
               "missing L1 (%% of accesses) ===\n");
   printMachineBanner();
 
-  ParallelSuiteRunner Runner(core::ToolOptions(), Args.Jobs);
+  SuiteRunner Runner;
   Runner.setSamplingPlan(Args.Sample);
-  Runner.runAll(workloads::fullSuite());
+  support::ThreadPool Pool(Args.Jobs);
+  Runner.runAll(workloads::fullSuite(), Pool);
   TablePrinter T;
   T.row();
   T.cell(std::string("benchmark"));

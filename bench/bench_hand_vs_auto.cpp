@@ -22,7 +22,7 @@ int main(int argc, char **argv) {
   std::printf("=== Section 4.5: automatic vs. hand adaptation ===\n");
   printMachineBanner();
 
-  ParallelSuiteRunner Runner(core::ToolOptions(), Args.Jobs);
+  SuiteRunner Runner;
   Runner.setSamplingPlan(Args.Sample);
   TablePrinter T;
   T.row();
@@ -50,9 +50,10 @@ int main(int argc, char **argv) {
   // land in fixed slots so the report below is identical for any --jobs.
   sim::SimStats HandStats[4];
   bool HandOk[4] = {true, true, true, true};
-  Runner.pool().parallelFor(6, [&](size_t I) {
+  support::ThreadPool Pool(Args.Jobs);
+  Pool.parallelFor(6, [&](size_t I) {
     if (I < 2) {
-      Runner.inner().run(Pairs[I].Base, nullptr);
+      Runner.run(Pairs[I].Base);
       return;
     }
     size_t Slot = I - 2;

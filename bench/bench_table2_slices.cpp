@@ -29,17 +29,18 @@ int main(int argc, char **argv) {
       {"vpr", {6, 0, 13.5, 4.0}},
   };
 
-  ParallelSuiteRunner Runner(core::ToolOptions(), Args.Jobs);
+  SuiteRunner Runner;
   Runner.setSamplingPlan(Args.Sample);
-  Runner.runAll(workloads::paperSuite());
+  support::ThreadPool Pool(Args.Jobs);
+  Runner.runAll(workloads::paperSuite(), Pool);
   // The spec-deps arm: same pipeline with profile-cold may-dependences
   // pruned from the slices (the "spec size/drops" columns below).
   core::ToolOptions SpecOpts;
   SpecOpts.EnableSpecDeps = true;
   SpecOpts.SpecDepThreshold = 0.05;
-  ParallelSuiteRunner SpecRunner(SpecOpts, Args.Jobs);
+  SuiteRunner SpecRunner(SpecOpts);
   SpecRunner.setSamplingPlan(Args.Sample);
-  SpecRunner.runAll(workloads::paperSuite());
+  SpecRunner.runAll(workloads::paperSuite(), Pool);
   TablePrinter T;
   T.row();
   T.cell(std::string("benchmark"));

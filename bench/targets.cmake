@@ -1,7 +1,9 @@
 # Bench targets are defined from the top-level CMakeLists (via include())
 # so that ${CMAKE_BINARY_DIR}/bench contains *only* the bench executables:
 # `for b in build/bench/*; do $b; done` then reruns the paper's evaluation
-# with no stray CMake artifacts in the glob.
+# with no stray CMake artifacts in the glob. bench_ablation_slicing,
+# bench_feedback and bench_streams exit 1 when their acceptance bar fails;
+# bench_smoke exits 1 on a checksum mismatch.
 function(ssp_add_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
   target_link_libraries(${name} PRIVATE ssp_harness)
@@ -23,121 +25,5 @@ ssp_add_bench(bench_ablation_throttle)
 ssp_add_bench(bench_sweep_memlat)
 ssp_add_bench(bench_sweep_contexts)
 ssp_add_bench(bench_smoke)
-
-# `cmake --build build --target bench-smoke` first runs the idle-skipping
-# and sampling differential tests (skip vs --no-skip must be bit-identical,
-# and the sampled simulator must honor its exactness/error contracts — the
-# invariants every number in BENCH_smoke.json rests on; pair with
-# -DSSP_SANITIZE=ON for the instrumented CI run), then runs one small
-# workload end-to-end on the parallel harness and writes BENCH_smoke.json
-# (throughput in simulated cycles/sec — skipping on/off and sampled per
-# workload tier — + the in-order SSP speedup and per-tier sampling error).
-add_custom_target(bench-smoke
-  COMMAND $<TARGET_FILE:skip_test> --gtest_brief=1
-  COMMAND $<TARGET_FILE:sample_test> --gtest_brief=1
-  COMMAND ${CMAKE_COMMAND}
-          -DBENCH_BIN=$<TARGET_FILE:bench_smoke>
-          -DOUT=${CMAKE_BINARY_DIR}/BENCH_smoke.json
-          -DJOBS=2
-          -P ${CMAKE_SOURCE_DIR}/bench/emit_json.cmake
-  DEPENDS bench_smoke skip_test sample_test
-  COMMENT "Running skip + sampling differentials + end-to-end bench smoke (2 jobs)"
-  VERBATIM)
-
-# `cmake --build build --target bench-ablation` reruns the slicing
-# ablation — control-flow speculative slicing and speculation-aware
-# dependence pruning (--spec-deps) — and writes BENCH_ablation.json with
-# per-workload spec-on/spec-off speedups, slice lengths, dropped-edge and
-# speculation.* verify-error counts; scripts/check_ablation_json.py
-# validates it in CI (shorter slices on >= 2 workloads, no speedup
-# regressions, zero verify errors).
-add_custom_target(bench-ablation
-  COMMAND ${CMAKE_COMMAND}
-          -DBENCH_BIN=$<TARGET_FILE:bench_ablation_slicing>
-          -DOUT=${CMAKE_BINARY_DIR}/BENCH_ablation.json
-          -DJOBS=2
-          -DREQUIRE=workloads_with_shorter_slices
-          -P ${CMAKE_SOURCE_DIR}/bench/emit_json.cmake
-  DEPENDS bench_ablation_slicing
-  COMMENT "Running the slicing ablation (spec-deps on/off) on the suite"
-  VERBATIM)
-
 ssp_add_bench(bench_feedback)
-
-# `cmake --build build --target bench-feedback` reruns the closed-loop
-# feedback evaluation — one-shot vs adapt->simulate->re-adapt fixpoint on
-# the paper suite — and writes BENCH_feedback.json with per-workload
-# speedups, round counts and decision traces;
-# scripts/check_feedback_json.py validates it in CI (>= 2 workloads
-# improve, none regress, fixpoint within the round bound, checksums and
-# zero verify errors).
-add_custom_target(bench-feedback
-  COMMAND ${CMAKE_COMMAND}
-          -DBENCH_BIN=$<TARGET_FILE:bench_feedback>
-          -DOUT=${CMAKE_BINARY_DIR}/BENCH_feedback.json
-          -DJOBS=2
-          -DREQUIRE=workloads_improved
-          -P ${CMAKE_SOURCE_DIR}/bench/emit_json.cmake
-  DEPENDS bench_feedback
-  COMMENT "Running the closed-loop feedback evaluation on the suite"
-  VERBATIM)
-
 ssp_add_bench(bench_streams)
-
-# `cmake --build build --target bench-streams` reruns the stream-descriptor
-# evaluation — full p-slice replay vs descriptor execution on the indirect
-# suite (hashjoin, pagerank, oahash) — and writes BENCH_streams.json with
-# per-workload speedups, descriptor kinds and stream-engine counters;
-# scripts/check_streams_json.py validates it in CI (>= 2 classified
-# workloads beat their full-p-slice binary, none regress, checksums and
-# zero stream.* verify errors).
-add_custom_target(bench-streams
-  COMMAND ${CMAKE_COMMAND}
-          -DBENCH_BIN=$<TARGET_FILE:bench_streams>
-          -DOUT=${CMAKE_BINARY_DIR}/BENCH_streams.json
-          -DJOBS=2
-          -DREQUIRE=workloads_improved
-          -P ${CMAKE_SOURCE_DIR}/bench/emit_json.cmake
-  DEPENDS bench_streams
-  COMMENT "Running the stream-descriptor evaluation on the indirect suite"
-  VERBATIM)
-
-ssp_add_bench(bench_serve)
-
-# `cmake --build build --target bench-serve` drives the AdaptService the
-# way a client drives ssp-adaptd: framed protocol requests, cold (fresh
-# daemon state) vs warm (content-cache hit), verifying every response
-# byte-identical to the one-shot library path. Writes BENCH_serve.json
-# with reqs/sec + p50/p95/p99 latency per regime and the warm/cold ratio;
-# scripts/check_serve_json.py validates it in CI.
-add_custom_target(bench-serve
-  COMMAND ${CMAKE_COMMAND}
-          -DBENCH_BIN=$<TARGET_FILE:bench_serve>
-          -DOUT=${CMAKE_BINARY_DIR}/BENCH_serve.json
-          -DJOBS=2
-          -DREQUIRE=warm_over_cold
-          -P ${CMAKE_SOURCE_DIR}/bench/emit_json.cmake
-  DEPENDS bench_serve
-  COMMENT "Load-testing the serving layer (cold vs warm) on mcf + stress"
-  VERBATIM)
-
-add_executable(bench_tool_micro ${CMAKE_SOURCE_DIR}/bench/bench_tool_micro.cpp)
-target_link_libraries(bench_tool_micro PRIVATE ssp_harness
-                      benchmark::benchmark)
-set_target_properties(bench_tool_micro PROPERTIES RUNTIME_OUTPUT_DIRECTORY
-                      ${CMAKE_BINARY_DIR}/bench)
-
-# `cmake --build build --target bench-tool` times the tool's own stages
-# (analysis construction, slicing, scheduling, full adaptation — serial
-# and at 2 jobs) on mcf and a stress program and writes BENCH_tool.json
-# with adaptations/sec and the serial-vs-parallel ratio.
-add_custom_target(bench-tool
-  COMMAND ${CMAKE_COMMAND}
-          -DBENCH_BIN=$<TARGET_FILE:bench_tool_micro>
-          -DOUT=${CMAKE_BINARY_DIR}/BENCH_tool.json
-          -DJOBS=2
-          -DREQUIRE=adaptations_per_sec
-          -P ${CMAKE_SOURCE_DIR}/bench/emit_json.cmake
-  DEPENDS bench_tool_micro
-  COMMENT "Timing tool stages (analysis/slice/sched/adapt) on mcf + stress"
-  VERBATIM)

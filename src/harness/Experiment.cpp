@@ -109,13 +109,14 @@ const BenchResult &SuiteRunner::run(const workloads::Workload &W,
   return E.Value;
 }
 
-void ParallelSuiteRunner::runAll(const std::vector<workloads::Workload> &Ws) {
+void SuiteRunner::runAll(const std::vector<workloads::Workload> &Ws,
+                         support::ThreadPool &Pool) {
   // Phase 1: every profile (one full functional + one timing run each) in
   // parallel. Phase 2: one pipeline job per workload; each runs its four
   // simulations serially inside the job, so pool workers never block on
   // nested submissions. call_once makes both phases idempotent.
-  Pool.parallelFor(Ws.size(), [&](size_t I) { Inner.profileOf(Ws[I]); });
-  Pool.parallelFor(Ws.size(), [&](size_t I) { Inner.run(Ws[I], nullptr); });
+  Pool.parallelFor(Ws.size(), [&](size_t I) { profileOf(Ws[I]); });
+  Pool.parallelFor(Ws.size(), [&](size_t I) { run(Ws[I], nullptr); });
 }
 
 BenchArgs ssp::harness::parseBenchArgs(int argc, char **argv,
@@ -130,10 +131,6 @@ BenchArgs ssp::harness::parseBenchArgs(int argc, char **argv,
   if (Flags & NoSkipFlag) {
     P.flag("--no-skip", A.NoSkip);
     Usage += " [--no-skip]";
-  }
-  if (Flags & OutFlag) {
-    P.flag("--out", A.OutPath);
-    Usage += " [--out FILE]";
   }
   if (Flags & SampleFlag) {
     P.flagEq("--sample", [&A](const char *V) {

@@ -16,10 +16,9 @@
 /// without ever simulating the same key twice; each simulation job owns its
 /// SimMemory image, CacheHierarchy and BranchPredictor (all private to its
 /// Simulator), so Simulator itself needs no locking and results are
-/// bit-identical to the serial path regardless of thread count.
-/// ParallelSuiteRunner couples a runner to a support::ThreadPool and fans
-/// the four simulations of a BenchResult — and, via runAll, independent
-/// workloads — out across it.
+/// bit-identical to the serial path regardless of thread count. Given a
+/// support::ThreadPool, run fans the four simulations of a BenchResult out
+/// across it, and runAll overlaps independent workloads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,6 +78,12 @@ public:
   /// itself a pool worker, or the nested wait can deadlock.
   const BenchResult &run(const workloads::Workload &W,
                          support::ThreadPool *Pool = nullptr);
+
+  /// Warms the cache for all of \p Ws with maximal overlap on \p Pool:
+  /// all profiles in parallel, then one pipeline job per workload.
+  /// Subsequent run() calls return the cached results instantly.
+  void runAll(const std::vector<workloads::Workload> &Ws,
+              support::ThreadPool &Pool);
 
   /// Simulates \p W's original binary under \p Cfg (Figure 2's idealized
   /// modes are reached through Cfg.PerfectMemory / Cfg.PerfectLoads).
@@ -161,80 +166,20 @@ private:
   std::map<std::string, CacheEntry<ir::Program>> Originals;
 };
 
-/// A SuiteRunner bound to a thread pool: the parallel experiment engine the
-/// bench binaries use. `run` fans the four simulations of one workload out
-/// across the pool; `runAll` additionally overlaps independent workloads
-/// (profiles first, then whole-workload pipelines). Sweep-style benches use
-/// `pool().parallelFor` directly over their (workload x config) points.
-class ParallelSuiteRunner {
-public:
-  /// \p Jobs = 0 selects hardware_concurrency; 1 is the exact serial path.
-  explicit ParallelSuiteRunner(core::ToolOptions Opts = core::ToolOptions(),
-                               unsigned Jobs = 0)
-      : Inner(std::move(Opts)), Pool(Jobs) {}
-
-  /// Full result for \p W, its four simulations running concurrently.
-  /// Call from the orchestrating thread only (not from pool jobs).
-  const BenchResult &run(const workloads::Workload &W) {
-    return Inner.run(W, &Pool);
-  }
-
-  /// Warms the cache for all of \p Ws with maximal overlap: all profiles
-  /// in parallel, then one pipeline job per workload. Subsequent run()
-  /// calls return the cached results instantly.
-  void runAll(const std::vector<workloads::Workload> &Ws);
-
-  sim::SimStats simulateOriginal(const workloads::Workload &W,
-                                 sim::MachineConfig Cfg) {
-    return Inner.simulateOriginal(W, std::move(Cfg));
-  }
-  const profile::ProfileData &profileOf(const workloads::Workload &W) {
-    return Inner.profileOf(W);
-  }
-  const ir::Program &originalOf(const workloads::Workload &W) {
-    return Inner.originalOf(W);
-  }
-  std::unordered_set<ir::StaticId>
-  delinquentIdsOf(const workloads::Workload &W) {
-    return Inner.delinquentIdsOf(W);
-  }
-  const core::ToolOptions &options() const { return Inner.options(); }
-  void setSkipIdleCycles(bool Skip) { Inner.setSkipIdleCycles(Skip); }
-  void setSamplingPlan(const sim::SamplingPlan &Plan) {
-    Inner.setSamplingPlan(Plan);
-  }
-
-  static sim::SimStats simulate(const ir::Program &P,
-                                const workloads::Workload &W,
-                                sim::MachineConfig Cfg,
-                                bool *ChecksumOk = nullptr) {
-    return SuiteRunner::simulate(P, W, std::move(Cfg), ChecksumOk);
-  }
-
-  support::ThreadPool &pool() { return Pool; }
-  SuiteRunner &inner() { return Inner; }
-
-private:
-  SuiteRunner Inner;
-  support::ThreadPool Pool;
-};
-
 /// The shared command line of the bench binaries:
-///   [--jobs N] [--no-skip] [--out FILE] [--sample[=W:D:F[:R]]]
+///   [--jobs N] [--no-skip] [--sample[=W:D:F[:R]]]
 /// Each binary registers only the flags it honours (a BenchFlag mask) and
 /// parses strictly with support::FlagParser: an unknown flag or malformed
 /// value prints the usage text and exits non-zero.
 enum BenchFlag : unsigned {
   JobsFlag = 1u << 0,   ///< `--jobs N`, N in [0, 512]; 0 = hardware.
   NoSkipFlag = 1u << 1, ///< `--no-skip`: disable idle-cycle skipping.
-  OutFlag = 1u << 2,    ///< `--out FILE`: write the JSON report there.
-  SampleFlag = 1u << 3, ///< `--sample[=W:D:F[:R]]`: sampled simulation.
-  AllBenchFlags = JobsFlag | NoSkipFlag | OutFlag | SampleFlag,
+  SampleFlag = 1u << 2, ///< `--sample[=W:D:F[:R]]`: sampled simulation.
+  AllBenchFlags = JobsFlag | NoSkipFlag | SampleFlag,
 };
 struct BenchArgs {
   unsigned Jobs = 0; ///< 0 = hardware concurrency.
   bool NoSkip = false;
-  const char *OutPath = nullptr;
   sim::SamplingPlan Sample; ///< Disabled unless --sample was given.
 };
 BenchArgs parseBenchArgs(int argc, char **argv,

@@ -7,10 +7,10 @@
 /// \file
 /// A small latency-sample accumulator for the serving layer: collect
 /// per-request wall times, then read p50/p95/p99 (nearest-rank) and the
-/// mean. Used by bench_serve for its BENCH_serve.json latency block and
-/// by `ssp-adaptd --metrics`, which flushes the percentiles into the
-/// Registry as integer microsecond counters (serve.latency_p50_us etc.)
-/// so they survive the counters/timers JSON shape.
+/// mean. Its only user is AdaptService: `ssp-adaptd --metrics` flushes
+/// the percentiles into the Registry as integer microsecond counters
+/// (serve.latency_p50_us etc.) so they survive the counters/timers JSON
+/// shape.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -17,7 +17,7 @@
 ///
 ///   P.flag("--ooo", Ooo);                     presence -> bool
 ///   P.flag("--jobs", Jobs, 0, 512);           `--jobs N` -> integer
-///   P.flag("--out", OutPath);                 `--out FILE` -> C string
+///   P.flag("--trace", TracePath);             `--trace FILE` -> C string
 ///   P.flagEq("--sample", [&](const char *V) { ... });
 ///                                             `--name` or `--name=VALUE`
 ///

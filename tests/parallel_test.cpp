@@ -1,7 +1,8 @@
 //===- tests/parallel_test.cpp - Parallel harness determinism --------------===//
 //
-// The parallel experiment engine's contract: ParallelSuiteRunner produces
-// results bit-identical to the serial SuiteRunner for every thread count.
+// The parallel experiment engine's contract: a SuiteRunner given a
+// support::ThreadPool produces results bit-identical to the serial path for
+// every thread count.
 // Each simulation job owns its SimMemory / CacheHierarchy / BranchPredictor,
 // so no schedule can perturb a single counter; these tests pin that down by
 // comparing every SimStats field across --jobs 1, 2 and 8 on two workloads
@@ -33,24 +34,24 @@ class ParallelDeterminism
     : public ::testing::TestWithParam<unsigned /*Jobs*/> {};
 
 TEST_P(ParallelDeterminism, MatchesSerialRunner) {
-  SuiteRunner Serial;
-  ParallelSuiteRunner Parallel(core::ToolOptions(), GetParam());
+  SuiteRunner Serial, Parallel;
+  support::ThreadPool Pool(GetParam());
   for (const workloads::Workload &W :
        {workloads::makeEm3d(), workloads::makeMst()}) {
     SCOPED_TRACE(W.Name);
-    expectResultsEqual(Serial.run(W), Parallel.run(W));
+    expectResultsEqual(Serial.run(W), Parallel.run(W, &Pool));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Jobs, ParallelDeterminism,
                          ::testing::Values(1u, 2u, 8u));
 
-TEST(ParallelSuiteRunner, RunAllWarmsIdenticalResults) {
-  SuiteRunner Serial;
-  ParallelSuiteRunner Parallel(core::ToolOptions(), 4);
+TEST(SuiteRunnerPool, RunAllWarmsIdenticalResults) {
+  SuiteRunner Serial, Parallel;
+  support::ThreadPool Pool(4);
   std::vector<workloads::Workload> Ws = {workloads::makeEm3d(),
                                          workloads::makeMst()};
-  Parallel.runAll(Ws);
+  Parallel.runAll(Ws, Pool);
   // run() after runAll must hit the cache (same reference twice) and the
   // warmed results must equal the serial ones.
   for (const workloads::Workload &W : Ws) {
@@ -62,10 +63,11 @@ TEST(ParallelSuiteRunner, RunAllWarmsIdenticalResults) {
   }
 }
 
-TEST(ParallelSuiteRunner, JobsOneIsInline) {
-  ParallelSuiteRunner Runner(core::ToolOptions(), 1);
-  EXPECT_EQ(Runner.pool().numThreads(), 1u);
-  const BenchResult &R = Runner.run(workloads::makeEm3d());
+TEST(SuiteRunnerPool, JobsOneIsInline) {
+  SuiteRunner Runner;
+  support::ThreadPool Pool(1);
+  EXPECT_EQ(Pool.numThreads(), 1u);
+  const BenchResult &R = Runner.run(workloads::makeEm3d(), &Pool);
   EXPECT_TRUE(R.ChecksumsOk);
   EXPECT_GT(R.BaseIO.Cycles, 0u);
 }

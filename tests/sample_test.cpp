@@ -12,8 +12,8 @@
 //  * MainInsts stays exact under sampling and decomposes into the three
 //    execution levels (measured detail + unmeasured ramp + functional).
 //  * Measured extrapolation error on the pinned per-workload plans stays
-//    under the bounds the bench report and scripts/check_sample_error.py
-//    enforce. The errors are deterministic, so exact thresholds are safe.
+//    under its bound, for every sampling tier bench_smoke reports. The
+//    errors are deterministic, so exact thresholds are safe.
 //  * The obs contract: architectural results (checksums) are exact, and
 //    event tracing is cleanly disabled — a sampled run records nothing.
 //
@@ -171,9 +171,10 @@ TEST(SampledSimulation, StatsBitIdenticalAcrossJobCounts) {
 
   std::vector<sim::SimStats> BaseRuns, SspRuns;
   for (unsigned Jobs : {1u, 4u, 8u}) {
-    ParallelSuiteRunner R(core::ToolOptions(), Jobs);
+    SuiteRunner R;
     R.setSamplingPlan(Plan);
-    const BenchResult &B = R.run(W);
+    support::ThreadPool Pool(Jobs);
+    const BenchResult &B = R.run(W, &Pool);
     EXPECT_TRUE(B.ChecksumsOk) << Jobs << " jobs";
     EXPECT_TRUE(B.BaseIO.Sampled);
     BaseRuns.push_back(B.BaseIO);
@@ -214,8 +215,7 @@ TEST(SampledSimulation, MainInstsExactAndLevelsDecompose) {
 
 //===----------------------------------------------------------------------===//
 // Pinned extrapolation-error bounds (deterministic; see DESIGN.md for the
-// plan/bound provenance — these are the bounds ci.sh enforces on the
-// bench report)
+// plan/bound provenance — one case per bench_smoke tier)
 //===----------------------------------------------------------------------===//
 
 struct ErrorBoundCase {
@@ -260,6 +260,10 @@ workloads::Workload makeStress128() {
   return workloads::makeStress(128, 32, 8);
 }
 
+workloads::Workload makeStress256() {
+  return workloads::makeStress(256, 32, 8);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     PaperSuite, SampledErrorBound,
     ::testing::Values(
@@ -274,8 +278,10 @@ INSTANTIATE_TEST_SUITE_P(
         // contributes one detail window.
         ErrorBoundCase{"mcf-baseline", workloads::makeMcf, false,
                        "12000:2000:7000:2000", 3.0, -1.0},
-        // stress baseline: the throughput-acceptance tier of the bench.
+        // stress baselines: the throughput-acceptance tiers of bench_smoke.
         ErrorBoundCase{"stress128-baseline", makeStress128, false,
+                       "20000:2000:78000:2000", 2.0, -1.0},
+        ErrorBoundCase{"stress256-baseline", makeStress256, false,
                        "20000:2000:78000:2000", 2.0, -1.0}),
     [](const ::testing::TestParamInfo<ErrorBoundCase> &I) {
       std::string N = I.param.Name;

@@ -34,8 +34,8 @@
 //                                        when the profile matches)
 //   ssp-adapt input.ssp --emit-profile p.sspprof
 //                                        write the collected profile as
-//                                        .sspprof text (corpus builder for
-//                                        ssp-adaptd / bench_serve)
+//                                        .sspprof text (the input form of
+//                                        ssp-adaptd requests)
 //   ssp-adapt input.ssp --feedback[=N]   closed-loop re-adaptation: adapt,
 //                                        simulate, fold the per-trigger
 //                                        prefetch fates back into per-load
