@@ -122,17 +122,16 @@ cmake -B build-asan -S . -DSSP_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-# Optional third matrix entry: ThreadSanitizer over the concurrent paths
-# (the parallel simulation harness, the tool's parallel candidate
-# generation, and the daemon's batched request execution). Enable with SSP_CI_TSAN=1; off by default because TSan
-# roughly doubles CI wall time on top of the ASan pass.
-if [[ "${SSP_CI_TSAN:-0}" != 0 ]]; then
-  echo "== Sanitized build (TSan) + concurrency tests =="
-  cmake -B build-tsan -S . -DSSP_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" \
-    --target tool_parallel_test parallel_test serve_test
-  ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'ToolParallelDeterminism|Parallel|Serve'
-fi
+# Third matrix entry: ThreadSanitizer over the concurrent paths (the
+# parallel simulation harness, the tool's parallel candidate generation
+# with its shared, lazily filled region-height memo, and the daemon's
+# batched request execution). It adds about 65 s of build and 22 s of
+# tests on 4 vCPUs.
+echo "== Sanitized build (TSan) + concurrency tests =="
+cmake -B build-tsan -S . -DSSP_SANITIZE=thread >/dev/null
+cmake --build build-tsan -j "$JOBS" \
+  --target tool_parallel_test parallel_test serve_test
+ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
+  -R 'ToolParallelDeterminism|Parallel|Serve'
 
 echo "CI OK"

@@ -14,10 +14,21 @@
 ///
 /// Ownership and thread-safety contract: the cache owns every analysis and
 /// outlives the workers. Nothing in it mutates after the constructor
-/// returns, so workers share it by const reference with no locking. The
-/// only mutable per-worker state (slicer scratch buffers) lives in the
-/// cheap Slicer/SliceScheduler copies makeSlicer()/makeScheduler() hand
-/// out, which share the precomputed summary and call-cost tables.
+/// returns, with one exception, so workers share it by const reference
+/// with no locking. The only mutable per-worker state (slicer scratch
+/// buffers) lives in the cheap Slicer/SliceScheduler copies
+/// makeSlicer()/makeScheduler() hand out, which share the precomputed
+/// summary and call-cost tables.
+///
+/// The exception is the scheduler's region-height memo, the one table
+/// that fills lazily: every scheduler copy shares it, so workers and later
+/// requests served from this cache reuse each other's region heights. A
+/// slot's value is a pure function of the program, the profile and the
+/// call costs, all fixed before the first copy is handed out; workers that
+/// race on a slot store the same value through relaxed atomics, so there
+/// is no data race and outputs do not depend on the job count or on which
+/// requests came first. Filling it eagerly would cost more than it saves:
+/// most regions are never reached by a candidate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +74,8 @@ public:
   /// A worker-private slicer sharing the precomputed summary table.
   slicer::Slicer makeSlicer() const { return MasterSlicer; }
 
-  /// A worker-private scheduler sharing the warmed call-cost table.
+  /// A worker-private scheduler sharing the warmed call-cost table and the
+  /// region-height memo.
   sched::SliceScheduler makeScheduler() const { return MasterScheduler; }
 
 private:

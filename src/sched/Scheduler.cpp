@@ -4,10 +4,10 @@
 
 #include "analysis/SCC.h"
 #include "sched/LoopRotation.h"
+#include "support/BitVector.h"
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 
 using namespace ssp;
 using namespace ssp::sched;
@@ -17,7 +17,12 @@ using namespace ssp::ir;
 SliceScheduler::SliceScheduler(const ProgramDeps &Deps, const RegionGraph &RG,
                                const profile::ProfileData &PD,
                                ScheduleOptions Opts, const SpecDeps *Spec)
-    : Deps(Deps), RG(RG), PD(PD), Opts(Opts), Spec(Spec) {}
+    : RegionHeights(std::make_shared<std::vector<std::atomic<uint64_t>>>(
+          RG.numRegions())),
+      Deps(Deps), RG(RG), PD(PD), Opts(Opts), Spec(Spec) {
+  for (std::atomic<uint64_t> &Slot : *RegionHeights)
+    Slot.store(UnknownHeight, std::memory_order_relaxed);
+}
 
 uint64_t SliceScheduler::reducedMissCycles(uint64_t SlackPerIter,
                                            uint64_t MissPerIter,
@@ -46,7 +51,9 @@ SliceScheduler::listSchedule(const SliceDepGraph &G,
   // lower instruction address (Section 3.2.1.2.2). Loop-carried edges are
   // ignored ("instructions within each non-degenerate SCC are list
   // scheduled by ignoring all the loop-carried dependence edges").
-  std::set<unsigned> Remaining(Subset.begin(), Subset.end());
+  std::vector<uint8_t> Remaining(G.size(), 0);
+  for (unsigned V : Subset)
+    Remaining[V] = 1;
   std::vector<unsigned> Order;
   Order.reserve(Subset.size());
 
@@ -54,7 +61,7 @@ SliceScheduler::listSchedule(const SliceDepGraph &G,
   std::vector<unsigned> PredCount(G.size(), 0);
   for (unsigned V : Subset)
     for (unsigned W : G.intraSuccs()[V])
-      if (Remaining.count(W))
+      if (Remaining[W])
         ++PredCount[W];
 
   std::vector<unsigned> Ready;
@@ -73,10 +80,10 @@ SliceScheduler::listSchedule(const SliceDepGraph &G,
     }
     unsigned V = Ready[BestIdx];
     Ready.erase(Ready.begin() + BestIdx);
-    Remaining.erase(V);
+    Remaining[V] = 0;
     Order.push_back(V);
     for (unsigned W : G.intraSuccs()[V]) {
-      if (!Remaining.count(W))
+      if (!Remaining[W])
         continue;
       if (--PredCount[W] == 0)
         Ready.push_back(W);
@@ -84,8 +91,9 @@ SliceScheduler::listSchedule(const SliceDepGraph &G,
   }
   // Any nodes left unscheduled would indicate an intra cycle; append them
   // in reference order as a safety net.
-  for (unsigned V : Remaining)
-    Order.push_back(V);
+  for (unsigned V = 0; V < G.size(); ++V)
+    if (Remaining[V])
+      Order.push_back(V);
   return Order;
 }
 
@@ -108,6 +116,28 @@ const std::vector<uint32_t> &SliceScheduler::callCosts() {
   }
   CallCostsReady = true;
   return CallCostCache;
+}
+
+uint64_t SliceScheduler::regionHeight(int RegionIdx) {
+  // Every input below is fixed once the call costs are, so workers that
+  // race on a slot compute and store the same value.
+  std::atomic<uint64_t> &Slot = (*RegionHeights)[RegionIdx];
+  uint64_t H = Slot.load(std::memory_order_relaxed);
+  if (H != UnknownHeight)
+    return H;
+  const Region &R = RG.region(RegionIdx);
+  const Loop *RegionLoop =
+      R.Kind == RegionKind::Loop
+          ? &Deps.forFunction(R.Func).loops().loop(R.LoopIdx)
+          : nullptr;
+  const std::vector<uint32_t> &Costs = callCosts();
+  SliceDepGraph RegionG =
+      SliceDepGraph::build(Deps, regionInstructions(RG, RegionIdx, Deps),
+                           RegionLoop, R.Func, PD, /*PessimisticLoads=*/false,
+                           &Costs);
+  H = std::max(RegionG.height(), regionScheduleLength(RegionIdx));
+  Slot.store(H, std::memory_order_relaxed);
+  return H;
 }
 
 uint64_t SliceScheduler::regionScheduleLength(int RegionIdx) {
@@ -170,18 +200,7 @@ ScheduledSlice SliceScheduler::schedule(const slicer::Slice &S,
     Model = SPModel::Basic; // Chaining needs an iteration structure.
   Out.Model = Model;
 
-  // Region height/schedule length for the slack model.
-  const Loop *RegionLoop =
-      R.Kind == RegionKind::Loop
-          ? &Deps.forFunction(R.Func).loops().loop(R.LoopIdx)
-          : nullptr;
-  const std::vector<uint32_t> &Costs = callCosts();
-  SliceDepGraph RegionG =
-      SliceDepGraph::build(Deps, regionInstructions(RG, S.RegionIdx, Deps),
-                           RegionLoop, R.Func, PD, /*PessimisticLoads=*/false,
-                           &Costs);
-  Out.RegionHeight =
-      std::max(RegionG.height(), regionScheduleLength(S.RegionIdx));
+  Out.RegionHeight = regionHeight(S.RegionIdx);
 
   if (ChainLoop)
     Out.ChainTripCount = PD.tripCountOf(
@@ -227,20 +246,19 @@ ScheduledSlice SliceScheduler::schedule(const slicer::Slice &S,
       for (unsigned W : G.carriedSuccs()[V])
         RevAll[W].push_back(V);
     }
-    std::set<unsigned> CondChain;
+    std::vector<uint8_t> InCondChain(G.size(), 0);
     std::vector<unsigned> Work{static_cast<unsigned>(BranchIdx)};
+    bool LoadDependent = false;
     while (!Work.empty()) {
       unsigned V = Work.back();
       Work.pop_back();
-      if (!CondChain.insert(V).second)
+      if (InCondChain[V])
         continue;
+      InCondChain[V] = 1;
+      LoadDependent |= isLoad(G.node(V).Ref.get(P).Op);
       for (unsigned W : RevAll[V])
         Work.push_back(W);
     }
-    bool LoadDependent = false;
-    for (unsigned V : CondChain)
-      if (isLoad(G.node(V).Ref.get(P).Op))
-        LoadDependent = true;
 
     if (LoadDependent) {
       Out.PredictCondition = true;
@@ -248,39 +266,44 @@ ScheduledSlice SliceScheduler::schedule(const slicer::Slice &S,
       // loads (they are the prefetch engine) and by the producers of the
       // target addresses; everything else existed only to compute the
       // now-predicted condition.
-      std::set<InstRef> MemberSet(Members.begin(), Members.end());
-      std::set<Reg> TargetBases;
+      // G's nodes are Members, in order.
+      support::BitVector TargetBases(Reg::NumDenseIndices);
       for (const InstRef &T : S.TargetLoads)
-        TargetBases.insert(T.get(P).Src1);
-      std::set<InstRef> Keep;
-      std::vector<InstRef> KWork;
-      for (const InstRef &M : Members) {
-        const Instruction &I = M.get(P);
+        if (Reg Base = T.get(P).Src1; Base.isValid())
+          TargetBases.set(Base.denseIndex());
+      std::vector<uint8_t> Keep(G.size(), 0);
+      std::vector<unsigned> KWork;
+      for (unsigned V = 0; V < G.size(); ++V) {
+        const Instruction &I = G.node(V).Ref.get(P);
         Reg D = I.def();
-        if (isLoad(I.Op) || (D.isValid() && TargetBases.count(D)))
-          KWork.push_back(M);
+        if (isLoad(I.Op) || (D.isValid() && TargetBases.test(D.denseIndex())))
+          KWork.push_back(V);
       }
       while (!KWork.empty()) {
-        InstRef M = KWork.back();
+        unsigned V = KWork.back();
         KWork.pop_back();
-        if (!Keep.insert(M).second)
+        if (Keep[V])
           continue;
+        Keep[V] = 1;
+        const InstRef &M = G.node(V).Ref;
         const FunctionDeps &FD = Deps.forFunction(M.Func);
         for (const InstRef &Prod : FD.dataSources(M))
-          if (MemberSet.count(Prod))
-            KWork.push_back(Prod);
+          if (int PI = G.indexOf(Prod); PI >= 0)
+            KWork.push_back(static_cast<unsigned>(PI));
       }
       // Prologue members always survive (they seed the chain live-ins).
-      for (const InstRef &M : Members)
+      for (unsigned V = 0; V < G.size(); ++V) {
+        const InstRef &M = G.node(V).Ref;
         if (ChainLoop && M.Func == ChainFunc &&
             !ChainLoop->contains(M.Block))
-          Keep.insert(M);
+          Keep[V] = 1;
+      }
 
-      if (Keep.size() < Members.size()) {
+      if (std::find(Keep.begin(), Keep.end(), 0) != Keep.end()) {
         std::vector<InstRef> Pruned;
-        for (const InstRef &M : Members)
-          if (Keep.count(M))
-            Pruned.push_back(M);
+        for (unsigned V = 0; V < G.size(); ++V)
+          if (Keep[V])
+            Pruned.push_back(Members[V]);
         Members = std::move(Pruned);
         G = SliceDepGraph::build(Deps, Members, ChainLoop, ChainFunc, PD,
                                  /*PessimisticLoads=*/true,
@@ -296,9 +319,14 @@ ScheduledSlice SliceScheduler::schedule(const slicer::Slice &S,
       std::unique(Out.SpecDrops.begin(), Out.SpecDrops.end()),
       Out.SpecDrops.end());
 
-  Out.SliceHeight = G.height();
-  Out.AvailableILP = G.availableILP();
   std::vector<uint64_t> Heights = G.nodeHeights();
+  for (uint64_t H : Heights)
+    Out.SliceHeight = std::max(Out.SliceHeight, H);
+  // Available ILP (Section 3.2.1.2.2): total latency over the critical
+  // path length.
+  if (Out.SliceHeight > 0)
+    Out.AvailableILP = static_cast<double>(G.totalLatency()) /
+                       static_cast<double>(Out.SliceHeight);
 
   // Partition: prologue = members in the chain function but outside the
   // chain loop; chain = members in the loop plus members reached through
@@ -315,61 +343,67 @@ ScheduledSlice SliceScheduler::schedule(const slicer::Slice &S,
 
   // Chain live-ins: registers chain members read whose values come from
   // the prologue or from outside the slice.
+  auto Regs = [](const support::BitVector &Set) {
+    std::vector<Reg> Sorted;
+    Set.forEachSetBit([&](size_t Dense) {
+      Sorted.push_back(regFromDenseIndex(static_cast<unsigned>(Dense)));
+    });
+    return Sorted;
+  };
+  support::BitVector ChainLive(Reg::NumDenseIndices);
   {
-    std::set<Reg> DefsPro, SliceLive(S.LiveIns.begin(), S.LiveIns.end());
+    support::BitVector Outside(Reg::NumDenseIndices);
+    for (Reg L : S.LiveIns)
+      if (L.isValid())
+        Outside.set(L.denseIndex());
     for (unsigned V : PrologueIdx) {
       Reg D = G.node(V).Ref.get(P).def();
       if (D.isValid())
-        DefsPro.insert(D);
+        Outside.set(D.denseIndex());
     }
-    std::set<Reg> ChainLive;
     for (unsigned V : ChainIdx) {
       G.node(V).Ref.get(P).forEachUse([&](Reg U) {
-        if (DefsPro.count(U) || SliceLive.count(U))
-          ChainLive.insert(U);
+        if (U.isValid() && Outside.test(U.denseIndex()))
+          ChainLive.set(U.denseIndex());
       });
     }
     // The prefetch targets' base registers must also flow to the chain.
     for (const InstRef &T : S.TargetLoads) {
       Reg Base = T.get(P).Src1;
-      if (DefsPro.count(Base) || SliceLive.count(Base))
-        ChainLive.insert(Base);
+      if (Base.isValid() && Outside.test(Base.denseIndex()))
+        ChainLive.set(Base.denseIndex());
     }
-    Out.ChainLiveIns.assign(ChainLive.begin(), ChainLive.end());
+    Out.ChainLiveIns = Regs(ChainLive);
   }
 
   // Carried registers: chain live-ins the chain itself redefines (their
   // updated values are the next chaining thread's live-ins).
-  {
-    std::set<Reg> ChainLive(Out.ChainLiveIns.begin(),
-                            Out.ChainLiveIns.end());
-    std::set<Reg> Defined;
-    for (unsigned V : ChainIdx) {
-      Reg D = G.node(V).Ref.get(P).def();
-      if (D.isValid() && ChainLive.count(D))
-        Defined.insert(D);
-    }
-    Out.CarriedRegs.assign(Defined.begin(), Defined.end());
+  support::BitVector Carried(Reg::NumDenseIndices);
+  for (unsigned V : ChainIdx) {
+    Reg D = G.node(V).Ref.get(P).def();
+    if (D.isValid() && ChainLive.test(D.denseIndex()))
+      Carried.set(D.denseIndex());
   }
+  Out.CarriedRegs = Regs(Carried);
 
   // Inner-loop members: chain members sitting in a loop that is not the
   // chain loop (a nested loop, or any loop of a callee function).
-  {
-    std::set<InstRef> Inner;
-    for (unsigned V : ChainIdx) {
-      const InstRef &Ref = G.node(V).Ref;
-      const FunctionDeps &FD = Deps.forFunction(Ref.Func);
-      int LI = FD.loops().innermostLoopOf(Ref.Block);
-      if (LI < 0)
-        continue;
-      const Loop *L = &FD.loops().loop(LI);
-      if (ChainLoop && Ref.Func == ChainFunc &&
-          L->Header == ChainLoop->Header)
-        continue;
-      Inner.insert(Ref);
-    }
-    Out.InnerLoopMembers.assign(Inner.begin(), Inner.end());
+  for (unsigned V : ChainIdx) {
+    const InstRef &Ref = G.node(V).Ref;
+    const FunctionDeps &FD = Deps.forFunction(Ref.Func);
+    int LI = FD.loops().innermostLoopOf(Ref.Block);
+    if (LI < 0)
+      continue;
+    const Loop *L = &FD.loops().loop(LI);
+    if (ChainLoop && Ref.Func == ChainFunc &&
+        L->Header == ChainLoop->Header)
+      continue;
+    Out.InnerLoopMembers.push_back(Ref);
   }
+  std::sort(Out.InnerLoopMembers.begin(), Out.InnerLoopMembers.end());
+  Out.InnerLoopMembers.erase(std::unique(Out.InnerLoopMembers.begin(),
+                                         Out.InnerLoopMembers.end()),
+                             Out.InnerLoopMembers.end());
 
   if (Model == SPModel::Basic) {
     // Whole slice list-scheduled, carried edges ignored. Producers are
@@ -421,12 +455,11 @@ ScheduledSlice SliceScheduler::schedule(const slicer::Slice &S,
   // loop (e.g. a collision-chain walk inside the chain iteration) form
   // SCCs too, but they produce nothing the next chaining thread consumes,
   // so including them would serialize the chain for no benefit.
-  std::set<Reg> CarriedSet(Out.CarriedRegs.begin(), Out.CarriedRegs.end());
   auto DefinesCarried = [&](unsigned V) {
     Reg D = G.node(V).Ref.get(P).def();
-    return D.isValid() && CarriedSet.count(D);
+    return D.isValid() && Carried.test(D.denseIndex());
   };
-  std::set<unsigned> CriticalSet;
+  std::vector<uint8_t> InCritical(G.size(), 0);
   for (const std::vector<unsigned> &C : Comps) {
     if (C.size() == 1 && !IsChain[C[0]])
       continue;
@@ -444,53 +477,47 @@ ScheduledSlice SliceScheduler::schedule(const slicer::Slice &S,
       if (DefinesCarried(V))
         CarriesLiveIns = true;
     if (CarriesLiveIns)
-      CriticalSet.insert(C.begin(), C.end());
+      for (unsigned V : C)
+        InCritical[V] = 1;
   }
 
   // The defs of carried registers must reach the spawn point.
   for (unsigned V : ChainIdx)
     if (DefinesCarried(V))
-      CriticalSet.insert(V);
+      InCritical[V] = 1;
 
-  // An unpredicted spawn condition must be computed before the spawn.
-  std::vector<std::vector<unsigned>> RevIntra(G.size());
-  for (unsigned V = 0; V < G.size(); ++V)
-    for (unsigned W : G.intraSuccs()[V])
-      RevIntra[W].push_back(V);
-
+  // An unpredicted spawn condition must be computed before the spawn (the
+  // closure below pulls in its producers).
   if (Out.HasConditionBranch && !Out.PredictCondition) {
     int BranchIdx = G.indexOf(Out.ConditionBranch);
-    if (BranchIdx >= 0) {
-      std::set<unsigned> Chain;
-      std::vector<unsigned> Work{static_cast<unsigned>(BranchIdx)};
-      while (!Work.empty()) {
-        unsigned V = Work.back();
-        Work.pop_back();
-        if (!Chain.insert(V).second)
-          continue;
-        for (unsigned W : RevIntra[V])
-          if (IsChain[W])
-            Work.push_back(W);
-      }
-      CriticalSet.insert(Chain.begin(), Chain.end());
-    }
+    if (BranchIdx >= 0)
+      InCritical[BranchIdx] = 1;
   }
 
   // Close the critical set backward over intra edges within the chain.
   {
-    std::vector<unsigned> Work(CriticalSet.begin(), CriticalSet.end());
+    std::vector<std::vector<unsigned>> RevIntra(G.size());
+    for (unsigned V = 0; V < G.size(); ++V)
+      for (unsigned W : G.intraSuccs()[V])
+        RevIntra[W].push_back(V);
+    std::vector<unsigned> Work;
+    for (unsigned V = 0; V < G.size(); ++V)
+      if (InCritical[V])
+        Work.push_back(V);
     while (!Work.empty()) {
       unsigned V = Work.back();
       Work.pop_back();
       for (unsigned W : RevIntra[V])
-        if (IsChain[W] && CriticalSet.insert(W).second)
+        if (IsChain[W] && !InCritical[W]) {
+          InCritical[W] = 1;
           Work.push_back(W);
+        }
     }
   }
 
   std::vector<unsigned> CriticalVec, Rest;
   for (unsigned V : ChainIdx) {
-    if (CriticalSet.count(V))
+    if (InCritical[V])
       CriticalVec.push_back(V);
     else
       Rest.push_back(V);
@@ -498,7 +525,8 @@ ScheduledSlice SliceScheduler::schedule(const slicer::Slice &S,
 
   for (unsigned V : listSchedule(G, Heights, PrologueIdx))
     Out.Prologue.push_back(G.node(V).Ref);
-  for (unsigned V : listSchedule(G, Heights, CriticalVec))
+  std::vector<unsigned> CriticalOrder = listSchedule(G, Heights, CriticalVec);
+  for (unsigned V : CriticalOrder)
     Out.Critical.push_back(G.node(V).Ref);
   for (unsigned V : listSchedule(G, Heights, Rest))
     Out.NonCritical.push_back(G.node(V).Ref);
@@ -506,12 +534,11 @@ ScheduledSlice SliceScheduler::schedule(const slicer::Slice &S,
   // Critical height: longest intra path within the critical subgraph.
   {
     std::vector<uint64_t> H(G.size(), 0);
-    std::vector<unsigned> SchedOrder = listSchedule(G, Heights, CriticalVec);
-    for (auto It = SchedOrder.rbegin(); It != SchedOrder.rend(); ++It) {
+    for (auto It = CriticalOrder.rbegin(); It != CriticalOrder.rend(); ++It) {
       unsigned V = *It;
       uint64_t Best = 0;
       for (unsigned W : G.intraSuccs()[V])
-        if (CriticalSet.count(W))
+        if (InCritical[W])
           Best = std::max(Best, H[W]);
       H[V] = Best + G.node(V).Latency;
     }

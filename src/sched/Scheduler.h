@@ -30,7 +30,9 @@
 #include "sched/SliceDepGraph.h"
 #include "slicer/Slicer.h"
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace ssp::sched {
@@ -150,9 +152,22 @@ public:
   /// Section 3.3's "length of program schedule in the main thread".
   uint64_t regionScheduleLength(int RegionIdx);
 
+  /// The slack model's region height: max(dependence height of the
+  /// region graph, regionScheduleLength). Computed on first use and
+  /// memoised per region in a table every copy of this scheduler shares.
+  uint64_t regionHeight(int RegionIdx);
+
+  /// Profile-derived per-invocation length of each function (one
+  /// refinement pass over the flat call estimate), used as the call cost
+  /// in region heights/lengths.
+  const std::vector<uint32_t> &callCosts();
+
   /// Forces the per-function call-cost table now. Call once before handing
   /// copies of this scheduler to worker threads: copies share the warmed
-  /// table and never race to build it.
+  /// table and never race to build it. After this, every input of a
+  /// region height is fixed, so the shared region-height memo is the one
+  /// table that fills lazily: workers racing on a slot store the same
+  /// value (relaxed atomics), and outputs do not depend on who wins.
   void ensureCallCosts() { (void)callCosts(); }
 
 private:
@@ -160,12 +175,12 @@ private:
   listSchedule(const SliceDepGraph &G, const std::vector<uint64_t> &Heights,
                const std::vector<unsigned> &Subset) const;
 
-  /// Profile-derived per-invocation length of each function (one
-  /// refinement pass over the flat call estimate), used as the call cost
-  /// in region heights/lengths.
-  const std::vector<uint32_t> &callCosts();
   std::vector<uint32_t> CallCostCache;
   bool CallCostsReady = false;
+
+  /// Region index -> regionHeight, UnknownHeight until first computed.
+  static constexpr uint64_t UnknownHeight = UINT64_MAX;
+  std::shared_ptr<std::vector<std::atomic<uint64_t>>> RegionHeights;
 
   const analysis::ProgramDeps &Deps;
   const analysis::RegionGraph &RG;

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 using namespace ssp;
 using namespace ssp::sched;
@@ -33,9 +32,12 @@ SliceDepGraph SliceDepGraph::build(const ProgramDeps &Deps,
                                    std::vector<SpecDrop> *Drops) {
   SliceDepGraph G;
   const Program &P = Deps.program();
-  std::map<InstRef, unsigned> Index;
+  G.Ids = &Deps.instIndex();
+  G.Index.reserve(Insts.size());
+  bool SingleFunc = true;
   for (const InstRef &I : Insts) {
-    Index[I] = static_cast<unsigned>(G.Nodes.size());
+    G.Index.push_back({G.Ids->id(I), static_cast<unsigned>(G.Nodes.size())});
+    SingleFunc &= I.Func == Insts.front().Func;
     DepNode N;
     N.Ref = I;
     const Instruction &Inst = I.get(P);
@@ -56,6 +58,8 @@ SliceDepGraph SliceDepGraph::build(const ProgramDeps &Deps,
       N.Latency = latencyOf(Inst.Op);
     G.Nodes.push_back(N);
   }
+  // Sorted by (id, node): a repeated instruction resolves to its last node.
+  std::sort(G.Index.begin(), G.Index.end());
   G.Intra.resize(G.Nodes.size());
   G.Carried.resize(G.Nodes.size());
 
@@ -88,14 +92,14 @@ SliceDepGraph SliceDepGraph::build(const ProgramDeps &Deps,
     };
 
     for (const InstRef &Def : FD.dataSources(Use)) {
-      auto It = Index.find(Def);
-      if (It != Index.end() && It->second != UI)
-        Classify(Def, It->second, /*IsData=*/true);
+      int DI = G.indexOf(Def);
+      if (DI >= 0 && static_cast<unsigned>(DI) != UI)
+        Classify(Def, DI, /*IsData=*/true);
     }
     for (const InstRef &Ctrl : FD.controlSources(Use)) {
-      auto It = Index.find(Ctrl);
-      if (It != Index.end() && It->second != UI)
-        Classify(Ctrl, It->second, /*IsData=*/false);
+      int DI = G.indexOf(Ctrl);
+      if (DI >= 0 && static_cast<unsigned>(DI) != UI)
+        Classify(Ctrl, DI, /*IsData=*/false);
     }
 
     // Cross-function flow edges: a use whose value may come from outside
@@ -103,7 +107,10 @@ SliceDepGraph SliceDepGraph::build(const ProgramDeps &Deps,
     // *different* function defining that register — the caller computing
     // an argument the callee consumes, or a callee computing a value its
     // caller reads after the call. Reaching definitions are per-function
-    // and cannot see these.
+    // and cannot see these. A single-function graph (every region graph)
+    // has no such pairs.
+    if (SingleFunc)
+      continue;
     Use.get(P).forEachUse([&](Reg R2) {
       if ((R2.isInt() || R2.isPred()) && R2.Num == 0)
         return;
@@ -128,10 +135,17 @@ SliceDepGraph SliceDepGraph::build(const ProgramDeps &Deps,
 }
 
 int SliceDepGraph::indexOf(const InstRef &Ref) const {
-  for (unsigned I = 0; I < Nodes.size(); ++I)
-    if (Nodes[I].Ref == Ref)
-      return static_cast<int>(I);
-  return -1;
+  if (Index.empty())
+    return -1;
+  uint32_t Id = Ids->id(Ref);
+  auto It = std::upper_bound(
+      Index.begin(), Index.end(), Id,
+      [](uint32_t K, const std::pair<uint32_t, unsigned> &E) {
+        return K < E.first;
+      });
+  if (It == Index.begin() || std::prev(It)->first != Id)
+    return -1;
+  return static_cast<int>(std::prev(It)->second);
 }
 
 std::vector<uint64_t> SliceDepGraph::nodeHeights() const {
@@ -188,13 +202,6 @@ uint64_t SliceDepGraph::totalLatency() const {
   for (const DepNode &N : Nodes)
     Sum += N.Latency;
   return Sum;
-}
-
-double SliceDepGraph::availableILP() const {
-  uint64_t H = height();
-  if (H == 0)
-    return 1.0;
-  return static_cast<double>(totalLatency()) / static_cast<double>(H);
 }
 
 std::vector<InstRef> ssp::sched::regionInstructions(const RegionGraph &RG,

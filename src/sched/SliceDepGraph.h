@@ -25,6 +25,7 @@
 #include "profile/Profile.h"
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace ssp::sched {
@@ -85,7 +86,8 @@ public:
     return Carried;
   }
 
-  /// Index of \p Ref in the node table, or -1.
+  /// Index of \p Ref in the node table (its last node if \p Ref repeats),
+  /// or -1. A binary search over the nodes' program-wide instruction ids.
   int indexOf(const analysis::InstRef &Ref) const;
 
   /// Longest latency path from each node to any leaf over intra edges
@@ -98,12 +100,11 @@ public:
   /// Sum of all node latencies.
   uint64_t totalLatency() const;
 
-  /// Available ILP as defined in Section 3.2.1.2.2: total latency divided
-  /// by the critical path length (1.0 when empty).
-  double availableILP() const;
-
 private:
   std::vector<DepNode> Nodes;
+  /// (InstIndex id, node) pairs, sorted: the node lookup behind indexOf.
+  std::vector<std::pair<uint32_t, unsigned>> Index;
+  const analysis::InstIndex *Ids = nullptr;
   std::vector<std::vector<unsigned>> Intra;
   std::vector<std::vector<unsigned>> Carried;
 };

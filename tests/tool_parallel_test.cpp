@@ -5,10 +5,13 @@
 // — the same report, the same emitted binary text — on all seven paper
 // workloads plus a stress program, and every adapted binary must clear the
 // verification pipeline with zero errors. Jobs = 1 is the inline serial
-// path, so these tests also pin the parallel path against it.
+// path, so these tests also pin the parallel path against it. A shared
+// AnalysisCache must give the same bytes whether its scheduler's
+// region-height memo starts cold or warm.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/AnalysisCache.h"
 #include "core/PostPassTool.h"
 #include "workloads/Workload.h"
 
@@ -51,13 +54,19 @@ struct AdaptResult {
   unsigned VerifyErrors = 0;
 };
 
-AdaptResult adaptWithJobs(const ProfiledWorkload &PW, unsigned Jobs) {
+ToolOptions optionsWithJobs(unsigned Jobs) {
   ToolOptions Opts;
   Opts.Jobs = Jobs;
   Opts.FatalOnVerifyError = false; // Report errors through the test instead.
-  PostPassTool Tool(PW.P, PW.PD, Opts);
+  return Opts;
+}
+
+/// Adapts \p PW through \p AC, or through a fresh cache when null.
+AdaptResult adaptWithJobs(const ProfiledWorkload &PW, unsigned Jobs,
+                          const AnalysisCache *AC = nullptr) {
+  PostPassTool Tool(PW.P, PW.PD, optionsWithJobs(Jobs));
   AdaptationReport Rep;
-  ir::Program Enhanced = Tool.adapt(&Rep);
+  ir::Program Enhanced = Tool.adaptWith(AC, &Rep);
   return {renderReport(Rep), Enhanced.str(), Rep.VerifyErrors};
 }
 
@@ -95,4 +104,28 @@ TEST(ToolParallelDeterminism, JobsZeroPicksHardwareConcurrency) {
   AdaptResult Auto = adaptWithJobs(PW, 0);
   EXPECT_EQ(Serial.ReportText, Auto.ReportText);
   EXPECT_EQ(Serial.ProgramText, Auto.ProgramText);
+}
+
+TEST(ToolParallelDeterminism, WarmRegionHeightMemoMatchesFreshCache) {
+  // Two adaptations through one cache: the first fills the shared
+  // region-height memo (racing workers at Jobs > 1), the second reads it.
+  for (const Workload &W : {makeStress(16, 6, 2), makeMcf()}) {
+    const ProfiledWorkload &PW = profiledWorkload(W);
+    AdaptResult Fresh = adaptWithJobs(PW, 1);
+    for (unsigned Jobs : {1u, 4u, 8u}) {
+      ToolOptions Opts = optionsWithJobs(Jobs);
+      AnalysisCache AC(PW.P, PW.PD, PostPassTool::sliceOptionsOf(Opts),
+                       PostPassTool::scheduleOptionsOf(Opts),
+                       PostPassTool::specDepOptionsOf(Opts));
+      for (const char *Memo : {"cold", "warm"}) {
+        AdaptResult R = adaptWithJobs(PW, Jobs, &AC);
+        EXPECT_EQ(Fresh.ReportText, R.ReportText)
+            << W.Name << ": report differs, " << Memo << " memo, jobs="
+            << Jobs;
+        EXPECT_EQ(Fresh.ProgramText, R.ProgramText)
+            << W.Name << ": emitted binary differs, " << Memo
+            << " memo, jobs=" << Jobs;
+      }
+    }
+  }
 }
