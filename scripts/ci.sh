@@ -124,14 +124,15 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 # Third matrix entry: ThreadSanitizer over the concurrent paths (the
 # parallel simulation harness, the tool's parallel candidate generation
-# with its shared, lazily filled region-height memo, and the daemon's
-# batched request execution). It adds about 65 s of build and 22 s of
-# tests on 4 vCPUs.
+# over shared, lazily filled state — per-function reaching defs, control
+# dependences and callee summaries built once on first use, the call-cost
+# and region-height memos — and the daemon's batched request execution).
+# It adds about 80 s of build and 30 s of tests on 4 vCPUs.
 echo "== Sanitized build (TSan) + concurrency tests =="
 cmake -B build-tsan -S . -DSSP_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
-  --target tool_parallel_test parallel_test serve_test
+  --target tool_parallel_test parallel_test serve_test lazy_analyses_test
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ToolParallelDeterminism|Parallel|Serve'
+  -R 'ToolParallelDeterminism|Parallel|Serve|LazyAnalyses'
 
 echo "CI OK"

@@ -11,13 +11,23 @@ using namespace ssp::ir;
 
 FunctionDeps::FunctionDeps(const Program &P, uint32_t Func)
     : P(P), Func(Func), G(CFG::build(P.func(Func))),
-      Dom(DomTree::buildDominators(G)), LI(LoopInfo::build(G, Dom)),
-      RD(ReachingDefs::build(P, Func, G)), CtrlDeps(controlDependence(G)) {}
+      Dom(DomTree::buildDominators(G)), LI(LoopInfo::build(G, Dom)) {}
+
+const ReachingDefs &FunctionDeps::reachingDefs() const {
+  std::call_once(RDOnce, [this] { RD = ReachingDefs::build(P, Func, G); });
+  return RD;
+}
+
+const std::vector<std::vector<uint32_t>> &FunctionDeps::controlDeps() const {
+  std::call_once(CtrlOnce, [this] { CtrlDeps = controlDependence(G); });
+  return CtrlDeps;
+}
 
 std::vector<InstRef> FunctionDeps::dataSources(const InstRef &I) const {
   assert(I.Func == Func && "query for wrong function");
   std::vector<InstRef> Sources;
   std::vector<uint32_t> Scratch;
+  const ReachingDefs &RD = reachingDefs();
   const Instruction &Inst = I.get(P);
   Inst.forEachUse([&](Reg R) {
     // Hardwired registers have no producers.
@@ -34,7 +44,7 @@ std::vector<InstRef> FunctionDeps::dataSources(const InstRef &I) const {
 std::vector<InstRef> FunctionDeps::controlSources(const InstRef &I) const {
   assert(I.Func == Func && "query for wrong function");
   std::vector<InstRef> Sources;
-  for (uint32_t BranchBlock : CtrlDeps[I.Block]) {
+  for (uint32_t BranchBlock : controlDeps()[I.Block]) {
     const BasicBlock &BB = P.func(Func).block(BranchBlock);
     assert(!BB.Insts.empty());
     Sources.push_back(
@@ -69,6 +79,7 @@ std::vector<InstRef> FunctionDeps::memorySources(const InstRef &I) const {
 std::vector<Reg> FunctionDeps::liveInUses(const InstRef &I) const {
   assert(I.Func == Func && "query for wrong function");
   std::vector<Reg> LiveIns;
+  const ReachingDefs &RD = reachingDefs();
   const Instruction &Inst = I.get(P);
   Inst.forEachUse([&](Reg R) {
     if ((R.isInt() || R.isPred()) && R.Num == 0)

@@ -53,12 +53,17 @@
 #include "analysis/ReachingDefs.h"
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 namespace ssp::analysis {
 
-/// Dependence analysis results for one function. Construction is eager for
-/// CFG/dominators/loops/reaching-defs; edge queries are computed on demand.
+/// Dependence analysis results for one function. The CFG, dominators and
+/// loops are built by the constructor (the region graph numbers every
+/// function's loops). Reaching definitions and control dependences are
+/// built on the first query that needs them, each under its own
+/// std::call_once: threads sharing one FunctionDeps build each at most once
+/// and all see the same result. Edge queries are computed on demand.
 class FunctionDeps {
 public:
   FunctionDeps(const ir::Program &P, uint32_t Func);
@@ -66,7 +71,7 @@ public:
   const CFG &cfg() const { return G; }
   const DomTree &doms() const { return Dom; }
   const LoopInfo &loops() const { return LI; }
-  const ReachingDefs &reachingDefs() const { return RD; }
+  const ReachingDefs &reachingDefs() const;
   uint32_t funcIndex() const { return Func; }
 
   /// Intra-function producers of \p I's register uses (flow dependences).
@@ -90,19 +95,26 @@ public:
                               const Loop &L) const;
 
 private:
+  /// Block -> the branch blocks it is control dependent on.
+  const std::vector<std::vector<uint32_t>> &controlDeps() const;
+
   const ir::Program &P;
   uint32_t Func;
   CFG G;
   DomTree Dom;
   LoopInfo LI;
-  ReachingDefs RD;
-  std::vector<std::vector<uint32_t>> CtrlDeps; ///< Block -> branch blocks.
+  mutable std::once_flag RDOnce;
+  mutable ReachingDefs RD;
+  mutable std::once_flag CtrlOnce;
+  mutable std::vector<std::vector<uint32_t>> CtrlDeps;
 };
 
-/// Dependence analyses for a whole program. Construction is eager (the
-/// tool's summary fixpoint visits every function anyway), which makes the
-/// object immutable afterwards: parallel candidate generation const-shares
-/// one ProgramDeps across worker threads with no synchronization.
+/// Dependence analyses for a whole program: one FunctionDeps per function,
+/// built by the constructor. Its lazily built pieces fill once per function
+/// on first use (see FunctionDeps), so parallel candidate generation and
+/// the serving daemon's warm cache const-share one ProgramDeps across
+/// worker threads with no other synchronization, and every result is the
+/// same whichever thread builds it.
 class ProgramDeps {
 public:
   explicit ProgramDeps(const ir::Program &P) : P(P), Index(P) {

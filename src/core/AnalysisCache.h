@@ -5,30 +5,31 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// All analyses the adaptation pipeline consumes, built once up front and
-/// immutable afterwards: per-function CFG/dominators/loops/reaching-defs
-/// (inside ProgramDeps), the region graph, the call graph, the slicer's
-/// callee summaries, and the scheduler's per-function call costs. Candidate
+/// All analyses the adaptation pipeline consumes: per-function
+/// CFG/dominators/loops/reaching-defs/control dependences (inside
+/// ProgramDeps), the region graph, the call graph, the slicer's callee
+/// summaries, and the scheduler's call costs and region heights. Candidate
 /// generation for every delinquent load reads this one cache — serially or
 /// from ThreadPool workers — instead of rebuilding analyses per candidate.
 ///
-/// Ownership and thread-safety contract: the cache owns every analysis and
-/// outlives the workers. Nothing in it mutates after the constructor
-/// returns, with one exception, so workers share it by const reference
-/// with no locking. The only mutable per-worker state (slicer scratch
-/// buffers) lives in the cheap Slicer/SliceScheduler copies
-/// makeSlicer()/makeScheduler() hand out, which share the precomputed
-/// summary and call-cost tables.
+/// The constructor builds what every adaptation reads whole: each
+/// function's CFG, dominators and loops, the region and call graphs, the
+/// speculation classifier and the call-cost table. Reaching defs, control
+/// dependences, callee summaries and region heights are built per function
+/// or region on first use: the tool slices around only a few delinquent
+/// loads, so most functions and regions are never asked for.
 ///
-/// The exception is the scheduler's region-height memo, the one table
-/// that fills lazily: every scheduler copy shares it, so workers and later
-/// requests served from this cache reuse each other's region heights. A
-/// slot's value is a pure function of the program, the profile and the
-/// call costs, all fixed before the first copy is handed out; workers that
-/// race on a slot store the same value through relaxed atomics, so there
-/// is no data race and outputs do not depend on the job count or on which
-/// requests came first. Filling it eagerly would cost more than it saves:
-/// most regions are never reached by a candidate.
+/// Ownership and thread-safety contract: the cache owns every analysis and
+/// outlives the workers, which share it by const reference. Each lazily
+/// built piece is filled once: reaching defs, control dependences and
+/// summaries under a per-function std::call_once, region heights through
+/// relaxed atomic slots that racing workers fill with the same value.
+/// Every piece is a pure function of the program, the profile and the
+/// options, so outputs do not depend on the job count, on which thread
+/// builds a piece, or on which requests served from this cache came first.
+/// The only per-worker state (slicer scratch buffers) lives in the cheap
+/// Slicer/SliceScheduler copies makeSlicer()/makeScheduler() hand out,
+/// which share the lazily filled tables and the warmed call costs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,7 +56,6 @@ public:
         Spec(Deps, SpecOpts, PD.depEvidence()),
         MasterSlicer(Deps, Regions, Calls, PD, SliceOpts, &Spec),
         MasterScheduler(Deps, Regions, PD, SchedOpts, &Spec) {
-    MasterSlicer.ensureSummaries();
     MasterScheduler.ensureCallCosts();
   }
 
@@ -71,7 +71,7 @@ public:
   /// built with SpecDepOptions::Enabled and the profile has evidence.
   const analysis::SpecDeps &specDeps() const { return Spec; }
 
-  /// A worker-private slicer sharing the precomputed summary table.
+  /// A worker-private slicer sharing the lazily filled summary table.
   slicer::Slicer makeSlicer() const { return MasterSlicer; }
 
   /// A worker-private scheduler sharing the warmed call-cost table and the

@@ -91,6 +91,10 @@ ssp::profile::collectControlFlowProfile(const LinkedProgram &LP,
   uint32_t PrevFunc = LP.at(Ctx.PC).Func;
   uint32_t PrevBlock = LP.at(Ctx.PC).Block;
 
+  // One outcome for the whole run: executeStep resets its scalar fields
+  // every step, and the spawn frame (written only by spawns) is never
+  // read here.
+  sim::ExecOutcome Out;
   uint64_t Insts = 0;
   while (true) {
     if (++Insts > MaxInsts)
@@ -119,7 +123,6 @@ ssp::profile::collectControlFlowProfile(const LinkedProgram &LP,
                 makeStaticId(LI.Func, LI.I->Id)}]++;
     });
 
-    sim::ExecOutcome Out;
     // The original binary has no chk.c; if one is present (profiling an
     // already-enhanced binary), treat it as a nop by reporting no free
     // context.

@@ -165,9 +165,10 @@ public:
   /// Forces the per-function call-cost table now. Call once before handing
   /// copies of this scheduler to worker threads: copies share the warmed
   /// table and never race to build it. After this, every input of a
-  /// region height is fixed, so the shared region-height memo is the one
-  /// table that fills lazily: workers racing on a slot store the same
-  /// value (relaxed atomics), and outputs do not depend on who wins.
+  /// region height is fixed (the per-function analyses it reads are built
+  /// once, to the same value, by whoever asks first), so workers racing
+  /// on a slot of the shared region-height memo store the same value
+  /// (relaxed atomics), and outputs do not depend on who wins.
   void ensureCallCosts() { (void)callCosts(); }
 
 private:

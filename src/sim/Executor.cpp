@@ -392,8 +392,9 @@ void ssp::sim::executeStep(ThreadContext &Ctx, const LinkedProgram &LP,
                            mem::SimMemory &Mem, bool Speculative,
                            bool FreeContextAvailable, ExecOutcome &Out) {
   // Cheap per-step reset: scalar fields only. SpawnFrame is written and
-  // read only under HasSpawn, so the 128-byte frame need not be cleared
-  // on every instruction.
+  // read only under HasSpawn, so this reset leaves the 128-byte frame
+  // alone. (The simulator still clears it for every fetched instruction:
+  // InstWindow::fetchSlot resets the whole slot, Out included.)
   Out.Kind = CtrlKind::Fall;
   Out.Taken = false;
   Out.IsMem = false;

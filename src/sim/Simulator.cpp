@@ -105,7 +105,7 @@ bool Simulator::hasFreeContext() const {
 bool Simulator::chkCWouldFire(const LinkedInst &LI) const {
   if (!hasFreeContext())
     return false;
-  if (LI.I->Op != Opcode::ChkC || !Cfg.EnableSSPThrottle)
+  if (!Cfg.EnableSSPThrottle)
     return true;
   auto It = TriggerStats.find(LI.Sid);
   return It == TriggerStats.end() || It->second.DisabledUntil <= Now;
@@ -506,17 +506,18 @@ unsigned Simulator::fetchThread(unsigned Tid, unsigned MaxBundles) {
       S.EligibleCycle = Now + Cfg.frontLatency();
       uint64_t FetchPC = T.Ctx.PC;
 
-      // A chk.c whose stub is covered by a stream descriptor never raises
-      // the spawn exception: the descriptor is activated directly (below,
-      // on the nop path), skipping the flush/refill the exception costs.
+      // Only chk.c reads Fire. A chk.c whose stub is covered by a stream
+      // descriptor never raises the spawn exception: the descriptor is
+      // activated directly (below, on the nop path), skipping the
+      // flush/refill the exception costs.
       const StreamInfo *SI = nullptr;
-      bool Fire = chkCWouldFire(*S.LI);
-      if (!StreamByStubAddr.empty() && S.LI->I->Op == Opcode::ChkC) {
+      bool Fire = false;
+      if (S.LI->I->Op == Opcode::ChkC) {
         auto StreamIt = StreamByStubAddr.find(S.LI->TargetAddr);
-        if (StreamIt != StreamByStubAddr.end()) {
+        if (StreamIt != StreamByStubAddr.end())
           SI = &StreamIt->second;
-          Fire = false;
-        }
+        else
+          Fire = chkCWouldFire(*S.LI);
       }
       executeStep(T.Ctx, LP, Mem, T.Speculative, Fire, S.Out);
       FetchedAny = true;

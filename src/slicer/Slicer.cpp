@@ -18,7 +18,9 @@ using namespace ssp::ir;
 Slicer::Slicer(const ProgramDeps &Deps, const RegionGraph &RG,
                const CallGraph &CG, const profile::ProfileData &PD,
                SliceOptions Opts, const SpecDeps *Spec)
-    : Deps(Deps), RG(RG), CG(CG), PD(PD), Opts(Opts), Spec(Spec) {}
+    : Deps(Deps), RG(RG), CG(CG), PD(PD), Opts(Opts), Spec(Spec),
+      Summaries(
+          std::make_shared<SummaryTable>(Deps.program().numFuncs())) {}
 
 bool Slicer::blockIsCold(uint32_t Func, uint32_t Block) const {
   if (!Opts.Speculative)
@@ -58,10 +60,14 @@ void unionInPlace(std::vector<T> &A, const std::vector<T> &B) {
 
 } // namespace
 
-void Slicer::computeSummaries() {
+FuncSummary Slicer::computeSummary(uint32_t FI) const {
   const Program &P = Deps.program();
   const InstIndex &Index = Deps.instIndex();
-  std::vector<FuncSummary> Tab(P.numFuncs());
+  const FunctionDeps &FD = Deps.forFunction(FI);
+  const ReachingDefs &RD = FD.reachingDefs();
+  FuncSummary Sum;
+  Sum.DefinedRegs.resize(Reg::NumDenseIndices);
+  Sum.Defined.resize(Reg::NumDenseIndices);
 
   // Closure state of one register, kept across its defs: membership bits
   // over dense program-wide instruction ids (Touched lists the set ones,
@@ -69,6 +75,7 @@ void Slicer::computeSummaries() {
   support::BitVector Members(Index.numInsts());
   support::BitVector Entry(Reg::NumDenseIndices);
   std::vector<uint32_t> Touched;
+  std::vector<uint32_t> Scratch;
   std::deque<InstRef> Work;
   auto Add = [&](const InstRef &I) {
     uint32_t Id = Index.id(I);
@@ -80,74 +87,62 @@ void Slicer::computeSummaries() {
 
   // A summary's closure follows reaching defs and control dependences
   // inside its own function and never reads another summary, so one pass
-  // over each function's registers is final, recursion included.
-  for (uint32_t FI = 0; FI < P.numFuncs(); ++FI) {
-    const FunctionDeps &FD = Deps.forFunction(FI);
-    const ReachingDefs &RD = FD.reachingDefs();
-    FuncSummary &Sum = Tab[FI];
-    Sum.DefinedRegs.resize(Reg::NumDenseIndices);
-    Sum.Defined.resize(Reg::NumDenseIndices);
-
-    for (unsigned Dense = 0; Dense < Reg::NumDenseIndices; ++Dense) {
-      // Each warm def of the register, in layout order, extends the
-      // register's closure; past SummaryRegCap a def adds only itself.
-      for (uint32_t DefId : RD.defIdsOf(Dense)) {
-        const InstRef &Def = RD.allDefs()[DefId];
-        if (blockIsCold(FI, Def.Block))
-          continue;
-        Work.clear();
-        Add(Def);
-        while (!Work.empty()) {
-          InstRef I = Work.front();
-          Work.pop_front();
-          if (Touched.size() > SummaryRegCap)
-            break;
-          I.get(P).forEachUse([&](Reg U) {
-            if ((U.isInt() || U.isPred()) && U.Num == 0)
-              return;
-            bool LiveIn = RD.forEachReachingDef(
-                I.Block, I.Inst, U, RDScratch, [&](const InstRef &Prod) {
-                  if (!blockIsCold(FI, Prod.Block))
-                    Add(Prod);
-                });
-            if (LiveIn)
-              Entry.set(U.denseIndex());
-          });
-          for (const InstRef &Ctrl : FD.controlSources(I))
-            if (!blockIsCold(FI, Ctrl.Block))
-              Add(Ctrl);
-        }
-      }
-      if (Touched.empty())
+  // over the function's registers is final, recursion included.
+  for (unsigned Dense = 0; Dense < Reg::NumDenseIndices; ++Dense) {
+    // Each warm def of the register, in layout order, extends the
+    // register's closure; past SummaryRegCap a def adds only itself.
+    for (uint32_t DefId : RD.defIdsOf(Dense)) {
+      const InstRef &Def = RD.allDefs()[DefId];
+      if (blockIsCold(FI, Def.Block))
         continue;
-
-      Sum.Defined.set(Dense);
-      FuncSummary::RegInfo &Info = Sum.DefinedRegs[Dense];
-      std::sort(Touched.begin(), Touched.end());
-      Info.Insts.reserve(Touched.size());
-      for (uint32_t Id : Touched) {
-        Info.Insts.push_back(Index.ref(Id));
-        Members.reset(Id);
+      Work.clear();
+      Add(Def);
+      while (!Work.empty()) {
+        InstRef I = Work.front();
+        Work.pop_front();
+        if (Touched.size() > SummaryRegCap)
+          break;
+        I.get(P).forEachUse([&](Reg U) {
+          if ((U.isInt() || U.isPred()) && U.Num == 0)
+            return;
+          bool LiveIn = RD.forEachReachingDef(
+              I.Block, I.Inst, U, Scratch, [&](const InstRef &Prod) {
+                if (!blockIsCold(FI, Prod.Block))
+                  Add(Prod);
+              });
+          if (LiveIn)
+            Entry.set(U.denseIndex());
+        });
+        for (const InstRef &Ctrl : FD.controlSources(I))
+          if (!blockIsCold(FI, Ctrl.Block))
+            Add(Ctrl);
       }
-      Touched.clear();
-      Entry.forEachSetBit([&](size_t E) {
-        Info.EntryDeps.push_back(regFromDenseIndex(static_cast<unsigned>(E)));
-      });
-      Entry.clearAll();
     }
+    if (Touched.empty())
+      continue;
+
+    Sum.Defined.set(Dense);
+    FuncSummary::RegInfo &Info = Sum.DefinedRegs[Dense];
+    std::sort(Touched.begin(), Touched.end());
+    Info.Insts.reserve(Touched.size());
+    for (uint32_t Id : Touched) {
+      Info.Insts.push_back(Index.ref(Id));
+      Members.reset(Id);
+    }
+    Touched.clear();
+    Entry.forEachSetBit([&](size_t E) {
+      Info.EntryDeps.push_back(regFromDenseIndex(static_cast<unsigned>(E)));
+    });
+    Entry.clearAll();
   }
-  Summaries =
-      std::make_shared<const std::vector<FuncSummary>>(std::move(Tab));
+  return Sum;
 }
 
-void Slicer::ensureSummaries() {
-  if (!Summaries)
-    computeSummaries();
-}
-
-const FuncSummary &Slicer::summaryOf(uint32_t Func) {
-  ensureSummaries();
-  return (*Summaries)[Func];
+const FuncSummary &Slicer::summaryOf(uint32_t Func) const {
+  SummaryTable &Tab = *Summaries;
+  std::call_once(Tab.Once[Func],
+                 [&] { Tab.Sums[Func] = computeSummary(Func); });
+  return Tab.Sums[Func];
 }
 
 //===----------------------------------------------------------------------===//

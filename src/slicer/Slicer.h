@@ -37,6 +37,7 @@
 #include "support/BitVector.h"
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 namespace ssp::slicer {
@@ -107,7 +108,7 @@ struct FuncSummary {
 };
 
 /// Demand-driven slicer with summary caching. Copying a Slicer is cheap
-/// and shares the (immutable once computed) summary table: parallel
+/// and shares the summary table, whose slots fill on first use: parallel
 /// candidate generation gives each worker thread its own copy, so only the
 /// per-slicer scratch buffers are private while every analysis input stays
 /// const-shared.
@@ -139,17 +140,16 @@ public:
   /// e.g. treeadd's left- and right-child call sites.
   static void mergeInto(Slice &A, const Slice &B);
 
-  /// Summary of \p Func; the first call builds every function's summary.
-  const FuncSummary &summaryOf(uint32_t Func);
-
-  /// Builds the summaries now. Call once before handing copies
-  /// of this slicer to worker threads so they never race to build it.
-  void ensureSummaries();
+  /// Summary of \p Func, built by the first call for \p Func from any copy
+  /// of this slicer (once, under the slot's std::call_once) and shared by
+  /// all of them. It is a pure function of the program, the profile and
+  /// SliceOptions::Speculative, so which thread builds it does not matter.
+  const FuncSummary &summaryOf(uint32_t Func) const;
 
 private:
   bool blockIsCold(uint32_t Func, uint32_t Block) const;
   bool regionContains(int RegionIdx, uint32_t Func, uint32_t Block) const;
-  void computeSummaries();
+  FuncSummary computeSummary(uint32_t Func) const;
 
   const analysis::ProgramDeps &Deps;
   const analysis::RegionGraph &RG;
@@ -157,8 +157,14 @@ private:
   const profile::ProfileData &PD;
   SliceOptions Opts;
   const analysis::SpecDeps *Spec;
-  /// Shared by all copies of this slicer; immutable once built.
-  std::shared_ptr<const std::vector<FuncSummary>> Summaries;
+  /// Function -> summary, each slot built once on first use.
+  struct SummaryTable {
+    explicit SummaryTable(size_t NumFuncs) : Sums(NumFuncs), Once(NumFuncs) {}
+    std::vector<FuncSummary> Sums;
+    std::vector<std::once_flag> Once;
+  };
+  /// Shared by all copies of this slicer.
+  std::shared_ptr<SummaryTable> Summaries;
   /// Reused reaching-def id buffer (private per copy, so concurrent
   /// slicers never share scratch).
   std::vector<uint32_t> RDScratch;
