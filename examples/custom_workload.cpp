@@ -14,6 +14,7 @@
 #include "ir/Verifier.h"
 #include "sim/Simulator.h"
 #include "support/RNG.h"
+#include "verify/Diagnostic.h"
 #include "workloads/Workload.h"
 
 #include <cstdio>
@@ -95,8 +96,11 @@ uint64_t runOn(const Program &P, const workloads::Workload &W) {
 int main() {
   workloads::Workload W = makeRowScan();
   Program Original = W.Build();
-  if (!isWellFormed(Original)) {
-    std::fprintf(stderr, "IR verification failed\n");
+  verify::DiagnosticEngine DE;
+  verifyStructural(Original, DE);
+  if (DE.hasErrors()) {
+    std::fprintf(stderr, "IR verification failed: %s\n",
+                 DE.diagnostics().front().Message.c_str());
     return 1;
   }
 

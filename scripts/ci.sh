@@ -79,6 +79,24 @@ serve_request() { # id program profile
 } | ./build-ci/tools/ssp-adaptd >build-ci/served.txt
 grep -q '^response r1 ok$' build-ci/served.txt
 grep -q '^response r2 ok$' build-ci/served.txt
+# A profile whose icall record names no function (inserted before the
+# first load record, where the parser accepts it): ssp-adapt rejects it
+# with a `profile:` message and exit 1, and the daemon fails only that
+# request of its batch.
+awk '/^load / && !done { print "icall 0 1 0 9 1"; done = 1 } { print }' \
+  build-ci/listsum.sspprof >build-ci/listsum-bad.sspprof
+rc=0
+./build-ci/tools/ssp-adapt examples/listsum.ssp \
+  --profile build-ci/listsum-bad.sspprof >/dev/null 2>build-ci/badprof.txt ||
+  rc=$?
+test "$rc" -eq 1
+grep -q 'profile: icall record' build-ci/badprof.txt
+{
+  serve_request bad examples/listsum.ssp build-ci/listsum-bad.sspprof
+  serve_request good examples/listsum.ssp build-ci/listsum.sspprof
+} | ./build-ci/tools/ssp-adaptd >build-ci/served-bad.txt
+grep -q '^response bad error$' build-ci/served-bad.txt
+grep -q '^response good ok$' build-ci/served-bad.txt
 # Negative smokes: the CLIs reject the values and spellings the request
 # parser rejects, exiting non-zero with their usage text.
 expect_usage() { # command...

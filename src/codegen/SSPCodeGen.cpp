@@ -5,7 +5,6 @@
 #include "analysis/StreamPatterns.h"
 #include "ir/IRBuilder.h"
 #include "sim/ThreadContext.h"
-#include "ir/Verifier.h"
 #include "support/Assert.h"
 
 #include <algorithm>
@@ -525,12 +524,6 @@ Program ssp::codegen::rewriteWithSlices(const Program &Orig,
       std::sort(SM.RestartTriggerSids.begin(), SM.RestartTriggerSids.end());
     }
 
-  std::vector<std::string> Diags = ir::verify(New);
-  if (!Diags.empty()) {
-    for (const std::string &D : Diags)
-      std::fprintf(stderr, "rewriter produced invalid IR: %s\n", D.c_str());
-    fatalError("SSP rewriter verification failed");
-  }
   if (Info)
     *Info = Stats;
   return New;

@@ -75,8 +75,8 @@ struct RewriteInfo {
 
 /// Produces the SSP-enhanced binary: a clone of \p Orig with triggers
 /// inserted and stub/slice attachments appended. Static ids of original
-/// instructions are preserved. The result is verified structurally; a
-/// malformed result aborts (tool bug).
+/// instructions are preserved. The result is not checked here: the
+/// pipeline PostPassTool::adapt runs is its one structural check.
 ///
 /// When \p Manifest is non-null it is filled with the rewrite *plan*
 /// (planned prefetch targets, trip budgets, trigger count, block

@@ -13,6 +13,7 @@
 #include "obs/Registry.h"
 #include "profile/ProfileIO.h"
 #include "support/Args.h"
+#include "verify/Diagnostic.h"
 
 #include <algorithm>
 #include <cctype>
@@ -90,41 +91,17 @@ struct AdaptService::WarmEntry {
       Error = "program: " + Err;
       return;
     }
-    std::vector<std::string> Diags = ir::verify(Prog);
-    if (!Diags.empty()) {
-      Error = "program: " + Diags.front();
+    verify::DiagnosticEngine DE;
+    ir::verifyStructural(Prog, DE);
+    if (DE.hasErrors()) {
+      Error = "program: " + DE.diagnostics().front().Message;
       return;
     }
-    if (!profile::parseProfileText(ProfileText, PD, Err)) {
+    if (!profile::parseProfileText(ProfileText, PD, Err) ||
+        !profile::checkProfileMatches(PD, Prog, Err)) {
       Error = "profile: " + Err;
       return;
     }
-    // Cross-validate the profile against the program: sizes the parser
-    // cannot know, and the call records CallGraph::build indexes with.
-    if (PD.BlockCounts.size() != Prog.numFuncs()) {
-      Error = "profile: function count " +
-              std::to_string(PD.BlockCounts.size()) +
-              " does not match program (" +
-              std::to_string(Prog.numFuncs()) + " functions)";
-      return;
-    }
-    auto SiteOk = [&](const analysis::InstRef &Site) {
-      return Site.Func < Prog.numFuncs() &&
-             Site.Block < Prog.func(Site.Func).numBlocks() &&
-             Site.Inst <
-                 Prog.func(Site.Func).block(Site.Block).Insts.size();
-    };
-    for (const analysis::DirectCallCount &C : PD.CallSiteCounts)
-      if (!SiteOk(C.Site)) {
-        Error = "profile: call site " + C.Site.str() + " out of range";
-        return;
-      }
-    for (const analysis::IndirectCallTarget &T : PD.IndirectTargets)
-      if (!SiteOk(T.Site) || T.Callee >= Prog.numFuncs()) {
-        Error = "profile: icall record " + T.Site.str() + " -> fn" +
-                std::to_string(T.Callee) + " out of range";
-        return;
-      }
     AC.emplace(Prog, PD, SliceOpts, SchedOpts, SpecOpts);
   }
 };

@@ -215,13 +215,15 @@ FeedbackResult core::runFeedbackLoop(
 
   // Round 1: the one-shot adaptation (with whatever overrides the caller
   // seeded — normally none). Always accepted: it is the baseline the
-  // monotonic-accept rule may never regress below.
+  // monotonic-accept rule may never regress below. A binary with verify
+  // errors is never simulated: an unsafe round 1 ends the loop.
   std::map<uint64_t, LoadOverride> CurOvs = Opts.Overrides;
   Tried.insert(renderOverrides(CurOvs));
   AdaptationReport Rep;
   ir::Program Prog;
   RunRound(CurOvs, Rep, Prog);
-  sim::SimStats Stats = Simulate(Prog);
+  bool Unsafe = Rep.VerifyErrors > 0;
+  sim::SimStats Stats = Unsafe ? sim::SimStats() : Simulate(Prog);
 
   uint64_t BestCycles = Stats.Cycles;
   Res.Best = std::move(Prog);
@@ -237,7 +239,7 @@ FeedbackResult core::runFeedbackLoop(
   R1.Accepted = true;
   Res.Rounds.push_back(std::move(R1));
 
-  while (Res.Rounds.size() < MaxRounds) {
+  while (!Unsafe && Res.Rounds.size() < MaxRounds) {
     // Decisions always derive from the best-so-far binary's attribution:
     // a rejected round cannot steer the policy, and an unchanged best
     // state re-proposes identically — which the Tried set turns into
@@ -255,6 +257,10 @@ FeedbackResult core::runFeedbackLoop(
     R.Round = static_cast<unsigned>(Res.Rounds.size()) + 1;
     R.Decisions = std::move(Decisions);
     RunRound(Proposed, Rep, Prog);
+    if (Rep.VerifyErrors > 0) { // Rejected unsimulated.
+      Res.Rounds.push_back(std::move(R));
+      continue;
+    }
     Stats = Simulate(Prog);
     R.Cycles = Stats.Cycles;
     R.Speedup = frac(PD.BaselineCycles, Stats.Cycles);

@@ -71,7 +71,7 @@ struct FeedbackDecision {
 struct FeedbackRound {
   unsigned Round = 0;             ///< 1 = the one-shot baseline round.
   std::vector<FeedbackDecision> Decisions; ///< Empty in round 1.
-  uint64_t Cycles = 0;            ///< Simulated cycles of this round's binary.
+  uint64_t Cycles = 0;            ///< Simulated cycles (0: unsimulated).
   double Speedup = 0.0;           ///< BaselineCycles / Cycles.
   bool Accepted = false;          ///< Became the best-so-far binary.
 };
@@ -116,6 +116,8 @@ proposeOverrides(const FeedbackPolicy &Policy,
 /// workload's memory image for each simulation. \p AC, when non-null, is
 /// a warm analysis cache matching \p Opts (the serving daemon's path);
 /// overrides never affect cached analyses, so one cache serves all rounds.
+/// A round with verify errors is never simulated: it is rejected, or, in
+/// round 1, returned unsimulated as Best (with its diagnostics).
 FeedbackResult
 runFeedbackLoop(const ir::Program &Orig, const profile::ProfileData &PD,
                 const ToolOptions &Opts, const FeedbackOptions &FO,

@@ -459,19 +459,18 @@ Program PostPassTool::adaptWith(const AnalysisCache *ExternalAC,
   // Validate the adaptation end to end: the emitted binary against the
   // original (translation validation) and against the rewrite plan, plus
   // the stub/slice speculation contracts. Errors here mean the tool
-  // produced an unsafe binary — by default that is fatal.
-  if (Opts.VerifyAdapted) {
-    ssp::verify::VerifyContext VC{Enhanced, &Orig, &Rep.Manifest,
-                                  Opts.Metrics, &AC.specDeps()};
-    ssp::verify::DiagnosticEngine DE = ssp::verify::runStandardPipeline(VC);
-    Rep.VerifyErrors = DE.errorCount();
-    Rep.VerifyWarnings = DE.warningCount();
-    Rep.VerifyDiags = DE.diagnostics();
-    if (DE.hasErrors() && Opts.FatalOnVerifyError) {
-      std::fprintf(stderr, "%s",
-                   ssp::verify::renderTextAll(DE, &Enhanced).c_str());
-      fatalError("adapted binary failed SSP verification");
-    }
+  // produced an unsafe binary — by default that is fatal. The rewriter
+  // does not check its own output; this pipeline's structural pass does.
+  ssp::verify::VerifyContext VC{Enhanced, &Orig, &Rep.Manifest, Opts.Metrics,
+                                &AC.specDeps()};
+  ssp::verify::DiagnosticEngine DE = ssp::verify::runStandardPipeline(VC);
+  Rep.VerifyErrors = DE.errorCount();
+  Rep.VerifyWarnings = DE.warningCount();
+  Rep.VerifyDiags = DE.diagnostics();
+  if (DE.hasErrors() && Opts.FatalOnVerifyError) {
+    std::fprintf(stderr, "%s",
+                 ssp::verify::renderTextAll(DE, &Enhanced).c_str());
+    fatalError("adapted binary failed SSP verification");
   }
   EndStage("adapt.verify_ms");
 

@@ -193,15 +193,11 @@ struct ToolOptions {
   /// Trace candidate evaluation to stderr.
   bool Verbose = false;
 
-  /// Run the full verification pipeline (structural checks, translation
-  /// validation against the original, stub/slice contracts, lints) over
-  /// the adapted binary before returning it.
-  bool VerifyAdapted = true;
-
-  /// Abort via fatalError when the pipeline reports errors (a tool bug:
-  /// the rewriter emitted an unsafe adaptation). CLI frontends set this
-  /// false to print the diagnostics and exit with a status code instead;
-  /// the findings are in AdaptationReport::VerifyDiags either way.
+  /// adapt() always runs the verification pipeline over the adapted
+  /// binary. With this set, its errors abort via fatalError (a tool bug:
+  /// the rewriter emitted an unsafe adaptation). The CLIs, the daemon and
+  /// perfbench set it false; the findings are in
+  /// AdaptationReport::VerifyDiags either way.
   bool FatalOnVerifyError = true;
 
   /// Optional metrics sink: adapt() reports per-stage wall times
@@ -246,8 +242,8 @@ struct AdaptationReport {
 
   /// The rewrite plan handed to the verification pipeline.
   verify::AdaptationManifest Manifest;
-  /// Verification findings over the adapted binary (empty when
-  /// ToolOptions::VerifyAdapted is off).
+  /// Verification findings over the adapted binary. VerifyErrors > 0
+  /// means the binary is unsafe: the feedback loop never simulates it.
   std::vector<verify::Diagnostic> VerifyDiags;
   unsigned VerifyErrors = 0;
   unsigned VerifyWarnings = 0;

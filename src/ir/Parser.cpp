@@ -327,8 +327,8 @@ private:
   /// function's *unannotated* instructions, mirroring Program::str(),
   /// which emits an annotation exactly when an id deviates from this
   /// default. Ids must be unique within the function (the same invariant
-  /// ir::verify enforces); rejecting the collision here gives the error a
-  /// line number.
+  /// ir::verifyStructural enforces); rejecting the collision here gives
+  /// the error a line number.
   bool emit(Instruction I, int64_t AnnotatedId) {
     I.Id = AnnotatedId >= 0 ? static_cast<uint32_t>(AnnotatedId)
                             : UnannotatedId++;

@@ -291,14 +291,3 @@ void ssp::ir::verifyStructural(const Program &P,
                                verify::DiagnosticEngine &DE) {
   VerifierImpl(P, DE).run();
 }
-
-std::vector<std::string> ssp::ir::verify(const Program &P) {
-  verify::DiagnosticEngine DE;
-  verifyStructural(P, DE);
-  std::vector<std::string> Out;
-  for (const verify::Diagnostic &D : DE.diagnostics())
-    Out.push_back(D.Message);
-  return Out;
-}
-
-bool ssp::ir::isWellFormed(const Program &P) { return verify(P).empty(); }

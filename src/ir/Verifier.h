@@ -12,17 +12,14 @@
 /// and stub blocks end with rfi.
 ///
 /// The checker emits structured verify::Diagnostics (check ids prefixed
-/// "structural."); the legacy verify() entry point renders them to strings.
-/// The full semantic pipeline (translation validation, slice dataflow,
-/// lints) lives in src/verify/ and runs this checker as its first pass.
+/// "structural."). The full semantic pipeline (translation validation,
+/// slice dataflow, lints) lives in src/verify/ and runs this checker as its
+/// first pass, the only structural check of the rewriter's output.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SSP_IR_VERIFIER_H
 #define SSP_IR_VERIFIER_H
-
-#include <string>
-#include <vector>
 
 namespace ssp::verify {
 class DiagnosticEngine;
@@ -35,13 +32,6 @@ class Program;
 /// Checks all functions of \p P, reporting structured diagnostics (severity
 /// error, check ids "structural.*") into \p DE.
 void verifyStructural(const Program &P, verify::DiagnosticEngine &DE);
-
-/// Checks all functions of \p P and returns a list of human-readable
-/// diagnostics; empty means the program is well formed.
-std::vector<std::string> verify(const Program &P);
-
-/// Convenience wrapper: returns true iff verify() reports no diagnostics.
-bool isWellFormed(const Program &P);
 
 } // namespace ssp::ir
 

@@ -2,6 +2,7 @@
 
 #include "profile/ProfileIO.h"
 
+#include "ir/Program.h"
 #include "profile/Profile.h"
 
 #include <algorithm>
@@ -475,4 +476,31 @@ private:
 bool profile::parseProfileText(const std::string &Text, ProfileData &PD,
                                std::string &Error) {
   return ProfParser(Text, PD).run(Error);
+}
+
+bool profile::checkProfileMatches(const ProfileData &PD,
+                                  const ir::Program &P, std::string &Error) {
+  if (PD.BlockCounts.size() != P.numFuncs()) {
+    Error = "function count " + std::to_string(PD.BlockCounts.size()) +
+            " does not match program (" + std::to_string(P.numFuncs()) +
+            " functions)";
+    return false;
+  }
+  auto SiteOk = [&](const analysis::InstRef &Site) {
+    return Site.Func < P.numFuncs() &&
+           Site.Block < P.func(Site.Func).numBlocks() &&
+           Site.Inst < P.func(Site.Func).block(Site.Block).Insts.size();
+  };
+  for (const analysis::DirectCallCount &C : PD.CallSiteCounts)
+    if (!SiteOk(C.Site)) {
+      Error = "call site " + C.Site.str() + " out of range";
+      return false;
+    }
+  for (const analysis::IndirectCallTarget &T : PD.IndirectTargets)
+    if (!SiteOk(T.Site) || T.Callee >= P.numFuncs()) {
+      Error = "icall record " + T.Site.str() + " -> fn" +
+              std::to_string(T.Callee) + " out of range";
+      return false;
+    }
+  return true;
 }

@@ -67,6 +67,10 @@
 
 #include <string>
 
+namespace ssp::ir {
+class Program;
+} // namespace ssp::ir
+
 namespace ssp::profile {
 
 struct ProfileData;
@@ -80,6 +84,13 @@ std::string writeProfileText(const ProfileData &PD);
 /// false and sets \p Error to "line N: message".
 bool parseProfileText(const std::string &Text, ProfileData &PD,
                       std::string &Error);
+
+/// Cross-checks \p PD against \p P for what the parser cannot know: one
+/// block-count row per function, and call sites and icall callees inside
+/// \p P. Every frontend that loads a `.sspprof` runs it before adapting.
+/// On failure returns false and sets \p Error.
+bool checkProfileMatches(const ProfileData &PD, const ir::Program &P,
+                         std::string &Error);
 
 } // namespace ssp::profile
 

@@ -42,8 +42,8 @@
 
 namespace ssp::verify {
 
-/// Wraps ir::verifyStructural. Runs even on ill-formed programs (it is the
-/// pass that decides ill-formedness).
+/// Wraps ir::verifyStructural: the only structural check of adapt()'s
+/// output. Runs even on ill-formed programs (it decides ill-formedness).
 std::unique_ptr<VerifyPass> createStructuralPass();
 
 /// Diffs the adapted program against Ctx.Orig: every original instruction

@@ -2,8 +2,9 @@
 
 #include "codegen/SSPCodeGen.h"
 #include "core/PostPassTool.h"
-#include "ir/Verifier.h"
 #include "workloads/Workload.h"
+
+#include "StructuralCheck.h"
 
 #include <gtest/gtest.h>
 
@@ -130,9 +131,7 @@ TEST(CodeGen, RewriteOutputAlwaysVerifies) {
     profile::ProfileData PD = core::profileProgram(Orig, W.BuildMemory);
     core::PostPassTool Tool(Orig, PD);
     Program Enhanced = Tool.adapt();
-    std::vector<std::string> Diags = ir::verify(Enhanced);
-    EXPECT_TRUE(Diags.empty())
-        << W.Name << ": " << (Diags.empty() ? "" : Diags.front());
+    EXPECT_TRUE(tests::wellFormed(Enhanced)) << W.Name;
   }
 }
 

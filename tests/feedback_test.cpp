@@ -7,8 +7,9 @@
 //    priority order, every saturation cap (the fixpoint guarantee), the
 //    MinSample evidence gate, and that a directive reaches every load a
 //    combined slice covers.
-//  * runFeedbackLoop is deterministic for any ToolOptions::Jobs value and
-//    accepts rounds monotonically (the best-so-far binary never regresses).
+//  * runFeedbackLoop is deterministic for any ToolOptions::Jobs value,
+//    accepts rounds monotonically (the best-so-far binary never regresses)
+//    and never simulates a binary that fails verification.
 //  * Carrying feedback configuration in ToolOptions without running the
 //    loop must leave PostPassTool::adapt bit-identical — the off switch.
 //
@@ -217,6 +218,16 @@ TEST(FeedbackPolicy, RequiresEvidenceAndAJoinKey) {
 
 // -- runFeedbackLoop ------------------------------------------------------
 
+unsigned countCheck(const std::vector<verify::Diagnostic> &Ds,
+                    const std::string &CheckId,
+                    verify::Severity Sev) {
+  unsigned N = 0;
+  for (const verify::Diagnostic &D : Ds)
+    if (D.CheckId == CheckId && D.Sev == Sev)
+      ++N;
+  return N;
+}
+
 /// One shared em3d loop per Jobs value (the loop resimulates every round;
 /// sharing keeps the binary's wall time down).
 const FeedbackResult &em3dLoop(unsigned Jobs) {
@@ -279,6 +290,39 @@ TEST(FeedbackLoop, AcceptsMonotonicallyAndConverges) {
   EXPECT_EQ(FR.BestReport.VerifyErrors, 0u);
 }
 
+TEST(FeedbackLoop, UnsafeRoundOneIsReturnedUnsimulated) {
+  // An original with a write to the hardwired r0 adapts into a binary
+  // that fails pass 1. With FatalOnVerifyError off the loop must hand it
+  // back with its diagnostics and never simulate it.
+  const ProfiledWorkload &PW = profiledWorkload(makeEm3d());
+  ir::Program Orig = PW.P.clone();
+  ir::Function &F = Orig.func(Orig.getEntry());
+  ir::Instruction Mov;
+  Mov.Op = ir::Opcode::MovI;
+  Mov.Dst = ir::ireg(0);
+  Mov.Imm = 5;
+  Mov.Id = F.nextInstId();
+  F.block(0).Insts.insert(F.block(0).Insts.begin(), Mov);
+
+  ToolOptions TO;
+  TO.FatalOnVerifyError = false;
+  unsigned Simulations = 0;
+  auto BuildMemory = [&](mem::SimMemory &M) {
+    ++Simulations;
+    PW.W.BuildMemory(M);
+  };
+  FeedbackResult FR =
+      runFeedbackLoop(Orig, PW.PD, TO, FeedbackOptions(), BuildMemory);
+  EXPECT_EQ(Simulations, 0u);
+  ASSERT_EQ(FR.Rounds.size(), 1u);
+  EXPECT_EQ(FR.Rounds[0].Cycles, 0u);
+  EXPECT_GT(FR.BestReport.VerifyErrors, 0u);
+  EXPECT_EQ(countCheck(FR.BestReport.VerifyDiags, "structural.hardwired-write",
+                       verify::Severity::Error),
+            1u);
+  EXPECT_EQ(FR.Best.str(), PostPassTool(Orig, PW.PD, TO).adapt().str());
+}
+
 TEST(FeedbackLoop, CarriedOptionsDoNotPerturbOneShotAdaptation) {
   // ToolOptions carries FeedbackRounds + policy for the CLIs and the
   // daemon, but adapt() itself must never read them: with the loop off,
@@ -296,16 +340,6 @@ TEST(FeedbackLoop, CarriedOptionsDoNotPerturbOneShotAdaptation) {
 }
 
 // -- the feedback.* verify pass -------------------------------------------
-
-unsigned countCheck(const std::vector<verify::Diagnostic> &Ds,
-                    const std::string &CheckId,
-                    verify::Severity Sev) {
-  unsigned N = 0;
-  for (const verify::Diagnostic &D : Ds)
-    if (D.CheckId == CheckId && D.Sev == Sev)
-      ++N;
-  return N;
-}
 
 TEST(FeedbackVerify, AppliedOverrideAuditsCleanWithANote) {
   const ProfiledWorkload &PW = profiledWorkload(makeMcf());

@@ -16,11 +16,12 @@
 #include "core/PostPassTool.h"
 #include "ir/IRBuilder.h"
 #include "ir/Parser.h"
-#include "ir/Verifier.h"
 #include "sim/Simulator.h"
 #include "support/RNG.h"
 #include "verify/PassManager.h"
 #include "workloads/Workload.h"
+
+#include "StructuralCheck.h"
 
 #include <gtest/gtest.h>
 
@@ -166,11 +167,7 @@ class Fuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(Fuzz, GeneratedProgramIsWellFormed) {
   FuzzProgram F(uint64_t(GetParam()) * 7919 + 11);
-  std::vector<std::string> Diags = ir::verify(F.P);
-  std::string All;
-  for (const std::string &D : Diags)
-    All += D + "; ";
-  EXPECT_TRUE(Diags.empty()) << All;
+  EXPECT_TRUE(tests::wellFormed(F.P));
 }
 
 TEST_P(Fuzz, PipelinesAgreeWithFunctionalExecution) {
@@ -199,8 +196,7 @@ TEST_P(Fuzz, AdaptationIsSafeOnArbitraryPrograms) {
   core::PostPassTool Tool(F.P, PD);
   core::AdaptationReport Rep;
   Program Enhanced = Tool.adapt(&Rep);
-  std::vector<std::string> Diags = ir::verify(Enhanced);
-  ASSERT_TRUE(Diags.empty()) << Diags.front();
+  ASSERT_TRUE(tests::wellFormed(Enhanced));
 
   uint64_t Before = runFunctional(F.P);
   uint64_t IO = 0, OOO = 0;

@@ -5,9 +5,13 @@
 #include "ir/Program.h"
 #include "ir/Verifier.h"
 
+#include "StructuralCheck.h"
+
 #include <gtest/gtest.h>
 
 using namespace ssp::ir;
+using ssp::tests::reportsCheck;
+using ssp::tests::wellFormed;
 
 namespace {
 
@@ -37,7 +41,7 @@ TEST(IR, BuilderAssignsUniqueIds) {
 
 TEST(IR, VerifierAcceptsWellFormed) {
   Program P = makeTinyProgram();
-  EXPECT_TRUE(isWellFormed(P)) << ssp::ir::verify(P)[0];
+  EXPECT_TRUE(wellFormed(P));
 }
 
 TEST(IR, VerifierRejectsEmptyBlock) {
@@ -45,7 +49,7 @@ TEST(IR, VerifierRejectsEmptyBlock) {
   IRBuilder B(P);
   B.createFunction("f");
   B.createBlock("empty");
-  EXPECT_FALSE(isWellFormed(P));
+  EXPECT_TRUE(reportsCheck(P, "structural.empty-block"));
 }
 
 TEST(IR, VerifierRejectsFallthroughPastFunction) {
@@ -54,7 +58,7 @@ TEST(IR, VerifierRejectsFallthroughPastFunction) {
   B.createFunction("f");
   B.createBlock("entry");
   B.movI(ireg(1), 0); // No terminator.
-  EXPECT_FALSE(isWellFormed(P));
+  EXPECT_TRUE(reportsCheck(P, "structural.fallthrough"));
 }
 
 TEST(IR, VerifierRejectsStoreInSlice) {
@@ -68,13 +72,7 @@ TEST(IR, VerifierRejectsStoreInSlice) {
   B.killThread();
   (void)Entry;
   (void)Slice;
-  std::vector<std::string> Diags = ssp::ir::verify(P);
-  ASSERT_FALSE(Diags.empty());
-  bool Found = false;
-  for (const std::string &D : Diags)
-    if (D.find("store") != std::string::npos)
-      Found = true;
-  EXPECT_TRUE(Found);
+  EXPECT_TRUE(reportsCheck(P, "structural.slice-store"));
 }
 
 TEST(IR, VerifierRejectsChkCToNonStub) {
@@ -84,7 +82,7 @@ TEST(IR, VerifierRejectsChkCToNonStub) {
   B.createBlock("entry");
   B.chkC(0); // Targets the body block itself.
   B.halt();
-  EXPECT_FALSE(isWellFormed(P));
+  EXPECT_TRUE(reportsCheck(P, "structural.chkc-target"));
 }
 
 TEST(IR, VerifierRejectsWriteToHardwiredZero) {
@@ -94,7 +92,7 @@ TEST(IR, VerifierRejectsWriteToHardwiredZero) {
   B.createBlock("entry");
   B.movI(ireg(0), 5);
   B.halt();
-  EXPECT_FALSE(isWellFormed(P));
+  EXPECT_TRUE(reportsCheck(P, "structural.hardwired-write"));
 }
 
 TEST(IR, VerifierRejectsBranchMidBlock) {
@@ -105,7 +103,7 @@ TEST(IR, VerifierRejectsBranchMidBlock) {
   B.br(preg(1), Entry);
   B.movI(ireg(1), 1); // After a branch.
   B.halt();
-  EXPECT_FALSE(isWellFormed(P));
+  EXPECT_TRUE(reportsCheck(P, "structural.terminator-position"));
 }
 
 TEST(IR, VerifierRejectsBadCallTarget) {
@@ -115,7 +113,7 @@ TEST(IR, VerifierRejectsBadCallTarget) {
   B.createBlock("entry");
   B.call(7); // No such function.
   B.halt();
-  EXPECT_FALSE(isWellFormed(P));
+  EXPECT_TRUE(reportsCheck(P, "structural.call-range"));
 }
 
 TEST(IR, LinkAssignsSequentialAddresses) {

@@ -8,9 +8,10 @@
 
 #include "ir/Parser.h"
 #include "ir/Program.h"
-#include "ir/Verifier.h"
 #include "profile/Profile.h"
 #include "workloads/Workload.h"
+
+#include "StructuralCheck.h"
 
 #include <gtest/gtest.h>
 
@@ -99,7 +100,7 @@ TEST(Parser, AttachmentKinds) {
                       "    rfi\n");
   EXPECT_EQ(P.func(0).block(1).Kind, BlockKind::Slice);
   EXPECT_EQ(P.func(0).block(2).Kind, BlockKind::Stub);
-  EXPECT_TRUE(isWellFormed(P));
+  EXPECT_TRUE(tests::wellFormed(P));
 }
 
 TEST(Parser, CommentsAndBlankLines) {
@@ -185,7 +186,7 @@ TEST(Parser, ListsumExampleParsesAndRuns) {
   std::string Err;
   DataImage Data;
   ASSERT_TRUE(parseProgram(Buf.str(), P, Err, &Data)) << Err;
-  EXPECT_TRUE(isWellFormed(P));
+  EXPECT_TRUE(tests::wellFormed(P));
   EXPECT_GT(Data.size(), 100u);
   LinkedProgram LP = LinkedProgram::link(P);
   mem::SimMemory Mem;
@@ -223,7 +224,7 @@ TEST_P(RoundTrip, PrintParsePrintIsFixedPoint) {
   Program Q = parseOk(Text);
   EXPECT_EQ(Q.str(), Text);
   EXPECT_EQ(Q.getEntry(), P.getEntry());
-  EXPECT_TRUE(isWellFormed(Q));
+  EXPECT_TRUE(tests::wellFormed(Q));
 }
 
 TEST_P(RoundTrip, ParsedProgramBehavesIdentically) {
@@ -341,7 +342,7 @@ TEST(ParserHardening, ListsumMutationsNeverCrash) {
     if (parseProgram(Text, P, Err, &Data)) {
       // A mutation may still be syntactically valid; it must then be a
       // program the verifier can inspect without crashing.
-      ir::verify(P);
+      tests::checkStructure(P);
     } else {
       EXPECT_FALSE(Err.empty());
       EXPECT_NE(Err.find("line "), std::string::npos) << Err;

@@ -12,9 +12,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "ProfiledFixture.h"
+#include "StructuralCheck.h"
 #include "core/PostPassTool.h"
 #include "ir/Parser.h"
-#include "ir/Verifier.h"
 #include "sim/Simulator.h"
 #include "workloads/Workload.h"
 
@@ -104,7 +104,7 @@ void roundTripWorkload(const Workload &W) {
   ir::Program Reparsed;
   std::string Err;
   ASSERT_TRUE(ir::parseProgram(Text, Reparsed, Err)) << Err;
-  EXPECT_TRUE(ir::verify(Reparsed).empty());
+  EXPECT_TRUE(tests::wellFormed(Reparsed));
   EXPECT_EQ(Reparsed.str(), Text);
 
   // Bit-identical simulation on both pipeline models.

@@ -270,14 +270,38 @@ TEST(Serve, BadRequestContentIsRejectedWithoutKillingTheBatch) {
   Job J = makeJob(makeTreeaddDF());
   Job Other = makeJob(makeEm3d());
   AdaptService S(ServeOptions{});
+  // Profiles that parse but index outside the program: a call site past
+  // the last block, and an icall whose callee is no function.
+  const ProfiledWorkload &PW = profiledWorkload(makeTreeaddDF());
+  const uint32_t NF = PW.P.numFuncs();
+  profile::ProfileData BadCall = PW.PD, BadICall = PW.PD;
+  BadCall.CallSiteCounts.push_back({{NF - 1, 1000000, 0}, 1});
+  ASSERT_TRUE(BadICall.IndirectTargets.empty());
+  BadICall.IndirectTargets.push_back({{0, 0, 0}, NF, 1});
   struct Case {
     const char *Name;
     std::string Session;
-    const char *Msg;
+    std::string Msg;
   };
   const Case Cases[] = {
       {"unparsable program",
        frameRequest("x", "garbage program text\n", J.Prof), "program: "},
+      {"structurally ill-formed program",
+       frameRequest("x",
+                    "function main (fn0) [entry]:\n"
+                    "  bb0 <entry>:\n"
+                    "    movi r0 = 5\n"
+                    "    halt\n",
+                    J.Prof),
+       "program: in main bb0: write to hardwired register r0"},
+      {"call site out of range",
+       frameRequest("x", J.Prog, profile::writeProfileText(BadCall)),
+       "profile: call site fn" + std::to_string(NF - 1) +
+           ":bb1000000:0 out of range"},
+      {"icall callee out of range",
+       frameRequest("x", J.Prog, profile::writeProfileText(BadICall)),
+       "profile: icall record fn0:bb0:0 -> fn" + std::to_string(NF) +
+           " out of range"},
       {"unparsable profile",
        frameRequest("x", J.Prog, "garbage profile text\n"),
        "profile: line 1"},

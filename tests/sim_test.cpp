@@ -7,10 +7,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/IRBuilder.h"
-#include "ir/Verifier.h"
 #include "mem/SimMemory.h"
 #include "sim/Simulator.h"
 #include "support/RNG.h"
+
+#include "StructuralCheck.h"
 
 #include <gtest/gtest.h>
 
@@ -142,7 +143,7 @@ SimStats runArcProgram(bool WithSSP, MachineConfig Cfg,
                        uint64_t *ExpectedSum = nullptr,
                        uint64_t *GotSum = nullptr) {
   Program P = buildArcProgram(WithSSP);
-  EXPECT_TRUE(isWellFormed(P)) << ir::verify(P).front();
+  EXPECT_TRUE(tests::wellFormed(P));
   LinkedProgram LP = LinkedProgram::link(P);
   mem::SimMemory Mem;
   uint64_t Want = buildArcData(Mem);

@@ -9,7 +9,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "harness/Experiment.h"
-#include "ir/Verifier.h"
 
 #include <gtest/gtest.h>
 

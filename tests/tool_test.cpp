@@ -8,11 +8,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/PostPassTool.h"
-#include "ir/Verifier.h"
 #include "sim/Simulator.h"
 #include "workloads/Workload.h"
 
 #include "ProfiledFixture.h"
+#include "StructuralCheck.h"
 
 #include <gtest/gtest.h>
 
@@ -65,8 +65,7 @@ TEST(PostPassTool, ArcKernelProducesSlices) {
 
 TEST(PostPassTool, EnhancedBinaryIsWellFormed) {
   AdaptedRun R = adaptWorkload(makeArcKernel());
-  std::vector<std::string> Diags = ir::verify(R.Enhanced);
-  EXPECT_TRUE(Diags.empty()) << Diags.front();
+  EXPECT_TRUE(tests::wellFormed(R.Enhanced));
 }
 
 TEST(PostPassTool, PreservesArchitecturalState) {

@@ -6,8 +6,9 @@
 //   * every registered workload's automatic adaptation verifies with zero
 //     error diagnostics (translation validation included);
 //   * the hand-adapted binaries pass the standalone pipeline;
-//   * five hand-corrupted adaptations are each rejected with exactly the
-//     expected check id at the expected location.
+//   * five hand-corrupted adaptations, and one adaptation checked against
+//     a corrupted original, are each rejected with exactly the expected
+//     check id at the expected location.
 //
 //===----------------------------------------------------------------------===//
 
@@ -282,4 +283,23 @@ TEST(VerifyNegative, UnboundedChainIsRejected) {
 
   expectSingleError(FX.verify(), FX.A.Enhanced, "slice.chain-budget",
                     0, FX.SpawnBlk, 0);
+}
+
+TEST(VerifyNegative, IllFormedOriginalIsRejected) {
+  ArcFixture FX;
+  Function &F = FX.A.Orig.func(0);
+  // Corrupt the *original* the adaptation is validated against: a write
+  // to the hardwired r0. Translation validation against it would be
+  // meaningless, so pass 1 reports it once and the later passes skip.
+  Instruction Mov;
+  Mov.Op = Opcode::MovI;
+  Mov.Dst = ireg(0);
+  Mov.Imm = 5;
+  Mov.Id = freshId(F);
+  F.block(0).Insts.insert(F.block(0).Insts.begin(), Mov);
+
+  verify::DiagnosticEngine DE = FX.verify();
+  expectSingleError(DE, FX.A.Enhanced, "structural.orig-ill-formed", 0, 0,
+                    0);
+  EXPECT_EQ(DE.diagnostics().front().Kind, verify::LocKind::Program);
 }

@@ -6,9 +6,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ir/Verifier.h"
 #include "profile/Profile.h"
 #include "workloads/Workload.h"
+
+#include "StructuralCheck.h"
 
 #include <gtest/gtest.h>
 
@@ -51,8 +52,7 @@ protected:
 TEST_P(WorkloadTest, WellFormedIR) {
   Workload W = getWorkload();
   ir::Program P = W.Build();
-  std::vector<std::string> Diags = ir::verify(P);
-  EXPECT_TRUE(Diags.empty()) << W.Name << ": " << Diags.front();
+  EXPECT_TRUE(tests::wellFormed(P)) << W.Name;
 }
 
 TEST_P(WorkloadTest, FunctionalChecksumMatches) {

@@ -6,7 +6,8 @@
 //   ssp-adapt input.ssp                  adapt; print the report
 //   ssp-adapt input.ssp --emit           ... and print the enhanced binary
 //   ssp-adapt input.ssp --run            ... and simulate baseline vs SSP
-//                                        on both machine models
+//                                        on both machine models (skipped
+//                                        on verify errors)
 //   ssp-adapt input.ssp --no-chaining    basic SP only
 //   ssp-adapt input.ssp --jobs N         parallel candidate generation
 //                                        (default and the explicit
@@ -76,6 +77,7 @@
 #include "profile/ProfileIO.h"
 #include "sim/Simulator.h"
 #include "support/FlagParser.h"
+#include "verify/Diagnostic.h"
 
 #include <cstdio>
 #include <fstream>
@@ -173,10 +175,11 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "%s: parse error: %s\n", Path, Err.c_str());
     return 1;
   }
-  std::vector<std::string> Diags = ir::verify(Orig);
-  if (!Diags.empty()) {
-    for (const std::string &D : Diags)
-      std::fprintf(stderr, "%s: %s\n", Path, D.c_str());
+  verify::DiagnosticEngine DE;
+  ir::verifyStructural(Orig, DE);
+  if (DE.hasErrors()) {
+    for (const verify::Diagnostic &D : DE.diagnostics())
+      std::fprintf(stderr, "%s: %s\n", Path, D.Message.c_str());
     return 1;
   }
 
@@ -197,10 +200,8 @@ int main(int argc, char **argv) {
                    Err.c_str());
       return 1;
     }
-    if (PD.BlockCounts.size() != Orig.numFuncs()) {
-      std::fprintf(stderr,
-                   "%s: profile has %zu functions, program has %zu\n",
-                   ProfilePath, PD.BlockCounts.size(), Orig.numFuncs());
+    if (!profile::checkProfileMatches(PD, Orig, Err)) {
+      std::fprintf(stderr, "%s: profile: %s\n", ProfilePath, Err.c_str());
       return 1;
     }
   } else {
@@ -268,7 +269,7 @@ int main(int argc, char **argv) {
   if (Emit)
     std::printf("\n%s", Enhanced.str().c_str());
 
-  if (Run) {
+  if (Run && Rep.VerifyErrors == 0) { // Never simulate an unsafe binary.
     for (auto Pipe : {sim::PipelineKind::InOrder,
                       sim::PipelineKind::OutOfOrder}) {
       sim::MachineConfig Cfg = Pipe == sim::PipelineKind::InOrder

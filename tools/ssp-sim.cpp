@@ -46,6 +46,7 @@
 #include "support/FlagParser.h"
 #include "support/TablePrinter.h"
 #include "support/ThreadPool.h"
+#include "verify/Diagnostic.h"
 
 #include <cstdarg>
 #include <cstdio>
@@ -168,10 +169,11 @@ bool simulateFile(const std::string &Path, const sim::MachineConfig &Cfg,
     appendf(Out, "%s: parse error: %s\n", Path.c_str(), Err.c_str());
     return false;
   }
-  std::vector<std::string> Diags = ir::verify(P);
-  if (!Diags.empty()) {
-    for (const std::string &D : Diags)
-      appendf(Out, "%s: %s\n", Path.c_str(), D.c_str());
+  verify::DiagnosticEngine DE;
+  ir::verifyStructural(P, DE);
+  if (DE.hasErrors()) {
+    for (const verify::Diagnostic &D : DE.diagnostics())
+      appendf(Out, "%s: %s\n", Path.c_str(), D.Message.c_str());
     return false;
   }
 
