@@ -108,6 +108,8 @@ expect_usage() { # command...
 }
 expect_usage ./build-ci/tools/ssp-adapt examples/listsum.ssp --feedback=+1
 expect_usage ./build-ci/tools/ssp-adapt examples/listsum.ssp '--feedback= 2'
+expect_usage ./build-ci/tools/ssp-adapt examples/listsum.ssp --throttle
+expect_usage ./build-ci/tools/ssp-adapt examples/listsum.ssp --sample
 expect_usage ./build-ci/bench/bench_fig8_speedup --jobs=4
 expect_usage ./build-ci/bench/bench_fig8_speedup --job 4
 expect_usage ./build-ci/bench/bench_streams --out x.json

@@ -60,29 +60,14 @@ struct MachineConfig {
   /// the natural pipeline-refill cost.
   unsigned ExceptionRestartDelay = 4;
 
-  /// Number of live-in slots in the RSE-backing-store live-in buffer.
-  unsigned LIBSlots = 16;
-
   /// Dynamic SSP throttling (the paper's Section 4.4.1 future-work idea:
   /// monitor the coverage and timeliness of each trigger's prefetch
   /// threads; a trigger whose threads do not reduce latency makes future
   /// chk.c checks report no available context). Disabled by default, as
-  /// in the paper.
+  /// in the paper. Its period, sample floor, credit bar and penalty are
+  /// constants next to Simulator::evaluateThrottle; with it off the
+  /// simulator does no throttle work at all.
   bool EnableSSPThrottle = false;
-  /// Evaluate trigger health every this many cycles (any period; powers of
-  /// two take a cheaper strength-reduced path, 0 disables evaluation). The
-  /// evaluation is time-based so consumption credits — which trail the
-  /// prefetches of far-ahead chains — have a full period to arrive.
-  uint64_t ThrottleEvalPeriod = 16384;
-  /// Minimum speculative touches in a period for a verdict.
-  unsigned ThrottleMinSample = 64;
-  /// Minimum fraction of timely prefetches to stay enabled.
-  double ThrottleMinUseful = 0.25;
-  /// How long a throttled trigger stays disabled (cycles).
-  uint64_t ThrottlePenalty = 100000;
-  /// A prefetch counts as timely if the main thread's subsequent access
-  /// completes within this latency (cycles).
-  uint32_t ThrottleTimelyLatency = 30;
 
   /// Stream engine: when the adapted binary carries StreamDescriptors
   /// (ssp-adapt --streams), a chk.c whose stub is covered by a descriptor

@@ -45,8 +45,6 @@ Simulator::Simulator(const MachineConfig &Cfg, const LinkedProgram &LP,
       Bpred(Cfg.NumThreads), Threads(Cfg.NumThreads) {
   Cache.setPerfectMemory(Cfg.PerfectMemory);
   Cache.setPerfectLoads(Cfg.PerfectLoads);
-  ThrottlePow2 = Cfg.ThrottleEvalPeriod != 0 &&
-                 (Cfg.ThrottleEvalPeriod & (Cfg.ThrottleEvalPeriod - 1)) == 0;
   for (Thread &T : Threads)
     T.Window.setCapacity(
         static_cast<size_t>(Cfg.ExpansionQueueBundles) * 3 +
@@ -102,51 +100,60 @@ bool Simulator::hasFreeContext() const {
   return false;
 }
 
-bool Simulator::chkCWouldFire(const LinkedInst &LI) const {
-  if (!hasFreeContext())
-    return false;
+bool Simulator::triggerThrottled(StaticId Sid) const {
   if (!Cfg.EnableSSPThrottle)
-    return true;
-  auto It = TriggerStats.find(LI.Sid);
-  return It == TriggerStats.end() || It->second.DisabledUntil <= Now;
+    return false;
+  auto It = Triggers.find(Sid);
+  return It != Triggers.end() && It->second.DisabledUntil > Now;
 }
+
+// Dynamic throttling: every ThrottlePeriod cycles (time-based, so the
+// consumption credits of far-ahead chains have a full period to arrive),
+// each trigger with ThrottleMinTouches touches in the period whose credit
+// falls below ThrottleMinCredit of its demand is disabled for
+// ThrottleDisableCycles.
+constexpr uint64_t ThrottlePeriod = 16384;
+static_assert((ThrottlePeriod & (ThrottlePeriod - 1)) == 0);
+constexpr uint64_t ThrottleMinTouches = 64;
+constexpr double ThrottleMinCredit = 0.25;
+constexpr uint64_t ThrottleDisableCycles = 100000;
 
 void Simulator::evaluateThrottle() {
   // Periodic verdicts: in steady state, a healthy chain's per-period
   // consumption credits keep pace with its prefetches; a useless one
   // (cache-resident data) accumulates touches without credits.
-  for (auto &[Sid, H] : TriggerStats) {
+  for (auto &[Sid, R] : Triggers) {
     // Two failure signatures: (a) the trigger's threads touch memory but
     // almost never move a line up from L3/memory (the data is cached
     // anyway), or (b) the lines they do move are neither consumed timely
     // nor still awaiting consumption (a healthy long-range chain is
     // *supposed* to be far ahead, so pending lines count as presumed
     // useful).
-    if (H.Prefetches < Cfg.ThrottleMinSample)
+    if (R.PeriodTouches < ThrottleMinTouches)
       continue; // Too small a sample; let it accumulate.
     // Credits (timely consumptions plus lines still pending) must keep
     // pace with the work: the demand is the tracked lines, but a trigger
     // whose threads touch plenty while moving almost nothing is judged
     // against its touch volume instead (cache-resident data).
-    double Demand = std::max<double>(static_cast<double>(H.Tracked),
-                                     static_cast<double>(H.Prefetches) / 8);
-    bool Useless = static_cast<double>(H.Useful + H.InFlight) <
-                   Cfg.ThrottleMinUseful * Demand;
-    if (Cfg.EnableSSPThrottle && Useless) {
-      H.DisabledUntil = Now + Cfg.ThrottlePenalty;
+    double Demand = std::max<double>(static_cast<double>(R.PeriodTracked),
+                                     static_cast<double>(R.PeriodTouches) / 8);
+    uint64_t Useful = R.Rollup.useful() - R.UsefulAtVerdict;
+    if (static_cast<double>(Useful + R.InFlight) <
+        ThrottleMinCredit * Demand) {
+      R.DisabledUntil = Now + ThrottleDisableCycles;
       ++Stats.ThrottleEvents;
       if (Trace)
         Trace->record(0, obs::EventKind::Throttle, Now, 0, Sid, 0);
     }
-    H.Prefetches = 0;
-    H.Tracked = 0;
-    H.Useful = 0;
+    R.PeriodTouches = 0;
+    R.PeriodTracked = 0;
+    R.UsefulAtVerdict = R.Rollup.useful();
   }
 }
 
 void Simulator::countFate(const PrefetchOrigin &Origin, PrefetchFate Fate,
                           uint64_t LateCycles) {
-  PrefetchAttribution &A = Attrib[Origin.Trigger];
+  PrefetchAttribution &A = Triggers[Origin.Trigger].Rollup;
   if (A.Slice == 0)
     A.Slice = Origin.Slice;
   if (Origin.Depth > A.MaxChainDepth)
@@ -173,22 +180,22 @@ void Simulator::notePrefetchTouch(unsigned Tid, uint64_t Line,
   // a useless prefetch (the data was cached anyway).
   bool MovedLine = R.ServedBy == cache::Level::L3 ||
                    R.ServedBy == cache::Level::Mem;
+  bool Fresh = false; // Newly tracked, not a re-prefetch of a tracked line.
   if (MovedLine) {
     if (PrefetchedLines.size() > (1u << 16)) {
       drainPendingFates(); // Lapsing entries were never consumed.
       PrefetchedLines.clear(); // Bound the table; stale entries lapse.
-      for (auto &[Sid2, H2] : TriggerStats)
-        H2.InFlight = 0;
+      if (Cfg.EnableSSPThrottle)
+        for (auto &[Sid, Rec] : Triggers)
+          Rec.InFlight = 0;
     }
     PrefetchOrigin Prev;
-    if (PrefetchedLines.insertOrAssign(Line, O, &Prev))
-      ++TriggerStats[O.Trigger].InFlight;
-    else
+    Fresh = PrefetchedLines.insertOrAssign(Line, O, &Prev);
+    if (!Fresh)
       // The earlier prefetch of this line was superseded before any
-      // consumption: a redundant re-prefetch.
+      // consumption: a redundant re-prefetch (its in-flight count stays).
       countFate(Prev, Prev.Wild ? PrefetchFate::Wild
                                 : PrefetchFate::Redundant);
-    ++TriggerStats[O.Trigger].Tracked;
     if (Trace)
       Trace->record(Tid, obs::EventKind::Prefetch, Now, 0, Line, O.Trigger,
                     static_cast<uint32_t>(R.ServedBy));
@@ -196,7 +203,12 @@ void Simulator::notePrefetchTouch(unsigned Tid, uint64_t Line,
     // The line was already near: this access resolves immediately.
     countFate(O, O.Wild ? PrefetchFate::Wild : PrefetchFate::Redundant);
   }
-  ++TriggerStats[O.Trigger].Prefetches;
+  if (!Cfg.EnableSSPThrottle)
+    return;
+  TriggerRecord &Rec = Triggers[O.Trigger];
+  ++Rec.PeriodTouches;
+  Rec.PeriodTracked += MovedLine;
+  Rec.InFlight += Fresh;
 }
 
 void Simulator::noteDataAccess(unsigned Tid, const InstSlot &S,
@@ -217,11 +229,13 @@ void Simulator::noteDataAccess(unsigned Tid, const InstSlot &S,
   PrefetchOrigin *Origin = PrefetchedLines.find(Line);
   if (!Origin)
     return;
-  // Timely enough, or still in flight (the prefetch overlapped part of
-  // the miss): either way the thread reduced latency.
-  TriggerHealth &H = TriggerStats[Origin->Trigger];
-  if (H.InFlight > 0)
-    --H.InFlight;
+  // Any consumption ends the line's wait. The count floors at 0 because
+  // a superseded line's in-flight count stayed with the earlier trigger.
+  if (Cfg.EnableSSPThrottle) {
+    uint64_t &InFlight = Triggers[Origin->Trigger].InFlight;
+    if (InFlight > 0)
+      --InFlight;
+  }
   // The prefetch helped if the main thread did not pay a full memory
   // access for the line: it was still cached at some level (TLB penalties
   // are the main thread's own) or the fetch was at least in flight.
@@ -232,11 +246,8 @@ void Simulator::noteDataAccess(unsigned Tid, const InstSlot &S,
     Fate = PrefetchFate::UsefulTimely;
   else
     Fate = Origin->Wild ? PrefetchFate::Wild : PrefetchFate::EvictedUnused;
-  if (Fate == PrefetchFate::UsefulTimely ||
-      Fate == PrefetchFate::UsefulLate) {
+  if (Fate == PrefetchFate::UsefulTimely || Fate == PrefetchFate::UsefulLate)
     ++Stats.UsefulPrefetches;
-    ++H.Useful;
-  }
   // Useful-late consumptions record the residual latency the main thread
   // still paid as timeliness slack shortfall.
   countFate(*Origin, Fate,
@@ -268,7 +279,7 @@ void Simulator::trySpawn(const ExecOutcome &Out, unsigned SpawnerTid) {
     // The new context begins fetching next cycle.
     T.FetchResumeCycle = Now + 1;
     if (Origin != 0) {
-      PrefetchAttribution &A = Attrib[Origin];
+      PrefetchAttribution &A = Triggers[Origin].Rollup;
       ++A.Spawns;
       if (A.Slice == 0)
         A.Slice = T.SliceSid;
@@ -291,13 +302,10 @@ void Simulator::trySpawn(const ExecOutcome &Out, unsigned SpawnerTid) {
 void Simulator::noteStreamTrigger(const StreamInfo &SI, unsigned Tid,
                                   ir::StaticId TriggerSid) {
   // Dynamic throttling covers stream triggers exactly like spawning ones:
-  // the engine's touches feed the same per-trigger health ledger.
-  if (Cfg.EnableSSPThrottle) {
-    auto It = TriggerStats.find(TriggerSid);
-    if (It != TriggerStats.end() && It->second.DisabledUntil > Now) {
-      ++Stats.TriggersIgnored;
-      return;
-    }
+  // the engine's touches feed the same per-trigger record.
+  if (triggerThrottled(TriggerSid)) {
+    ++Stats.TriggersIgnored;
+    return;
   }
   // One activation per descriptor at a time: re-triggering while the
   // stream still runs means the chain is already ahead.
@@ -327,7 +335,7 @@ void Simulator::noteStreamTrigger(const StreamInfo &SI, unsigned Tid,
   ActiveStreams.push_back(std::move(AS));
   ++Stats.TriggersFired;
   ++Stats.StreamActivations;
-  PrefetchAttribution &A = Attrib[TriggerSid];
+  PrefetchAttribution &A = Triggers[TriggerSid].Rollup;
   if (A.Slice == 0)
     A.Slice = SI.SliceSid;
   if (A.MaxChainDepth < 1)
@@ -517,7 +525,7 @@ unsigned Simulator::fetchThread(unsigned Tid, unsigned MaxBundles) {
         if (StreamIt != StreamByStubAddr.end())
           SI = &StreamIt->second;
         else
-          Fire = chkCWouldFire(*S.LI);
+          Fire = hasFreeContext() && !triggerThrottled(S.LI->Sid);
       }
       executeStep(T.Ctx, LP, Mem, T.Speculative, Fire, S.Out);
       FetchedAny = true;
@@ -1090,13 +1098,10 @@ uint64_t Simulator::nextEventCycle() const {
       Consider(std::max(P.first, Now + 1));
   }
 
-  // Throttle-evaluation boundaries are always events: evaluateThrottle
-  // mutates trigger health there, so a skipped span never crosses one.
-  if (Cfg.ThrottleEvalPeriod != 0) {
-    uint64_t Phase = ThrottlePow2 ? (Now & (Cfg.ThrottleEvalPeriod - 1))
-                                  : Now % Cfg.ThrottleEvalPeriod;
-    Consider(Now + Cfg.ThrottleEvalPeriod - Phase);
-  }
+  // With throttling on, evaluation boundaries are events: evaluateThrottle
+  // mutates trigger records there, so a skipped span never crosses one.
+  if (Cfg.EnableSSPThrottle)
+    Consider(Now + ThrottlePeriod - (Now & (ThrottlePeriod - 1)));
 
   // Nothing pending: tick serially so the livelock guard fires exactly as
   // it would without skipping.
@@ -1108,11 +1113,7 @@ void Simulator::stepCycle() {
   if (Now > Cfg.MaxCycles)
     fatalError("simulation exceeded MaxCycles (livelock?)");
   pruneMainOutstanding();
-  // Boundary test handles any period: strength-reduced mask for powers
-  // of two, modulo otherwise, never for a zero period.
-  if (Cfg.ThrottleEvalPeriod != 0 &&
-      (ThrottlePow2 ? (Now & (Cfg.ThrottleEvalPeriod - 1)) == 0
-                    : Now % Cfg.ThrottleEvalPeriod == 0))
+  if (Cfg.EnableSSPThrottle && (Now & (ThrottlePeriod - 1)) == 0)
     evaluateThrottle();
   std::memset(IssuedThisCycle, 0, sizeof(IssuedThisCycle));
   ActivityThisCycle = false;
@@ -1181,9 +1182,9 @@ void Simulator::finalizeExact() {
   // Lines still tracked when the main thread halts were never consumed.
   drainPendingFates();
   Stats.Attribution.clear();
-  Stats.Attribution.reserve(Attrib.size());
-  for (const auto &[Sid, A] : Attrib) {
-    Stats.Attribution.push_back(A);
+  Stats.Attribution.reserve(Triggers.size());
+  for (const auto &[Sid, R] : Triggers) {
+    Stats.Attribution.push_back(R.Rollup);
     Stats.Attribution.back().Trigger = Sid;
   }
 
@@ -1260,7 +1261,7 @@ SimStats Simulator::runSampled() {
   SspCounters Meas = {};
   cache::CacheHierarchy::Totals DetailTotals;
   ir::DenseSidMap<PrefetchAttribution> MeasAttrib;
-  ir::DenseSidMap<PrefetchAttribution> AttribBefore;
+  ir::DenseSidMap<TriggerRecord> TriggersBefore;
 
   bool First = true;
   while (!MainDone) {
@@ -1284,7 +1285,7 @@ SimStats Simulator::runSampled() {
     const SspCounters C0 = snapCounters();
     uint64_t StartCat[NumCycleCats];
     std::memcpy(StartCat, Stats.CatCycles, sizeof(StartCat));
-    AttribBefore = Attrib;
+    TriggersBefore = Triggers;
 
     runDetailedLoop(Stats.MainInsts + Plan.DetailInsts);
     drainPipeline();
@@ -1301,8 +1302,9 @@ SimStats Simulator::runSampled() {
     ActiveStreams.clear();
     drainPendingFates();
     PrefetchedLines.clear();
-    for (auto &[Sid, H] : TriggerStats)
-      H.InFlight = 0;
+    if (Cfg.EnableSSPThrottle)
+      for (auto &[Sid, R] : Triggers)
+        R.InFlight = 0;
 
     ++Stats.SampleIntervals;
     DetailCycles += Now - StartCycle;
@@ -1323,14 +1325,15 @@ SimStats Simulator::runSampled() {
     Meas.ThrottleEvents += C1.ThrottleEvents - C0.ThrottleEvents;
     Meas.StreamActivations += C1.StreamActivations - C0.StreamActivations;
     Meas.StreamSteps += C1.StreamSteps - C0.StreamSteps;
-    for (const auto &[Sid, A] : Attrib) {
+    for (const auto &[Sid, R] : Triggers) {
+      const PrefetchAttribution &A = R.Rollup;
       PrefetchAttribution &M = MeasAttrib[Sid];
       M.Slice = A.Slice;
       if (A.MaxChainDepth > M.MaxChainDepth)
         M.MaxChainDepth = A.MaxChainDepth;
-      auto It = AttribBefore.find(Sid);
+      auto It = TriggersBefore.find(Sid);
       const PrefetchAttribution *B =
-          It != AttribBefore.end() ? &It->second : nullptr;
+          It != TriggersBefore.end() ? &It->second.Rollup : nullptr;
       M.Spawns += A.Spawns - (B ? B->Spawns : 0);
       for (unsigned F = 0; F < NumPrefetchFates; ++F)
         M.Fates[F] += A.Fates[F] - (B ? B->Fates[F] : 0);
@@ -1366,7 +1369,7 @@ SimStats Simulator::runSampled() {
   }
 
   // Fates still pending when the run ended outside a measured window
-  // (e.g. during the ramp) resolve into the exact Attrib but not into the
+  // (e.g. during the ramp) resolve into the exact rollups but not into the
   // extrapolated stats — like any other unmeasured work.
   drainPendingFates();
 

@@ -164,7 +164,7 @@ private:
     bool Speculative = false;
     bool FetchStopped = false; ///< Saw halt/kill; no further fetch.
     /// The chk.c whose firing (transitively) created this speculative
-    /// thread; used for per-trigger prefetch health (throttling).
+    /// thread: the trigger record its prefetches are charged to.
     ir::StaticId OriginTrigger = 0;
     /// Main thread only: the most recently fired chk.c (the stub's spawn
     /// attributes its thread to it).
@@ -236,10 +236,10 @@ private:
   /// (c) the scoreboard ready-cycles a stalled in-order head waits on;
   /// (d) the head of each OOO context's completion calendar; (e) each OOO
   /// context's RsReadyAt (its earliest-issuable RS entry); (f) outstanding
-  /// main-thread misses and active streams; (g) the next
-  /// throttle-evaluation boundary. Every term is O(1) per context. Returns
-  /// Now + 1 if nothing is pending (the livelock guard in run() then fires
-  /// as in serial mode).
+  /// main-thread misses and active streams; (g) with throttling on, the
+  /// next throttle-evaluation boundary. Every term is O(1) per context.
+  /// Returns Now + 1 if nothing is pending (the livelock guard in run()
+  /// then fires as in serial mode).
   uint64_t nextEventCycle() const;
 
   // Helpers.
@@ -247,15 +247,15 @@ private:
   void fireResume(unsigned Tid, const InstSlot &S);
   void trySpawn(const ExecOutcome &Out, unsigned SpawnerTid);
   bool hasFreeContext() const;
-  /// chk.c availability check: a free context exists and the trigger is
-  /// not dynamically throttled.
-  bool chkCWouldFire(const ir::LinkedInst &LI) const;
-  /// Prefetch health bookkeeping around one data access.
+  /// Whether dynamic throttling currently disables trigger \p Sid (a
+  /// chk.c then reports no free context; a stream trigger is ignored).
+  bool triggerThrottled(ir::StaticId Sid) const;
+  /// Attribution and throttle bookkeeping around one data access.
   void noteDataAccess(unsigned Tid, const InstSlot &S,
                       const cache::AccessResult &R);
   /// The speculative-touch half of noteDataAccess, shared with the stream
-  /// engine: prefetch-health and attribution bookkeeping for one
-  /// speculative touch of \p Line.
+  /// engine: attribution and throttle bookkeeping for one speculative
+  /// touch of \p Line.
   void notePrefetchTouch(unsigned Tid, uint64_t Line,
                          const PrefetchOrigin &O,
                          const cache::AccessResult &R);
@@ -265,7 +265,7 @@ private:
   /// Resolves every still-pending tracked line as evicted-unused (wild
   /// entries as wild); used before overflow clears and at end of run.
   void drainPendingFates();
-  /// Periodic per-trigger usefulness verdicts (dynamic throttling).
+  /// Periodic per-trigger verdicts; runs only with throttling on.
   void evaluateThrottle();
   unsigned fuLimit(ir::FuncUnit FU) const;
   bool mainMissOutstanding() const;
@@ -307,8 +307,6 @@ private:
   /// Whether the current cycle fetched, issued, dispatched, completed or
   /// retired anything; an idle (false) cycle is a candidate for skipping.
   bool ActivityThisCycle = false;
-  /// Strength-reduction flag: ThrottleEvalPeriod is a nonzero power of two.
-  bool ThrottlePow2 = false;
   unsigned IssuedThisCycle[8] = {};
   std::vector<std::pair<uint64_t, cache::Level>> MainOutstanding;
 
@@ -320,26 +318,24 @@ private:
   };
   std::vector<Cand> ReadyBuf;
 
-  // Per-trigger prefetch health (Section 4.4.1's dynamic throttling).
-  struct TriggerHealth {
-    uint64_t Prefetches = 0; ///< Speculative touches this period.
-    uint64_t Tracked = 0;    ///< Touches that moved a line from L3/mem.
-    uint64_t Useful = 0;     ///< Timely consumptions credited this period.
-    uint64_t InFlight = 0;   ///< Tracked lines not yet consumed (a chain
-                             ///< may legitimately run far ahead; its
-                             ///< pending lines count as presumed useful).
+  /// One trigger's prefetch-lifecycle rollup (copied into
+  /// SimStats::Attribution) and, only with throttling on (Section 4.4.1),
+  /// its evaluation-period state.
+  struct TriggerRecord {
+    PrefetchAttribution Rollup;
+    uint64_t PeriodTouches = 0;  ///< Speculative touches this period.
+    uint64_t PeriodTracked = 0;  ///< Touches that moved a line from L3/mem.
+    uint64_t UsefulAtVerdict = 0; ///< Rollup.useful() at the last verdict.
+    uint64_t InFlight = 0; ///< Tracked lines not yet consumed (a chain may
+                           ///< legitimately run far ahead; its pending
+                           ///< lines count as presumed useful).
     uint64_t DisabledUntil = 0;
   };
-  /// Dense per-trigger health map: consulted on every chk.c fetch and
-  /// updated on every speculative data access — no hashing on either path.
-  ir::DenseSidMap<TriggerHealth> TriggerStats;
+  /// One record per origin trigger, keyed by trigger StaticId in
+  /// first-spawn order: no hashing on the chk.c and speculative-access
+  /// paths.
+  ir::DenseSidMap<TriggerRecord> Triggers;
   PrefetchedLineTable PrefetchedLines;
-
-  /// Prefetch-lifecycle rollup per origin trigger, keyed by trigger
-  /// StaticId in first-spawn order; copied into SimStats::Attribution at
-  /// the end of the run. Unlike TriggerStats (whose period counters the
-  /// throttle resets), these only accumulate.
-  ir::DenseSidMap<PrefetchAttribution> Attrib;
 
   /// Event-trace sink; null (the default) disables tracing entirely.
   obs::TraceSink *Trace = nullptr;

@@ -7,17 +7,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 using namespace ssp;
 using namespace ssp::workloads;
 
 namespace {
 
-struct PhasedSetup {
-  Workload W = makePhasedKernel();
+/// A kernel and its adapted binary.
+struct AdaptedKernel {
+  Workload W;
   ir::Program Orig;
   ir::Program Enhanced;
 
-  PhasedSetup() : Orig(W.Build()) {
+  explicit AdaptedKernel(Workload Kernel = makePhasedKernel())
+      : W(std::move(Kernel)), Orig(W.Build()) {
     profile::ProfileData PD = core::profileProgram(Orig, W.BuildMemory);
     core::PostPassTool Tool(Orig, PD);
     Enhanced = Tool.adapt();
@@ -42,7 +49,7 @@ struct PhasedSetup {
 } // namespace
 
 TEST(Throttle, PhasedKernelTriggersThrottleEvents) {
-  PhasedSetup S;
+  AdaptedKernel S;
   sim::MachineConfig Cfg = sim::MachineConfig::inOrder();
   Cfg.EnableSSPThrottle = true;
   sim::SimStats Stats = S.run(S.Enhanced, Cfg);
@@ -51,7 +58,7 @@ TEST(Throttle, PhasedKernelTriggersThrottleEvents) {
 }
 
 TEST(Throttle, TraceRecordsOneEventPerThrottleVerdict) {
-  PhasedSetup S;
+  AdaptedKernel S;
   for (sim::MachineConfig Cfg :
        {sim::MachineConfig::inOrder(), sim::MachineConfig::outOfOrder()}) {
     Cfg.EnableSSPThrottle = true;
@@ -71,7 +78,7 @@ TEST(Throttle, TraceRecordsOneEventPerThrottleVerdict) {
 }
 
 TEST(Throttle, RecoversOOORegression) {
-  PhasedSetup S;
+  AdaptedKernel S;
   sim::MachineConfig Plain = sim::MachineConfig::outOfOrder();
   sim::MachineConfig Throttled = sim::MachineConfig::outOfOrder();
   Throttled.EnableSSPThrottle = true;
@@ -93,7 +100,7 @@ TEST(Throttle, RecoversOOORegression) {
 }
 
 TEST(Throttle, PreservesResults) {
-  PhasedSetup S;
+  AdaptedKernel S;
   sim::MachineConfig Cfg = sim::MachineConfig::inOrder();
   Cfg.EnableSSPThrottle = true;
   S.run(S.Enhanced, Cfg); // Checksum asserted inside run().
@@ -102,30 +109,18 @@ TEST(Throttle, PreservesResults) {
 TEST(Throttle, NeutralOnGenuinelyUsefulChains) {
   // The arc kernel's prefetches are useful; throttling must not fire
   // destructively nor slow the run down materially.
-  Workload W = makeArcKernel();
-  ir::Program Orig = W.Build();
-  profile::ProfileData PD = core::profileProgram(Orig, W.BuildMemory);
-  core::PostPassTool Tool(Orig, PD);
-  ir::Program Enhanced = Tool.adapt();
-
-  auto Run = [&](bool Throttle) {
-    sim::MachineConfig Cfg = sim::MachineConfig::inOrder();
-    Cfg.EnableSSPThrottle = Throttle;
-    ir::LinkedProgram LP = ir::LinkedProgram::link(Enhanced);
-    mem::SimMemory Mem;
-    W.BuildMemory(Mem);
-    sim::Simulator Sim(Cfg, LP, Mem);
-    return Sim.run();
-  };
-  sim::SimStats Plain = Run(false);
-  sim::SimStats Throttled = Run(true);
+  AdaptedKernel S(makeArcKernel());
+  sim::MachineConfig Cfg = sim::MachineConfig::inOrder();
+  sim::SimStats Plain = S.run(S.Enhanced, Cfg);
+  Cfg.EnableSSPThrottle = true;
+  sim::SimStats Throttled = S.run(S.Enhanced, Cfg);
   EXPECT_LT(static_cast<double>(Throttled.Cycles),
             1.10 * static_cast<double>(Plain.Cycles));
   EXPECT_GT(Throttled.UsefulPrefetches, 0u);
 }
 
 TEST(Throttle, UsefulnessCountersTrackLongRangePrefetches) {
-  PhasedSetup S;
+  AdaptedKernel S;
   sim::MachineConfig Cfg = sim::MachineConfig::inOrder();
   sim::SimStats Stats = S.run(S.Enhanced, Cfg);
   // Pass one generates useful prefetches; cache-resident passes generate
@@ -135,7 +130,46 @@ TEST(Throttle, UsefulnessCountersTrackLongRangePrefetches) {
 }
 
 TEST(Throttle, DisabledByDefault) {
-  PhasedSetup S;
+  AdaptedKernel S;
   sim::SimStats Stats = S.run(S.Enhanced, sim::MachineConfig::inOrder());
   EXPECT_EQ(Stats.ThrottleEvents, 0u);
+}
+
+// The throttle's verdicts, pinned: one kernel it throttles hard (phased)
+// and one it leaves alone (arc), on both pipelines. Each case pins the
+// run's headline counters and every verdict as a (cycle, trigger) pair,
+// sorted because verdicts within one evaluation may come in any order.
+TEST(Throttle, VerdictsMatchParent) {
+  AdaptedKernel Phased;
+  AdaptedKernel Arc(makeArcKernel());
+  struct Expected {
+    AdaptedKernel &K;
+    bool InOrder;
+    uint64_t ThrottleEvents, Cycles, UsefulPrefetches;
+    std::vector<std::pair<uint64_t, uint64_t>> Verdicts;
+  };
+  const Expected Cases[] = {
+      {Phased, true, 2, 287929, 680, {{212992, 0x22}, {245760, 0x21}}},
+      {Phased, false, 1, 58147, 277, {{49152, 0x22}}},
+      {Arc, true, 0, 140233, 1372, {}},
+      {Arc, false, 0, 113164, 1199, {}},
+  };
+  for (const Expected &E : Cases) {
+    SCOPED_TRACE(E.K.W.Name + (E.InOrder ? " in-order" : " ooo"));
+    sim::MachineConfig Cfg = E.InOrder ? sim::MachineConfig::inOrder()
+                                       : sim::MachineConfig::outOfOrder();
+    Cfg.EnableSSPThrottle = true;
+    obs::TraceSink Sink(8, 20);
+    sim::SimStats Stats = E.K.run(E.K.Enhanced, Cfg, nullptr, &Sink);
+    ASSERT_EQ(Sink.dropped(), 0u);
+    std::vector<std::pair<uint64_t, uint64_t>> Verdicts;
+    for (const obs::TraceEvent &Ev : Sink.drain())
+      if (Ev.Kind == obs::EventKind::Throttle)
+        Verdicts.emplace_back(Ev.Ts, Ev.A);
+    std::sort(Verdicts.begin(), Verdicts.end());
+    EXPECT_EQ(Stats.ThrottleEvents, E.ThrottleEvents);
+    EXPECT_EQ(Stats.Cycles, E.Cycles);
+    EXPECT_EQ(Stats.UsefulPrefetches, E.UsefulPrefetches);
+    EXPECT_EQ(Verdicts, E.Verdicts);
+  }
 }

@@ -22,7 +22,7 @@
 //                                        without the flag; every drop is
 //                                        audited by the speculation.*
 //                                        verify pass.
-//   ssp-adapt input.ssp --throttle       enable dynamic trigger throttling
+//   ssp-adapt input.ssp --run --throttle ... with dynamic trigger throttling
 //   ssp-adapt input.ssp --verbose        trace the region/model decisions
 //   ssp-adapt input.ssp --Werror         verifier warnings fail the run
 //   ssp-adapt input.ssp --metrics m.json write per-stage wall times and
@@ -89,12 +89,12 @@ namespace {
 
 int usage(const char *Argv0) {
   std::fprintf(stderr,
-               "usage: %s <input.ssp> [--emit] [--run] [--no-chaining] "
-               "[--jobs N] [--spec-deps[=T]] [--streams] [--throttle] "
+               "usage: %s <input.ssp> [--emit] [--run [--throttle]] "
+               "[--no-chaining] [--jobs N] [--spec-deps[=T]] [--streams] "
                "[--verbose] [--Werror] [--metrics <out.json>] "
                "[--profile <in.sspprof>] "
                "[--emit-profile <out.sspprof>] "
-               "[--feedback[=N]] [--sample[=W:D:F[:R]]]\n",
+               "[--feedback[=N] [--sample[=W:D:F[:R]]]]\n",
                Argv0);
   return 1;
 }
@@ -122,6 +122,7 @@ int main(int argc, char **argv) {
   const char *ProfilePath = nullptr;
   const char *EmitProfilePath = nullptr;
   bool Emit = false, Run = false, Throttle = false, Werror = false;
+  bool SampleGiven = false;
   sim::SamplingPlan Sample;
   core::ToolOptions Opts;
   // Report verification findings here instead of aborting inside the
@@ -143,6 +144,7 @@ int main(int argc, char **argv) {
       .flag("--emit-profile", EmitProfilePath)
       .flagEq("--sample",
               [&](const char *V) {
+                SampleGiven = true;
                 if (!V) {
                   Sample = sim::SamplingPlan::defaults();
                   return true;
@@ -157,6 +159,10 @@ int main(int argc, char **argv) {
   if (MetricsPath)
     Opts.Metrics = &Metrics;
   if (Paths.size() != 1)
+    return usage(argv[0]);
+  // --throttle configures the --run simulations and --sample the feedback
+  // rounds; without its consumer either would silently do nothing.
+  if ((Throttle && !Run) || (SampleGiven && Opts.FeedbackRounds == 0))
     return usage(argv[0]);
   const char *Path = Paths[0].c_str();
 
