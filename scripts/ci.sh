@@ -97,6 +97,30 @@ grep -q 'profile: icall record' build-ci/badprof.txt
 } | ./build-ci/tools/ssp-adaptd >build-ci/served-bad.txt
 grep -q '^response bad error$' build-ci/served-bad.txt
 grep -q '^response good ok$' build-ci/served-bad.txt
+# Two more bad profiles in the same style: a `load` record naming a movi
+# (id 2), which slicing used to abort on, and a `load` record whose id
+# 4294967295 used to wrap a table size and crash.
+sed 's/^load 0 3 /load 0 2 /' build-ci/listsum.sspprof \
+  >build-ci/listsum-nonload.sspprof
+awk '/^load / && !done { print "load 0 4294967295 1 0 0 0 1 0 0 0 0 230"
+                         done = 1 } { print }' \
+  build-ci/listsum.sspprof >build-ci/listsum-hugeid.sspprof
+for bad in nonload:'profile: load record fn0 @2 names' \
+  hugeid:'instruction id 4294967295 out of range'; do
+  name="${bad%%:*}" msg="${bad#*:}"
+  rc=0
+  ./build-ci/tools/ssp-adapt examples/listsum.ssp \
+    --profile "build-ci/listsum-$name.sspprof" >/dev/null \
+    2>"build-ci/$name.txt" || rc=$?
+  test "$rc" -eq 1
+  grep -q "$msg" "build-ci/$name.txt"
+  {
+    serve_request bad examples/listsum.ssp "build-ci/listsum-$name.sspprof"
+    serve_request good examples/listsum.ssp build-ci/listsum.sspprof
+  } | ./build-ci/tools/ssp-adaptd --jobs 2 >"build-ci/served-$name.txt"
+  grep -q '^response bad error$' "build-ci/served-$name.txt"
+  grep -q '^response good ok$' "build-ci/served-$name.txt"
+done
 # Negative smokes: the CLIs reject the values and spellings the request
 # parser rejects, exiting non-zero with their usage text.
 expect_usage() { # command...

@@ -86,11 +86,12 @@ private:
   int32_t &slotOf(StaticId Sid) {
     uint32_t Func = staticIdFunc(Sid);
     uint32_t Inst = staticIdInst(Sid);
+    // Widen before the + 1: an id of 2^32 - 1 must not wrap to size 0.
     if (Func >= Slots.size())
-      Slots.resize(Func + 1);
+      Slots.resize(size_t(Func) + 1);
     std::vector<int32_t> &Row = Slots[Func];
     if (Inst >= Row.size())
-      Row.resize(Inst + 1, -1);
+      Row.resize(size_t(Inst) + 1, -1);
     return Row[Inst];
   }
 

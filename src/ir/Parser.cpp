@@ -7,7 +7,6 @@
 #include <cctype>
 #include <cstdlib>
 #include <sstream>
-#include <unordered_set>
 #include <vector>
 
 using namespace ssp;
@@ -326,14 +325,21 @@ private:
   /// explicit `@N` annotation wins; otherwise ids count up over the
   /// function's *unannotated* instructions, mirroring Program::str(),
   /// which emits an annotation exactly when an id deviates from this
-  /// default. Ids must be unique within the function (the same invariant
-  /// ir::verifyStructural enforces); rejecting the collision here gives
-  /// the error a line number.
+  /// default. Ids must be below MaxInstId and unique within the function
+  /// (the invariants ir::verifyStructural enforces); rejecting a violation
+  /// here gives the error a line number.
   bool emit(Instruction I, int64_t AnnotatedId) {
-    I.Id = AnnotatedId >= 0 ? static_cast<uint32_t>(AnnotatedId)
-                            : UnannotatedId++;
-    if (!UsedIds.insert(I.Id).second)
+    int64_t Id = AnnotatedId >= 0 ? AnnotatedId : UnannotatedId++;
+    if (Id >= int64_t(MaxInstId))
+      return error("instruction id @" + std::to_string(Id) +
+                   " out of range (ids must be below " +
+                   std::to_string(MaxInstId) + ")");
+    I.Id = static_cast<uint32_t>(Id);
+    if (I.Id >= UsedIds.size())
+      UsedIds.resize(I.Id + 1, false);
+    if (UsedIds[I.Id])
       return error("duplicate instruction id @" + std::to_string(I.Id));
+    UsedIds[I.Id] = true;
     CurFunc->setInstIdWatermark(I.Id + 1);
     CurFunc->block(CurBlock).Insts.push_back(I);
     return true;
@@ -488,8 +494,7 @@ private:
     // emit()). Strict like every other number: digits only, in range.
     int64_t AnnotatedId = -1;
     if (C.eat("@")) {
-      if (!C.integer(AnnotatedId) || AnnotatedId < 0 ||
-          AnnotatedId > int64_t(~0u))
+      if (!C.integer(AnnotatedId) || AnnotatedId < 0)
         return error("bad instruction id annotation");
     }
     if (!C.atEnd())
@@ -602,7 +607,7 @@ private:
   Function *CurFunc = nullptr;
   uint32_t CurBlock = ~0u;
   uint32_t UnannotatedId = 0; ///< Default-id counter of the current function.
-  std::unordered_set<uint32_t> UsedIds; ///< Ids taken in the current function.
+  std::vector<bool> UsedIds; ///< Ids taken in the current function.
 };
 
 } // namespace

@@ -21,7 +21,8 @@
 /// ids count up over the function's unannotated instructions — the same
 /// default Program::str() assumes, which emits `@N` exactly where an id
 /// deviates (in practice: the chk.c triggers a rewrite inserts mid-block
-/// after allocating attachment ids). Ids must be unique per function.
+/// after allocating attachment ids). Ids must be unique per function and
+/// below ir::MaxInstId (2^20), whether annotated or counted.
 /// Profiles have their own text format (`.sspprof`, see
 /// profile/ProfileIO.h) keyed by these ids, so a (program, profile) pair
 /// round-trips through text with sid-keyed data intact.

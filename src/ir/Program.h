@@ -41,6 +41,14 @@ inline uint32_t staticIdInst(StaticId Id) {
   return static_cast<uint32_t>(Id);
 }
 
+/// Exclusive bound on function-unique instruction ids. Side tables indexed
+/// by id (the cache profile, per-instruction counts, the verifier's and
+/// load selection's id tables) size themselves by the largest id, so the
+/// program parser (`@N`) and the `.sspprof` parser reject ids at or above
+/// it, and ir::verifyStructural reports them. It is far above any id the
+/// workloads or the rewriter hand out.
+constexpr uint32_t MaxInstId = 1u << 20;
+
 /// A whole binary: a list of functions plus the entry function.
 class Program {
 public:

@@ -5,7 +5,7 @@
 #include "ir/Program.h"
 #include "verify/Diagnostic.h"
 
-#include <set>
+#include <vector>
 
 using namespace ssp;
 using namespace ssp::ir;
@@ -70,14 +70,23 @@ private:
     verifyUniqueIds(F);
   }
 
+  /// Marks each id in a flag table indexed by id; the second and later
+  /// holders of an id are reported. Ids at or above MaxInstId were
+  /// reported by verifyInst and are not indexed.
   void verifyUniqueIds(const Function &F) {
-    std::set<uint32_t> Seen;
+    SeenId.assign(F.numInstIds(), false);
     for (const BasicBlock &BB : F.blocks())
-      for (uint32_t Idx = 0; Idx < BB.Insts.size(); ++Idx)
-        if (!Seen.insert(BB.Insts[Idx].Id).second)
+      for (uint32_t Idx = 0; Idx < BB.Insts.size(); ++Idx) {
+        uint32_t Id = BB.Insts[Idx].Id;
+        if (Id >= MaxInstId)
+          continue;
+        if (Id >= SeenId.size())
+          SeenId.resize(Id + 1, false);
+        if (SeenId[Id])
           errorIn(F, BB, Idx, "structural.dup-id",
-                  "duplicate static instruction id " +
-                      std::to_string(BB.Insts[Idx].Id));
+                  "duplicate static instruction id " + std::to_string(Id));
+        SeenId[Id] = true;
+      }
   }
 
   void verifyBlock(const Function &F, const BasicBlock &BB,
@@ -216,6 +225,12 @@ private:
       break;
     }
 
+    if (I.Id >= MaxInstId)
+      errorIn(F, BB, Idx, "structural.id-range",
+              "static instruction id " + std::to_string(I.Id) +
+                  " out of range (ids must be below " +
+                  std::to_string(MaxInstId) + ")");
+
     // Hardwired registers are read-only: r0 == 0 and p0 == true.
     Reg D = I.def();
     if (D.isValid() && D.Num == 0 &&
@@ -283,6 +298,7 @@ private:
 
   const Program &P;
   verify::DiagnosticEngine &DE;
+  std::vector<bool> SeenId; ///< verifyUniqueIds' table, reused per function.
 };
 
 } // namespace

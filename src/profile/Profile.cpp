@@ -48,11 +48,11 @@ ssp::profile::collectControlFlowProfile(const LinkedProgram &LP,
   for (uint32_t FI = 0; FI < P.numFuncs(); ++FI) {
     const Function &F = P.func(FI);
     PD.BlockCounts[FI].assign(F.numBlocks(), 0);
-    uint32_t MaxId = 0;
+    size_t Width = 0;
     for (uint32_t BI = 0; BI < F.numBlocks(); ++BI)
       for (const Instruction &I : F.block(BI).Insts)
-        MaxId = std::max(MaxId, I.Id + 1);
-    PD.InstCounts[FI].assign(MaxId, 0);
+        Width = std::max(Width, size_t(I.Id) + 1);
+    PD.InstCounts[FI].assign(Width, 0);
   }
 
   // Accumulate call-site counts in ordered maps while the run is live,
@@ -204,35 +204,54 @@ void ssp::profile::addCacheProfile(ProfileData &PD,
   PD.BaselineCycles = Stats.Cycles;
 }
 
-std::unordered_map<StaticId, InstRef>
-ssp::profile::buildStaticIdIndex(const Program &P) {
-  std::unordered_map<StaticId, InstRef> Index;
+StaticIdIndex::StaticIdIndex(const Program &P) {
+  RowStart.reserve(P.numFuncs() + 1);
+  RowStart.push_back(0);
+  for (uint32_t FI = 0; FI < P.numFuncs(); ++FI) {
+    size_t Width = 0;
+    for (const BasicBlock &BB : P.func(FI).blocks())
+      for (const Instruction &I : BB.Insts)
+        Width = std::max(Width, size_t(I.Id) + 1);
+    RowStart.push_back(RowStart.back() + Width);
+  }
+  InstRef Unused;
+  Unused.Func = ~0u;
+  Slots.assign(RowStart.back(), Unused);
   for (uint32_t FI = 0; FI < P.numFuncs(); ++FI) {
     const Function &F = P.func(FI);
     for (uint32_t BI = 0; BI < F.numBlocks(); ++BI) {
       const BasicBlock &BB = F.block(BI);
       for (uint32_t II = 0; II < BB.Insts.size(); ++II)
-        Index[makeStaticId(FI, BB.Insts[II].Id)] = {FI, BI, II};
+        Slots[RowStart[FI] + BB.Insts[II].Id] = {FI, BI, II};
     }
   }
-  return Index;
+}
+
+const InstRef *StaticIdIndex::find(StaticId Sid) const {
+  size_t Func = staticIdFunc(Sid);
+  size_t Inst = staticIdInst(Sid);
+  if (Func + 1 >= RowStart.size() ||
+      Inst >= RowStart[Func + 1] - RowStart[Func])
+    return nullptr;
+  const InstRef &Ref = Slots[RowStart[Func] + Inst];
+  return Ref.Func == ~0u ? nullptr : &Ref;
 }
 
 std::vector<DelinquentLoad>
 ssp::profile::selectDelinquentLoads(const Program &P, const ProfileData &PD,
                                     double Coverage, unsigned MaxLoads) {
-  auto Index = buildStaticIdIndex(P);
+  StaticIdIndex Index(P);
 
   std::vector<DelinquentLoad> All;
   uint64_t TotalMissCycles = 0;
   for (const auto &[Sid, Stats] : PD.Loads) {
     if (Stats.MissCycles == 0)
       continue;
-    auto It = Index.find(Sid);
-    if (It == Index.end())
+    const InstRef *Ref = Index.find(Sid);
+    if (!Ref)
       continue; // Load vanished across rewriting; ignore.
     DelinquentLoad D;
-    D.Ref = It->second;
+    D.Ref = *Ref;
     D.Sid = Sid;
     D.MissCycles = Stats.MissCycles;
     D.L1Misses = Stats.l1Misses();
@@ -243,12 +262,17 @@ ssp::profile::selectDelinquentLoads(const Program &P, const ProfileData &PD,
     All.push_back(D);
     TotalMissCycles += Stats.MissCycles;
   }
-  std::sort(All.begin(), All.end(),
-            [](const DelinquentLoad &A, const DelinquentLoad &B) {
-              if (A.MissCycles != B.MissCycles)
-                return A.MissCycles > B.MissCycles;
-              return A.Ref < B.Ref;
-            });
+  // The loop below reads at most MaxLoads loads, so only that prefix is
+  // ordered. The order is total (positions are unique), so the prefix is
+  // the one a full sort gives.
+  std::partial_sort(All.begin(),
+                    All.begin() + std::min<size_t>(All.size(), MaxLoads),
+                    All.end(),
+                    [](const DelinquentLoad &A, const DelinquentLoad &B) {
+                      if (A.MissCycles != B.MissCycles)
+                        return A.MissCycles > B.MissCycles;
+                      return A.Ref < B.Ref;
+                    });
 
   std::vector<DelinquentLoad> Selected;
   uint64_t Covered = 0;

@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 namespace ssp::profile {
@@ -146,10 +145,25 @@ std::vector<DelinquentLoad>
 selectDelinquentLoads(const ir::Program &P, const ProfileData &PD,
                       double Coverage = 0.90, unsigned MaxLoads = 10);
 
-/// Maps every StaticId of \p P to its position (needed to translate cache
-/// profiles, which are keyed by StaticId, back into instruction positions).
-std::unordered_map<ir::StaticId, analysis::InstRef>
-buildStaticIdIndex(const ir::Program &P);
+/// Maps the StaticIds of a program to instruction positions (cache
+/// profiles are keyed by StaticId). One flat table per function, indexed
+/// by instruction id and sized by the function's largest id. If a function
+/// repeats an id (an ill-formed program), the last one in layout order
+/// wins.
+class StaticIdIndex {
+public:
+  explicit StaticIdIndex(const ir::Program &P);
+
+  /// Position of the instruction carrying \p Sid, or nullptr when the
+  /// program has none.
+  const analysis::InstRef *find(ir::StaticId Sid) const;
+
+private:
+  /// Function -> first slot of its row, plus one end entry.
+  std::vector<size_t> RowStart;
+  /// Concatenated rows; an unused id's slot has Func == ~0u.
+  std::vector<analysis::InstRef> Slots;
+};
 
 } // namespace ssp::profile
 

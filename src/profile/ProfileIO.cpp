@@ -312,7 +312,7 @@ private:
   bool parseLoad(Cursor &C) {
     uint64_t F, Id;
     cache::PcCacheStats St;
-    if (!func(C, F) || !expect(C, Id) || !fits32(Id) || !C.number(St.Accesses))
+    if (!func(C, F) || !instId(C, Id) || !C.number(St.Accesses))
       return false;
     for (uint64_t &H : St.Hits)
       if (!C.number(H))
@@ -348,8 +348,7 @@ private:
     if (!PD.HasDepEvidence)
       return failed("'instcount' before 'depevidence'");
     uint64_t F, Id, Count;
-    if (!func(C, F) || !expect(C, Id) || !expect(C, Count) || !end(C) ||
-        !fits32(Id))
+    if (!func(C, F) || !instId(C, Id) || !expect(C, Count) || !end(C))
       return false;
     if (Count == 0)
       return failed("zero 'instcount' record");
@@ -373,8 +372,8 @@ private:
     if (!PD.HasDepEvidence)
       return failed("'" + std::string(Kw) + "' before 'depevidence'");
     uint64_t F, FromId, ToId, Count;
-    if (!func(C, F) || !expect(C, FromId) || !expect(C, ToId) ||
-        !expect(C, Count) || !end(C) || !fits32(FromId) || !fits32(ToId))
+    if (!func(C, F) || !instId(C, FromId) || !instId(C, ToId) ||
+        !expect(C, Count) || !end(C))
       return false;
     analysis::DepEdgeCount R;
     R.From = ir::makeStaticId(uint32_t(F), uint32_t(FromId));
@@ -407,9 +406,9 @@ private:
       return failed("'fates' before 'attrib'");
     uint64_t TF, TId, SF, SId, Depth;
     sim::PrefetchAttribution A;
-    if (!func(C, TF) || !expect(C, TId) || !fits32(TId) || !expect(C, SF) ||
-        !fits32(SF) || !expect(C, SId) || !fits32(SId) ||
-        !C.number(A.Spawns) || !expect(C, Depth) || !fits32(Depth))
+    if (!func(C, TF) || !instId(C, TId) || !expect(C, SF) || !fits32(SF) ||
+        !instId(C, SId) || !C.number(A.Spawns) || !expect(C, Depth) ||
+        !fits32(Depth))
       return false;
     if (SF >= PD.BlockCounts.size() && !(SF == 0 && SId == 0))
       return failed("function index " + std::to_string(SF) +
@@ -441,6 +440,18 @@ private:
   }
 
   bool expect(Cursor &C, uint64_t &Out) { return C.number(Out); }
+
+  /// Parses an instruction id: the same bound the program parser puts on
+  /// `@N`, which keeps every id-indexed table small.
+  bool instId(Cursor &C, uint64_t &Id) {
+    if (!expect(C, Id) || !fits32(Id))
+      return false;
+    if (Id >= ir::MaxInstId)
+      return failed("instruction id " + std::to_string(Id) +
+                    " out of range (ids must be below " +
+                    std::to_string(ir::MaxInstId) + ")");
+    return true;
+  }
 
   bool end(Cursor &C) {
     return C.atEnd() ? true : failed("trailing junk after record");
@@ -502,5 +513,18 @@ bool profile::checkProfileMatches(const ProfileData &PD,
               std::to_string(T.Callee) + " out of range";
       return false;
     }
+  // Slicing starts from each selected load, so a `load` record that names
+  // an instruction must name a load. Sids no instruction carries stay
+  // allowed: load selection ignores them, as after a rewrite.
+  StaticIdIndex Index(P);
+  for (const auto &[Sid, St] : PD.Loads) {
+    const analysis::InstRef *Ref = Index.find(Sid);
+    if (Ref && !ir::isLoad(Ref->get(P).Op)) {
+      Error = "load record fn" + std::to_string(ir::staticIdFunc(Sid)) +
+              " @" + std::to_string(ir::staticIdInst(Sid)) + " names '" +
+              Ref->get(P).str() + "' at " + Ref->str() + ", not a load";
+      return false;
+    }
+  }
   return true;
 }

@@ -31,6 +31,9 @@
 ///                | "fates" TFUNC TID SFUNC SID SPAWNS MAXDEPTH
 ///                          TIMELY LATE EVICTED REDUNDANT WILD LATECYCLES
 ///
+/// Every instruction-id field (INSTID, FROMID, TOID, TID, SID) must be
+/// below ir::MaxInstId (2^20), the bound the program parser puts on `@N`.
+///
 /// `load` is keyed by (function index, static instruction id) — the same
 /// ids the program text pins with `@N` annotations (ir/Parser.h) — and
 /// file order is meaningful: it is the cache profile's insertion order,
@@ -86,9 +89,10 @@ bool parseProfileText(const std::string &Text, ProfileData &PD,
                       std::string &Error);
 
 /// Cross-checks \p PD against \p P for what the parser cannot know: one
-/// block-count row per function, and call sites and icall callees inside
-/// \p P. Every frontend that loads a `.sspprof` runs it before adapting.
-/// On failure returns false and sets \p Error.
+/// block-count row per function, call sites and icall callees inside
+/// \p P, and `load` records naming loads (a sid no instruction of \p P
+/// carries is allowed and ignored). Every frontend that loads a `.sspprof`
+/// runs it before adapting. On failure returns false and sets \p Error.
 bool checkProfileMatches(const ProfileData &PD, const ir::Program &P,
                          std::string &Error);
 

@@ -35,14 +35,14 @@ Adapted adaptArcKernel() {
 TEST(CodeGen, PreservesOriginalStaticIds) {
   Adapted A = adaptArcKernel();
   // Every original (func, id) pair must still exist with the same opcode.
-  auto Index = profile::buildStaticIdIndex(A.Enhanced);
+  profile::StaticIdIndex Index(A.Enhanced);
   for (uint32_t FI = 0; FI < A.Orig.numFuncs(); ++FI) {
     const Function &F = A.Orig.func(FI);
     for (const BasicBlock &BB : F.blocks())
       for (const Instruction &I : BB.Insts) {
-        auto It = Index.find(makeStaticId(FI, I.Id));
-        ASSERT_NE(It, Index.end());
-        EXPECT_EQ(It->second.get(A.Enhanced).Op, I.Op);
+        const analysis::InstRef *Ref = Index.find(makeStaticId(FI, I.Id));
+        ASSERT_NE(Ref, nullptr);
+        EXPECT_EQ(Ref->get(A.Enhanced).Op, I.Op);
       }
   }
 }

@@ -294,6 +294,26 @@ TEST(ParserHardening, RejectsNegativeBlockReference) {
   EXPECT_NE(Err.find("block"), std::string::npos) << Err;
 }
 
+TEST(ParserHardening, RejectsInstructionIdsAtTheBound) {
+  // Ids index dense per-function tables. @4294967295 used to wrap the
+  // function's id watermark (Id + 1) and crash profiling; @400000000 made
+  // profiling allocate a table of that size.
+  for (const char *Id : {"1048576", "400000000", "4294967295",
+                         "99999999999"}) {
+    SCOPED_TRACE(Id);
+    std::string Err = parseErr(std::string("function f (fn0) [entry]:\n"
+                                           "  bb0 <e>:\n"
+                                           "    movi r1 = 1 @") +
+                               Id + "\n    halt\n");
+    EXPECT_EQ(Err, std::string("line 3: instruction id @") + Id +
+                       " out of range (ids must be below 1048576)");
+  }
+  Program P = parseOk("function f (fn0) [entry]:\n  bb0 <e>:\n"
+                      "    movi r1 = 1 @1048575\n    halt\n");
+  EXPECT_EQ(P.func(0).block(0).Insts[0].Id, MaxInstId - 1);
+  EXPECT_EQ(P.func(0).numInstIds(), MaxInstId);
+}
+
 TEST(ParserHardening, HighBitBytesAreAParseErrorNotUB) {
   // Sign-extended high-bit chars passed to isspace/isalnum are UB; the
   // parser must cast through unsigned char and report a clean error.

@@ -124,12 +124,25 @@ TEST(Profile, MaxLoadsCapRespected) {
 
 TEST(Profile, StaticIdIndexRoundTrips) {
   Program P = workloads::makeMcf().Build();
-  auto Index = buildStaticIdIndex(P);
-  for (const auto &[Sid, Ref] : Index) {
-    EXPECT_EQ(staticIdFunc(Sid), Ref.Func);
-    EXPECT_EQ(Ref.get(P).Id, staticIdInst(Sid));
+  StaticIdIndex Index(P);
+  size_t Found = 0;
+  for (uint32_t FI = 0; FI < P.numFuncs(); ++FI) {
+    const Function &F = P.func(FI);
+    for (uint32_t BI = 0; BI < F.numBlocks(); ++BI)
+      for (uint32_t II = 0; II < F.block(BI).Insts.size(); ++II) {
+        StaticId Sid = makeStaticId(FI, F.block(BI).Insts[II].Id);
+        const analysis::InstRef *Ref = Index.find(Sid);
+        ASSERT_NE(Ref, nullptr);
+        EXPECT_EQ(*Ref, (analysis::InstRef{FI, BI, II}));
+        ++Found;
+      }
+    // Ids no instruction of the function carries.
+    EXPECT_EQ(Index.find(makeStaticId(FI, F.numInstIds())), nullptr);
+    EXPECT_EQ(Index.find(makeStaticId(FI, ~0u)), nullptr);
   }
-  EXPECT_EQ(Index.size(), P.numInsts());
+  EXPECT_EQ(Index.find(makeStaticId(uint32_t(P.numFuncs()), 0)), nullptr);
+  EXPECT_EQ(Index.find(makeStaticId(~0u, ~0u)), nullptr);
+  EXPECT_EQ(Found, P.numInsts());
 }
 
 TEST(Profile, BaselineCyclesRecorded) {

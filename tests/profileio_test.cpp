@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ProfiledFixture.h"
+#include "ir/Parser.h"
 #include "profile/ProfileIO.h"
 #include "sim/Simulator.h"
 #include "workloads/Workload.h"
@@ -482,6 +483,74 @@ TEST(ProfileIO, MutatedAttributionRecordsFailLocatedOrStayCanonical) {
   }
   // Marker plus at least one fates record must have been swept.
   EXPECT_GE(Mutants, 5u * 2u);
+}
+
+// Instruction ids index dense tables (the cache profile, the instruction
+// counts), so every id field stops below ir::MaxInstId. A `load` id of
+// 4294967295 used to wrap a DenseSidMap row to size 0 and crash.
+TEST(ProfileIO, RejectsInstructionIdsAtTheBound) {
+  const char *Hdr = "sspprof v1\nfuncs 1\n";
+  for (const std::string &Id : {std::to_string(ir::MaxInstId),
+                               std::string("400000000"),
+                               std::string("4294967295")}) {
+    const std::pair<const char *, std::string> Records[] = {
+        {"load", "load 0 " + Id + " 1 0 0 0 1 0 0 0 0 230\n"},
+        {"instcount", "depevidence 1\ninstcount 0 " + Id + " 5\n"},
+        {"memdep", "depevidence 1\nmemdep 0 " + Id + " 1 5\n"},
+        {"regdep", "depevidence 1\nregdep 0 1 " + Id + " 5\n"},
+        {"fates trigger",
+         "attrib 1\nfates 0 " + Id + " 0 0 3 2 1 0 0 0 0 9\n"},
+        {"fates slice", "attrib 1\nfates 0 1 0 " + Id + " 3 2 1 0 0 0 0 9\n"},
+    };
+    for (const auto &[Name, Record] : Records) {
+      SCOPED_TRACE(std::string(Name) + " " + Id);
+      ProfileData PD;
+      std::string Err;
+      EXPECT_FALSE(parseProfileText(Hdr + Record, PD, Err));
+      EXPECT_NE(Err.find("line "), std::string::npos) << Err;
+      EXPECT_NE(Err.find("instruction id " + Id +
+                         " out of range (ids must be below 1048576)"),
+                std::string::npos)
+          << Err;
+    }
+  }
+  ProfileData PD;
+  std::string Err;
+  EXPECT_TRUE(parseProfileText(std::string(Hdr) +
+                                   "load 0 1048575 1 0 0 0 1 0 0 0 0 230\n",
+                               PD, Err))
+      << Err;
+  EXPECT_EQ(PD.Loads.count(ir::makeStaticId(0, ir::MaxInstId - 1)), 1u);
+}
+
+// checkProfileMatches: a `load` record naming an instruction that is not a
+// load is rejected (slicing starts from it); a sid the program lacks is
+// accepted and later ignored by load selection.
+TEST(ProfileIO, CheckRejectsLoadRecordNamingANonLoad) {
+  ir::Program P;
+  std::string Err;
+  ASSERT_TRUE(ir::parseProgram("function main (fn0) [entry]:\n"
+                               "  bb0 <entry>:\n"
+                               "    movi r1 = 4096\n"
+                               "    ld8 r2 = [r1 + 0]\n"
+                               "    halt\n",
+                               P, Err))
+      << Err;
+  auto Check = [&P](const char *LoadId, std::string &Error) {
+    ProfileData PD;
+    std::string Text = std::string("sspprof v1\nfuncs 1\n"
+                                   "blockcounts 0 1: 1\nload 0 ") +
+                       LoadId + " 1 0 0 0 1 0 0 0 0 230\n";
+    EXPECT_TRUE(parseProfileText(Text, PD, Error)) << Error;
+    return checkProfileMatches(PD, P, Error);
+  };
+  EXPECT_TRUE(Check("1", Err)) << Err;
+  EXPECT_TRUE(Check("7", Err)) << Err;
+  EXPECT_FALSE(Check("0", Err));
+  EXPECT_EQ(Err, "load record fn0 @0 names 'movi r1 = 4096' at fn0:bb0:0, "
+                 "not a load");
+  EXPECT_FALSE(Check("2", Err));
+  EXPECT_EQ(Err, "load record fn0 @2 names 'halt' at fn0:bb0:2, not a load");
 }
 
 TEST(ProfileIO, ErrorLineNumbersAreExact) {

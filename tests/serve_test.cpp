@@ -278,6 +278,19 @@ TEST(Serve, BadRequestContentIsRejectedWithoutKillingTheBatch) {
   BadCall.CallSiteCounts.push_back({{NF - 1, 1000000, 0}, 1});
   ASSERT_TRUE(BadICall.IndirectTargets.empty());
   BadICall.IndirectTargets.push_back({{0, 0, 0}, NF, 1});
+  // A `load` record naming fn0's first instruction, which is not a load
+  // (slicing it used to abort the process).
+  const ir::Instruction &First = PW.P.func(0).block(0).Insts[0];
+  ASSERT_FALSE(ir::isLoad(First.Op));
+  profile::ProfileData BadLoad = PW.PD;
+  BadLoad.Loads[ir::makeStaticId(0, First.Id)].MissCycles = 1000;
+  // Instruction ids at 2^32 - 1 in the program text and in a profile
+  // `load` record (both used to crash: the id + 1 wrapped).
+  std::string HugeIdProg = J.Prog, HugeIdProf = J.Prof;
+  HugeIdProg.insert(HugeIdProg.find("\n", HugeIdProg.find(" ld8 ")),
+                    " @4294967295");
+  HugeIdProf.insert(HugeIdProf.find("\nload ") + 1,
+                    "load 0 4294967295 1 0 0 0 1 0 0 0 0 230\n");
   struct Case {
     const char *Name;
     std::string Session;
@@ -302,6 +315,18 @@ TEST(Serve, BadRequestContentIsRejectedWithoutKillingTheBatch) {
        frameRequest("x", J.Prog, profile::writeProfileText(BadICall)),
        "profile: icall record fn0:bb0:0 -> fn" + std::to_string(NF) +
            " out of range"},
+      {"load record names a non-load",
+       frameRequest("x", J.Prog, profile::writeProfileText(BadLoad)),
+       "profile: load record fn0 @" + std::to_string(First.Id) + " names '" +
+           First.str() + "' at fn0:bb0:0, not a load"},
+      {"program instruction id out of range",
+       frameRequest("x", HugeIdProg, J.Prof),
+       "instruction id @4294967295 out of range (ids must be below "
+       "1048576)"},
+      {"profile instruction id out of range",
+       frameRequest("x", J.Prog, HugeIdProf),
+       "instruction id 4294967295 out of range (ids must be below "
+       "1048576)"},
       {"unparsable profile",
        frameRequest("x", J.Prog, "garbage profile text\n"),
        "profile: line 1"},
