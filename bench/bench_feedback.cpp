@@ -54,19 +54,6 @@ struct WorkloadOutcome {
   std::string Trace; ///< renderFeedbackText of the loop.
 };
 
-bool checksumOk(const ir::Program &P,
-                const std::function<uint64_t(mem::SimMemory &)> &Build,
-                bool SkipIdle) {
-  ir::LinkedProgram LP = ir::LinkedProgram::link(P);
-  mem::SimMemory Mem;
-  uint64_t Expected = Build(Mem);
-  sim::MachineConfig Cfg = sim::MachineConfig::inOrder();
-  Cfg.SkipIdleCycles = SkipIdle;
-  sim::Simulator Sim(Cfg, LP, Mem);
-  Sim.run();
-  return Mem.read(workloads::ResultAddr) == Expected;
-}
-
 WorkloadOutcome runOne(const workloads::Workload &W, const BenchArgs &Args) {
   WorkloadOutcome O;
   O.Name = W.Name;
@@ -96,7 +83,11 @@ WorkloadOutcome runOne(const workloads::Workload &W, const BenchArgs &Args) {
 
   // Validate the delivered binary end-to-end: the fixpoint program must
   // still compute the workload's expected checksum.
-  O.ChecksumOk = checksumOk(FR.Best, W.BuildMemory, !Args.NoSkip);
+  sim::MachineConfig Cfg = sim::MachineConfig::inOrder();
+  Cfg.SkipIdleCycles = !Args.NoSkip;
+  O.ChecksumOk =
+      sim::runProgram(ir::LinkedProgram::link(FR.Best), W.BuildMemory, Cfg)
+          .checksumOk();
   return O;
 }
 

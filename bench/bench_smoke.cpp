@@ -26,6 +26,7 @@
 
 #include "core/PostPassTool.h"
 #include "harness/Experiment.h"
+#include "sim/Simulator.h"
 
 #include <chrono>
 #include <cmath>

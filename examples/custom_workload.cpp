@@ -12,7 +12,7 @@
 #include "core/PostPassTool.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
-#include "sim/Simulator.h"
+#include "sim/Run.h"
 #include "support/RNG.h"
 #include "verify/Diagnostic.h"
 #include "workloads/Workload.h"
@@ -84,11 +84,9 @@ workloads::Workload makeRowScan() {
 }
 
 uint64_t runOn(const Program &P, const workloads::Workload &W) {
-  LinkedProgram LP = LinkedProgram::link(P);
-  mem::SimMemory Mem;
-  W.BuildMemory(Mem);
-  sim::Simulator Sim(sim::MachineConfig::inOrder(), LP, Mem);
-  return Sim.run().Cycles;
+  return sim::runProgram(LinkedProgram::link(P), W.BuildMemory,
+                         sim::MachineConfig::inOrder())
+      .Stats.Cycles;
 }
 
 } // namespace

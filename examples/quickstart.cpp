@@ -10,12 +10,12 @@
 //      plus the cache profile from a baseline timing simulation.
 //   3. PostPassTool::adapt() is the paper's second pass: delinquent load
 //      selection, slicing, scheduling, trigger placement, rewriting.
-//   4. Simulator runs both binaries cycle by cycle.
+//   4. runProgram() simulates both binaries cycle by cycle.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/PostPassTool.h"
-#include "sim/Simulator.h"
+#include "sim/Run.h"
 #include "workloads/Workload.h"
 
 #include <cstdio>
@@ -50,11 +50,9 @@ int main() {
 
   // (4) Measure both binaries on the in-order model.
   auto Run = [&](const ir::Program &P) {
-    ir::LinkedProgram LP = ir::LinkedProgram::link(P);
-    mem::SimMemory Mem;
-    W.BuildMemory(Mem);
-    sim::Simulator Sim(sim::MachineConfig::inOrder(), LP, Mem);
-    return Sim.run();
+    return sim::runProgram(ir::LinkedProgram::link(P), W.BuildMemory,
+                           sim::MachineConfig::inOrder())
+        .Stats;
   };
   sim::SimStats Base = Run(Original);
   sim::SimStats Ssp = Run(Enhanced);

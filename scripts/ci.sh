@@ -121,6 +121,32 @@ for bad in nonload:'profile: load record fn0 @2 names' \
   grep -q '^response bad error$' "build-ci/served-$name.txt"
   grep -q '^response good ok$' "build-ci/served-$name.txt"
 done
+# Two counts that used to size an allocation before anything they count
+# was read, each run under a 3 GB `ulimit -v` set in a subshell so it binds
+# only that process: a `funcs 4294967295` profile (exit 1 from ssp-adapt,
+# an error for its request), and a frame header announcing 2^62 payload
+# bytes followed by end of input. The batch-mate still gets `ok`.
+limited() { (ulimit -v 3145728; "$@"); }
+sed 's/^funcs .*/funcs 4294967295/' build-ci/listsum.sspprof \
+  >build-ci/listsum-hugefuncs.sspprof
+rc=0
+limited ./build-ci/tools/ssp-adapt examples/listsum.ssp \
+  --profile build-ci/listsum-hugefuncs.sspprof >/dev/null \
+  2>build-ci/hugefuncs.txt || rc=$?
+test "$rc" -eq 1
+grep -q "'funcs' claims 4294967295 functions" build-ci/hugefuncs.txt
+{
+  serve_request bad examples/listsum.ssp build-ci/listsum-hugefuncs.sspprof
+  serve_request good examples/listsum.ssp build-ci/listsum.sspprof
+} | limited ./build-ci/tools/ssp-adaptd --jobs 2 >build-ci/served-hugefuncs.txt
+grep -q '^response bad error$' build-ci/served-hugefuncs.txt
+grep -q '^response good ok$' build-ci/served-hugefuncs.txt
+{
+  serve_request good examples/listsum.ssp build-ci/listsum.sspprof
+  printf 'request bad\nprogram 4611686018427387904\n'
+} | limited ./build-ci/tools/ssp-adaptd >build-ci/served-hugeframe.txt
+grep -q '^response bad error$' build-ci/served-hugeframe.txt
+grep -q '^response good ok$' build-ci/served-hugeframe.txt
 # Negative smokes: the CLIs reject the values and spellings the request
 # parser rejects, exiting non-zero with their usage text.
 expect_usage() { # command...

@@ -241,12 +241,8 @@ void AdaptService::executeBatch(std::vector<Request> &Batch,
         // plus the per-round decision trace appended to the report.
         FeedbackOptions FO;
         FO.MaxRounds = R.TO.FeedbackRounds;
-        auto BuildMemory = [&E](mem::SimMemory &Mem) {
-          for (const auto &[Addr, Value] : E.Data)
-            Mem.write(Addr, Value);
-        };
-        FeedbackResult FR =
-            runFeedbackLoop(E.Prog, E.PD, R.TO, FO, BuildMemory, &*E.AC);
+        FeedbackResult FR = runFeedbackLoop(E.Prog, E.PD, R.TO, FO,
+                                            sim::imageOf(E.Data), &*E.AC);
         R.Report = renderReportText(E.PD.BaselineCycles, FR.BestReport) +
                    renderFeedbackText(FR);
         R.Binary = FR.Best.str();
@@ -343,15 +339,21 @@ uint64_t AdaptService::serve(std::istream &In, std::ostream &Out) {
     }
   };
   // Reads an N-byte length-prefixed payload plus its terminating
-  // newline; false + a located error on truncation.
+  // newline; false + a located error on truncation. N comes from the
+  // frame header, so the buffer grows by bounded chunks only as bytes
+  // arrive, never to N up front.
   auto ReadPayload = [&](uint64_t N, std::string &PayloadOut,
                          std::string &Err) {
-    PayloadOut.assign(N, '\0');
-    if (N > 0)
-      In.read(&PayloadOut[0], static_cast<std::streamsize>(N));
-    if (static_cast<uint64_t>(In.gcount()) != N) {
-      PayloadOut.resize(static_cast<size_t>(std::max<std::streamsize>(
-          In.gcount(), 0)));
+    constexpr uint64_t Chunk = 1 << 20;
+    PayloadOut.clear();
+    while (PayloadOut.size() < N && In) {
+      size_t Have = PayloadOut.size();
+      size_t Want = static_cast<size_t>(std::min(Chunk, N - Have));
+      PayloadOut.resize(Have + Want);
+      In.read(&PayloadOut[Have], static_cast<std::streamsize>(Want));
+      PayloadOut.resize(Have + static_cast<size_t>(In.gcount()));
+    }
+    if (PayloadOut.size() != N) {
       Err = Located("truncated payload (got " +
                     std::to_string(PayloadOut.size()) + " of " +
                     std::to_string(N) + " bytes)");

@@ -3,7 +3,6 @@
 #include "core/Feedback.h"
 
 #include "core/AnalysisCache.h"
-#include "sim/Simulator.h"
 
 #include <algorithm>
 #include <set>
@@ -188,18 +187,14 @@ std::map<uint64_t, LoadOverride> core::proposeOverrides(
 FeedbackResult core::runFeedbackLoop(
     const ir::Program &Orig, const profile::ProfileData &PD,
     const ToolOptions &Opts, const FeedbackOptions &FO,
-    const std::function<void(mem::SimMemory &)> &BuildMemory,
-    const AnalysisCache *AC) {
+    const sim::MemoryBuilder &BuildMemory, const AnalysisCache *AC) {
   FeedbackResult Res;
 
-  auto Simulate = [&](const ir::Program &P) -> sim::SimStats {
-    ir::LinkedProgram LP = ir::LinkedProgram::link(P);
-    mem::SimMemory Mem;
-    BuildMemory(Mem);
-    sim::MachineConfig Cfg = sim::MachineConfig::inOrder();
-    Cfg.Sample = FO.Sample;
-    sim::Simulator Sim(Cfg, LP, Mem);
-    return Sim.run();
+  sim::MachineConfig Cfg = sim::MachineConfig::inOrder();
+  Cfg.Sample = FO.Sample;
+  auto Simulate = [&](const ir::Program &P) {
+    return sim::runProgram(ir::LinkedProgram::link(P), BuildMemory, Cfg)
+        .Stats;
   };
 
   auto RunRound = [&](const std::map<uint64_t, LoadOverride> &Ovs,

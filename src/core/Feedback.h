@@ -48,7 +48,6 @@
 #include "core/PostPassTool.h"
 #include "sim/Sampling.h"
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -112,8 +111,9 @@ proposeOverrides(const FeedbackPolicy &Policy,
 
 /// Runs the closed loop over \p Orig with profile \p PD. \p Opts supplies
 /// the tool configuration (Overrides seeds round 1 — normally empty — and
-/// Opts.Feedback the policy thresholds). \p BuildMemory recreates the
-/// workload's memory image for each simulation. \p AC, when non-null, is
+/// Opts.Feedback the policy thresholds). The sim::MemoryBuilder
+/// \p BuildMemory recreates the workload's memory image for each
+/// simulation, which sim::runProgram runs. \p AC, when non-null, is
 /// a warm analysis cache matching \p Opts (the serving daemon's path);
 /// overrides never affect cached analyses, so one cache serves all rounds.
 /// A round with verify errors is never simulated: it is rejected, or, in
@@ -121,7 +121,7 @@ proposeOverrides(const FeedbackPolicy &Policy,
 FeedbackResult
 runFeedbackLoop(const ir::Program &Orig, const profile::ProfileData &PD,
                 const ToolOptions &Opts, const FeedbackOptions &FO,
-                const std::function<void(mem::SimMemory &)> &BuildMemory,
+                const sim::MemoryBuilder &BuildMemory,
                 const AnalysisCache *AC = nullptr);
 
 } // namespace ssp::core

@@ -4,7 +4,6 @@
 
 #include "analysis/RegionGraph.h"
 #include "core/AnalysisCache.h"
-#include "sim/Simulator.h"
 #include "support/Assert.h"
 #include "support/ThreadPool.h"
 #include "trigger/TriggerPlacer.h"
@@ -491,9 +490,9 @@ Program PostPassTool::adaptWith(const AnalysisCache *ExternalAC,
   return Enhanced;
 }
 
-profile::ProfileData ssp::core::profileProgram(
-    const Program &P,
-    const std::function<void(mem::SimMemory &)> &BuildMemory) {
+profile::ProfileData
+ssp::core::profileProgram(const Program &P,
+                          const sim::MemoryBuilder &BuildMemory) {
   LinkedProgram LP = LinkedProgram::link(P);
 
   // Pass 1: functional run for block/edge frequencies and dynamic calls.
@@ -502,10 +501,8 @@ profile::ProfileData ssp::core::profileProgram(
   profile::ProfileData PD = profile::collectControlFlowProfile(LP, FuncMem);
 
   // Pass 2: baseline in-order timing run for the cache profile.
-  mem::SimMemory TimingMem;
-  BuildMemory(TimingMem);
-  sim::MachineConfig Cfg = sim::MachineConfig::inOrder();
-  sim::Simulator Sim(Cfg, LP, TimingMem);
-  profile::addCacheProfile(PD, Sim.run());
+  profile::addCacheProfile(
+      PD, sim::runProgram(LP, BuildMemory, sim::MachineConfig::inOrder())
+              .Stats);
   return PD;
 }

@@ -26,9 +26,8 @@
 #include "codegen/SSPCodeGen.h"
 #include "obs/Registry.h"
 #include "profile/Profile.h"
+#include "sim/Run.h"
 #include "verify/Diagnostic.h"
-
-#include <functional>
 
 #include <cstdint>
 #include <map>
@@ -306,10 +305,10 @@ private:
 };
 
 /// Convenience: profile \p P by running it (functional pass + baseline
-/// in-order timing pass) with memory images produced by \p BuildMemory.
-profile::ProfileData
-profileProgram(const ir::Program &P,
-               const std::function<void(mem::SimMemory &)> &BuildMemory);
+/// in-order timing pass through sim::runProgram) with memory images
+/// produced by the sim::MemoryBuilder \p BuildMemory.
+profile::ProfileData profileProgram(const ir::Program &P,
+                                    const sim::MemoryBuilder &BuildMemory);
 
 } // namespace ssp::core
 

@@ -15,14 +15,11 @@ sim::SimStats SuiteRunner::simulate(const ir::Program &P,
                                     const workloads::Workload &W,
                                     sim::MachineConfig Cfg,
                                     bool *ChecksumOk) {
-  ir::LinkedProgram LP = ir::LinkedProgram::link(P);
-  mem::SimMemory Mem;
-  uint64_t Expected = W.BuildMemory(Mem);
-  sim::Simulator Sim(Cfg, LP, Mem);
-  sim::SimStats Stats = Sim.run();
+  sim::RunOutcome R =
+      sim::runProgram(ir::LinkedProgram::link(P), W.BuildMemory, Cfg);
   if (ChecksumOk)
-    *ChecksumOk = Mem.read(workloads::ResultAddr) == Expected;
-  return Stats;
+    *ChecksumOk = R.checksumOk();
+  return std::move(R.Stats);
 }
 
 const ir::Program &SuiteRunner::originalOf(const workloads::Workload &W) {

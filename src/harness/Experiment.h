@@ -26,7 +26,7 @@
 #define SSP_HARNESS_EXPERIMENT_H
 
 #include "core/PostPassTool.h"
-#include "sim/Simulator.h"
+#include "sim/Run.h"
 #include "support/ThreadPool.h"
 #include "workloads/Workload.h"
 
@@ -115,8 +115,8 @@ public:
   /// setSkipIdleCycles: set before the first run().
   void setSamplingPlan(const sim::SamplingPlan &Plan) { SamplePlan = Plan; }
 
-  /// Simulates \p P on \p W's data image; checks the checksum when
-  /// \p ChecksumOk is provided.
+  /// Simulates \p P on \p W's data image (sim::runProgram); reports the
+  /// checksum status when \p ChecksumOk is provided.
   static sim::SimStats simulate(const ir::Program &P,
                                 const workloads::Workload &W,
                                 sim::MachineConfig Cfg,

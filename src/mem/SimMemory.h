@@ -27,6 +27,9 @@ namespace ssp::mem {
 /// Simulated page size in bytes. Also the TLB page size.
 inline constexpr uint64_t PageSize = 4096;
 
+/// Address every checksummed program stores its result to before halting.
+inline constexpr uint64_t ResultAddr = 0x8000;
+
 /// A sparse, paged 64-bit byte-addressed memory holding 8-byte words.
 class SimMemory {
 public:

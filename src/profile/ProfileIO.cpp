@@ -221,6 +221,14 @@ public:
     }
     if (!SawHeader)
       return error(Error, "empty profile: missing 'sspprof v1' header");
+    if (PD.BlockCounts.size() != FuncsClaim) {
+      LineNo = FuncsLine;
+      return error(Error, "'funcs' claims " + std::to_string(FuncsClaim) +
+                              " functions, but no record names fn" +
+                              std::to_string(FuncsClaim - 1));
+    }
+    if (SawInstCount)
+      PD.InstCounts.resize(FuncsClaim);
     return true;
   }
 
@@ -234,18 +242,27 @@ private:
     return true;
   }
 
+  /// `funcs N` is a claim: the per-function tables grow as records name
+  /// functions, and fn N-1 must be named by the end. A claim beyond twice
+  /// the line count (no record names more than two functions) is rejected
+  /// here, before any table can grow toward it.
   bool parseFuncs(Cursor &C) {
     if (SawFuncs)
       return failed("duplicate 'funcs' record");
     uint64_t N;
     if (!expect(C, N) || !end(C) || !fits32(N))
       return false;
-    PD.BlockCounts.resize(N);
-    PD.EdgeCounts.resize(N);
+    if (N > 2 * Lines.size())
+      return failed("'funcs' claims " + std::to_string(N) +
+                    " functions, more than " + std::to_string(Lines.size()) +
+                    " lines can name");
+    FuncsClaim = N;
+    FuncsLine = LineNo;
     SawFuncs = true;
     return true;
   }
 
+  /// N is a claim too: the counts are read one at a time.
   bool parseBlockCounts(Cursor &C) {
     uint64_t F, N;
     if (!func(C, F) || !expect(C, N) || !C.eat(':'))
@@ -253,10 +270,10 @@ private:
     std::vector<uint64_t> &Row = PD.BlockCounts[F];
     if (!Row.empty())
       return failed("duplicate 'blockcounts' for fn" + std::to_string(F));
-    Row.resize(N);
-    for (uint64_t I = 0; I < N; ++I)
-      if (!C.number(Row[I]))
-        return failed("expected " + std::to_string(N) + " counts");
+    for (uint64_t V = 0; Row.size() < N && C.number(V);)
+      Row.push_back(V);
+    if (Row.size() != N)
+      return failed("expected " + std::to_string(N) + " counts");
     return end(C);
   }
 
@@ -410,9 +427,10 @@ private:
         !instId(C, SId) || !C.number(A.Spawns) || !expect(C, Depth) ||
         !fits32(Depth))
       return false;
-    if (SF >= PD.BlockCounts.size() && !(SF == 0 && SId == 0))
+    if (SF >= FuncsClaim && !(SF == 0 && SId == 0))
       return failed("function index " + std::to_string(SF) +
                     " out of range");
+    name(SF);
     for (unsigned F = 0; F < sim::NumPrefetchFates; ++F)
       if (!C.number(A.Fates[F]))
         return false;
@@ -434,9 +452,18 @@ private:
       return failed("record before 'funcs'");
     if (!expect(C, F))
       return false;
-    if (F >= PD.BlockCounts.size())
+    if (F >= FuncsClaim)
       return failed("function index " + std::to_string(F) + " out of range");
+    name(F);
     return true;
+  }
+
+  /// Grows the per-function tables to hold \p F, named by a record.
+  void name(uint64_t F) {
+    if (F >= PD.BlockCounts.size()) {
+      PD.BlockCounts.resize(F + 1);
+      PD.EdgeCounts.resize(F + 1);
+    }
   }
 
   bool expect(Cursor &C, uint64_t &Out) { return C.number(Out); }
@@ -478,6 +505,8 @@ private:
   uint64_t Version = 0;
   std::string Msg;
   std::pair<uint64_t, uint64_t> LastInstCount = {0, 0};
+  uint64_t FuncsClaim = 0;
+  size_t FuncsLine = 0;
   bool SawHeader = false, SawBaseline = false, SawFuncs = false;
   bool SawInstCount = false;
 };

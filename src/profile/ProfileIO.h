@@ -33,6 +33,8 @@
 ///
 /// Every instruction-id field (INSTID, FROMID, TOID, TID, SID) must be
 /// below ir::MaxInstId (2^20), the bound the program parser puts on `@N`.
+/// NFUNCS and N are claims, never allocation sizes: some record must name
+/// function NFUNCS-1, and a `blockcounts` record carries exactly N counts.
 ///
 /// `load` is keyed by (function index, static instruction id) — the same
 /// ids the program text pins with `@N` annotations (ir/Parser.h) — and

@@ -30,7 +30,7 @@
 namespace ssp::workloads {
 
 /// Address every workload writes its checksum to before halting.
-inline constexpr uint64_t ResultAddr = 0x8000;
+using mem::ResultAddr;
 
 /// One benchmark: program builder + data-image builder.
 struct Workload {

@@ -79,11 +79,7 @@ inline std::vector<CorpusProgram> differentialCorpus() {
       ADD_FAILURE() << Path << ": " << Err;
       continue;
     }
-    profile::ProfileData PD =
-        core::profileProgram(P, [&Data](mem::SimMemory &Mem) {
-          for (const auto &[Addr, Value] : Data)
-            Mem.write(Addr, Value);
-        });
+    profile::ProfileData PD = core::profileProgram(P, sim::imageOf(Data));
     AddBoth(Path.filename().string(), P, PD, /*Streams=*/false);
   }
   return Out;

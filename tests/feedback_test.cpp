@@ -309,7 +309,7 @@ TEST(FeedbackLoop, UnsafeRoundOneIsReturnedUnsimulated) {
   unsigned Simulations = 0;
   auto BuildMemory = [&](mem::SimMemory &M) {
     ++Simulations;
-    PW.W.BuildMemory(M);
+    return PW.W.BuildMemory(M);
   };
   FeedbackResult FR =
       runFeedbackLoop(Orig, PW.PD, TO, FeedbackOptions(), BuildMemory);

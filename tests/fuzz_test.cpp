@@ -16,7 +16,7 @@
 #include "core/PostPassTool.h"
 #include "ir/IRBuilder.h"
 #include "ir/Parser.h"
-#include "sim/Simulator.h"
+#include "sim/Run.h"
 #include "support/RNG.h"
 #include "verify/PassManager.h"
 #include "workloads/Workload.h"
@@ -135,10 +135,12 @@ struct FuzzProgram {
     P.setEntry(0);
   }
 
-  static void buildMemory(mem::SimMemory &Mem) {
+  /// No expected checksum: the functional run is the reference.
+  static std::optional<uint64_t> buildMemory(mem::SimMemory &Mem) {
     for (unsigned I = 0; I < ArrayWords; ++I)
       Mem.write(ArrayBase + 8ull * I, I * 2654435761u % 9973);
     Mem.write(ResultAddr, 0);
+    return std::nullopt;
   }
 };
 
@@ -152,13 +154,11 @@ uint64_t runFunctional(const Program &P) {
 
 sim::SimStats runTimed(const Program &P, sim::MachineConfig Cfg,
                        uint64_t &Result) {
-  LinkedProgram LP = LinkedProgram::link(P);
-  mem::SimMemory Mem;
-  FuzzProgram::buildMemory(Mem);
-  sim::Simulator Sim(Cfg, LP, Mem);
-  sim::SimStats S = Sim.run();
-  Result = Mem.read(ResultAddr);
-  return S;
+  sim::RunOutcome Out =
+      sim::runProgram(LinkedProgram::link(P), &FuzzProgram::buildMemory, Cfg);
+  EXPECT_TRUE(Out.Result.has_value());
+  Result = Out.Result.value_or(0);
+  return Out.Stats;
 }
 
 class Fuzz : public ::testing::TestWithParam<int> {};

@@ -92,13 +92,8 @@ sim::SimStats simulateTraced(const ir::Program &P,
                              const workloads::Workload &W,
                              sim::MachineConfig Cfg,
                              obs::TraceSink *Sink) {
-  ir::LinkedProgram LP = ir::LinkedProgram::link(P);
-  mem::SimMemory Mem;
-  W.BuildMemory(Mem);
-  sim::Simulator Sim(Cfg, LP, Mem);
-  if (Sink)
-    Sim.setTraceSink(Sink);
-  return Sim.run();
+  return sim::runProgram(ir::LinkedProgram::link(P), W.BuildMemory, Cfg, Sink)
+      .Stats;
 }
 
 SuiteRunner &runner() {

@@ -2,7 +2,7 @@
 
 #include "analysis/DependenceGraph.h"
 #include "profile/Profile.h"
-#include "sim/Simulator.h"
+#include "sim/Run.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -88,10 +88,9 @@ TEST(Profile, DelinquentSelectionCoversMissCycles) {
   W.BuildMemory(Mem);
   ProfileData PD = collectControlFlowProfile(LP, Mem);
   // Timing pass for the cache profile.
-  mem::SimMemory Mem2;
-  W.BuildMemory(Mem2);
-  sim::Simulator Sim(sim::MachineConfig::inOrder(), LP, Mem2);
-  addCacheProfile(PD, Sim.run());
+  addCacheProfile(PD, sim::runProgram(LP, W.BuildMemory,
+                                      sim::MachineConfig::inOrder())
+                          .Stats);
 
   std::vector<DelinquentLoad> Selected =
       selectDelinquentLoads(P, PD, 0.90, 10);
@@ -115,10 +114,9 @@ TEST(Profile, MaxLoadsCapRespected) {
   mem::SimMemory Mem;
   W.BuildMemory(Mem);
   ProfileData PD = collectControlFlowProfile(LP, Mem);
-  mem::SimMemory Mem2;
-  W.BuildMemory(Mem2);
-  sim::Simulator Sim(sim::MachineConfig::inOrder(), LP, Mem2);
-  addCacheProfile(PD, Sim.run());
+  addCacheProfile(PD, sim::runProgram(LP, W.BuildMemory,
+                                      sim::MachineConfig::inOrder())
+                          .Stats);
   EXPECT_LE(selectDelinquentLoads(P, PD, 0.99, 2).size(), 2u);
 }
 
@@ -152,10 +150,9 @@ TEST(Profile, BaselineCyclesRecorded) {
   mem::SimMemory Mem;
   W.BuildMemory(Mem);
   ProfileData PD = collectControlFlowProfile(LP, Mem);
-  mem::SimMemory Mem2;
-  W.BuildMemory(Mem2);
-  sim::Simulator Sim(sim::MachineConfig::inOrder(), LP, Mem2);
-  addCacheProfile(PD, Sim.run());
+  addCacheProfile(PD, sim::runProgram(LP, W.BuildMemory,
+                                      sim::MachineConfig::inOrder())
+                          .Stats);
   EXPECT_GT(PD.BaselineCycles, 0u);
   EXPECT_FALSE(PD.Loads.empty());
 }

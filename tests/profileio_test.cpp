@@ -11,7 +11,7 @@
 #include "ProfiledFixture.h"
 #include "ir/Parser.h"
 #include "profile/ProfileIO.h"
-#include "sim/Simulator.h"
+#include "sim/Run.h"
 #include "workloads/Workload.h"
 
 #include <algorithm>
@@ -149,6 +149,16 @@ TEST(ProfileIO, RejectsMalformedInputWithLocatedErrors) {
        "duplicate 'blockcounts'"},
       {"count arity", "sspprof v1\nfuncs 1\nblockcounts 0 3: 1 2\n",
        "expected 3 counts"},
+      // Counts in the text are claims; none of them sizes a table.
+      {"huge block count",
+       "sspprof v1\nfuncs 1\nblockcounts 0 1099511627776: 1 2 3\n",
+       "line 3: expected 1099511627776 counts"},
+      {"huge funcs claim", "sspprof v1\nfuncs 4294967295\nblockcounts 0 0:\n",
+       "line 2: 'funcs' claims 4294967295 functions, more than 3 lines can "
+       "name"},
+      {"funcs claim no record backs",
+       "sspprof v1\nfuncs 3\nblockcounts 0 1: 3\nedge 1 0 0 1\n",
+       "line 2: 'funcs' claims 3 functions, but no record names fn2"},
       {"trailing junk", "sspprof v1\nfuncs 1\nbaseline 7 extra\n",
        "trailing junk"},
       {"negative number", "sspprof v1\nfuncs 1\nbaseline -4\n",
@@ -349,11 +359,10 @@ ProfileData attribProfileOf(const Workload &W) {
   core::ToolOptions TO;
   core::PostPassTool Tool(PW.P, PW.PD, TO);
   ir::Program Enhanced = Tool.adapt();
-  ir::LinkedProgram LP = ir::LinkedProgram::link(Enhanced);
-  mem::SimMemory Mem;
-  PW.W.BuildMemory(Mem);
-  sim::Simulator Sim(sim::MachineConfig::inOrder(), LP, Mem);
-  sim::SimStats S = Sim.run();
+  sim::SimStats S = sim::runProgram(ir::LinkedProgram::link(Enhanced),
+                                    PW.W.BuildMemory,
+                                    sim::MachineConfig::inOrder())
+                        .Stats;
   ProfileData PD = PW.PD;
   PD.HasAttrib = true;
   PD.Attrib = S.Attribution;

@@ -15,7 +15,7 @@
 #include "StructuralCheck.h"
 #include "core/PostPassTool.h"
 #include "ir/Parser.h"
-#include "sim/Simulator.h"
+#include "sim/Run.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -85,11 +85,7 @@ void expectStatsIdentical(const sim::SimStats &A, const sim::SimStats &B,
 
 sim::SimStats simulate(const ir::Program &P, const Workload &W,
                        sim::MachineConfig Cfg) {
-  ir::LinkedProgram LP = ir::LinkedProgram::link(P);
-  mem::SimMemory Mem;
-  W.BuildMemory(Mem);
-  sim::Simulator Sim(Cfg, LP, Mem);
-  return Sim.run();
+  return sim::runProgram(ir::LinkedProgram::link(P), W.BuildMemory, Cfg).Stats;
 }
 
 void roundTripWorkload(const Workload &W) {

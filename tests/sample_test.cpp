@@ -298,14 +298,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SampledSimulation, TraceSinkRecordsNothingUnderSampling) {
   workloads::Workload W = workloads::makeEm3d();
   ir::Program P = enhance(W);
-  ir::LinkedProgram LP = ir::LinkedProgram::link(P);
-  mem::SimMemory Mem;
-  W.BuildMemory(Mem);
-
   obs::TraceSink Sink;
-  sim::Simulator Sim(sampledCfg("4000:2000:6000:4000"), LP, Mem);
-  Sim.setTraceSink(&Sink);
-  sim::SimStats S = Sim.run();
+  sim::SimStats S =
+      sim::runProgram(ir::LinkedProgram::link(P), W.BuildMemory,
+                      sampledCfg("4000:2000:6000:4000"), &Sink)
+          .Stats;
   EXPECT_TRUE(S.Sampled);
   // An extrapolated run cannot emit a faithful event stream; the
   // simulator detaches the sink rather than producing a partial one.

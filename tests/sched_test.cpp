@@ -4,7 +4,6 @@
 #include "analysis/SCC.h"
 #include "ir/IRBuilder.h"
 #include "profile/Profile.h"
-#include "sim/Simulator.h"
 #include "sched/LoopRotation.h"
 #include "sched/Scheduler.h"
 #include "workloads/Workload.h"
@@ -35,24 +34,10 @@ struct SchedHarness {
 
   explicit SchedHarness(const workloads::Workload &W,
                         ScheduleOptions SOpts = ScheduleOptions())
-      : P(W.Build()), PD(profileIt(P, W)), Deps(P),
+      : P(W.Build()), PD(core::profileProgram(P, W.BuildMemory)), Deps(P),
         RG(RegionGraph::build(Deps)),
         CG(CallGraph::build(P, PD.IndirectTargets, PD.CallSiteCounts)),
         TheSlicer(Deps, RG, CG, PD), Scheduler(Deps, RG, PD, SOpts) {}
-
-  static profile::ProfileData profileIt(const Program &P,
-                                        const workloads::Workload &W) {
-    LinkedProgram LP = LinkedProgram::link(P);
-    mem::SimMemory Mem;
-    W.BuildMemory(Mem);
-    profile::ProfileData PD = profile::collectControlFlowProfile(LP, Mem);
-    // Timing pass for the cache profile (delinquent-load selection).
-    mem::SimMemory Mem2;
-    W.BuildMemory(Mem2);
-    sim::Simulator Sim(sim::MachineConfig::inOrder(), LP, Mem2);
-    profile::addCacheProfile(PD, Sim.run());
-    return PD;
-  }
 
   slicer::Slice sliceOf(InstRef Load) {
     return TheSlicer.computeSlice(Load,

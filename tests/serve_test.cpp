@@ -291,6 +291,15 @@ TEST(Serve, BadRequestContentIsRejectedWithoutKillingTheBatch) {
                     " @4294967295");
   HugeIdProf.insert(HugeIdProf.find("\nload ") + 1,
                     "load 0 4294967295 1 0 0 0 1 0 0 0 0 230\n");
+  // Counts that used to size allocations before anything they count was
+  // read: a `funcs` claim of 2^32 - 1 and a `blockcounts` row of 2^40.
+  std::string HugeFuncsProf = J.Prof, HugeCountProf = J.Prof;
+  size_t FuncsAt = HugeFuncsProf.find("\nfuncs ") + 7;
+  HugeFuncsProf.replace(FuncsAt, HugeFuncsProf.find('\n', FuncsAt) - FuncsAt,
+                        "4294967295");
+  size_t CountAt = HugeCountProf.find("\nblockcounts 0 ") + 15;
+  HugeCountProf.replace(CountAt, HugeCountProf.find(':', CountAt) - CountAt,
+                        "1099511627776");
   struct Case {
     const char *Name;
     std::string Session;
@@ -327,6 +336,12 @@ TEST(Serve, BadRequestContentIsRejectedWithoutKillingTheBatch) {
        frameRequest("x", J.Prog, HugeIdProf),
        "instruction id 4294967295 out of range (ids must be below "
        "1048576)"},
+      {"profile funcs claim beyond its records",
+       frameRequest("x", J.Prog, HugeFuncsProf),
+       "'funcs' claims 4294967295 functions"},
+      {"profile block count beyond its values",
+       frameRequest("x", J.Prog, HugeCountProf),
+       "expected 1099511627776 counts"},
       {"unparsable profile",
        frameRequest("x", J.Prog, "garbage profile text\n"),
        "profile: line 1"},
@@ -351,6 +366,20 @@ TEST(Serve, BadRequestContentIsRejectedWithoutKillingTheBatch) {
     EXPECT_NE(Out.find(okResponse("good", Other.Report, Other.Binary)),
               std::string::npos);
   }
+}
+
+// A frame header's byte count is a claim: the reader grows the payload
+// only as bytes arrive, so 2^62 announced bytes followed by end of input
+// fail that request and nothing else.
+TEST(Serve, HugePayloadHeaderAtEndOfInputFailsOnlyItsRequest) {
+  Job J = makeJob(makeTreeaddDF());
+  AdaptService S(ServeOptions{});
+  std::string Out = S.processBatch(frameRequest("good", J.Prog, J.Prof) +
+                                   "request r1\nprogram 4611686018427387904\n");
+  expectErrorResponse(
+      Out, "r1", "truncated payload (got 0 of 4611686018427387904 bytes)");
+  EXPECT_NE(Out.find(okResponse("good", J.Report, J.Binary)),
+            std::string::npos);
 }
 
 TEST(Serve, ResyncAfterFramingErrorAnswersNextRequest) {

@@ -8,7 +8,7 @@
 
 #include "ir/IRBuilder.h"
 #include "mem/SimMemory.h"
-#include "sim/Simulator.h"
+#include "sim/Run.h"
 #include "support/RNG.h"
 
 #include "StructuralCheck.h"
@@ -27,7 +27,7 @@ constexpr unsigned NumArcs = 800;
 constexpr uint64_t NodeBase = 0x4000000;
 constexpr uint64_t NodeStride = 64;
 constexpr unsigned NumNodes = 1 << 16; // 4 MiB of node lines > 3 MiB L3.
-constexpr uint64_t ResultAddr = 0x8000;
+constexpr uint64_t ResultAddr = mem::ResultAddr;
 
 /// Builds the data image: an arc array whose `tail` pointers scatter into a
 /// node array larger than the L3 cache, defeating locality.
@@ -144,16 +144,18 @@ SimStats runArcProgram(bool WithSSP, MachineConfig Cfg,
                        uint64_t *GotSum = nullptr) {
   Program P = buildArcProgram(WithSSP);
   EXPECT_TRUE(tests::wellFormed(P));
-  LinkedProgram LP = LinkedProgram::link(P);
-  mem::SimMemory Mem;
-  uint64_t Want = buildArcData(Mem);
-  Simulator Sim(Cfg, LP, Mem);
-  SimStats Stats = Sim.run();
+  uint64_t Want = 0;
+  RunOutcome Out = runProgram(
+      LinkedProgram::link(P),
+      [&Want](mem::SimMemory &Mem) { return Want = buildArcData(Mem); },
+      Cfg);
   if (ExpectedSum)
     *ExpectedSum = Want;
-  if (GotSum)
-    *GotSum = Mem.read(ResultAddr);
-  return Stats;
+  if (GotSum) {
+    EXPECT_TRUE(Out.Result.has_value());
+    *GotSum = Out.Result.value_or(0);
+  }
+  return Out.Stats;
 }
 
 } // namespace

@@ -7,7 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/PostPassTool.h"
-#include "sim/Simulator.h"
+#include "sim/Run.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -29,13 +29,10 @@ struct AdaptedArc {
   }
 
   sim::SimStats run(const ir::Program &P, sim::MachineConfig Cfg) {
-    ir::LinkedProgram LP = ir::LinkedProgram::link(P);
-    mem::SimMemory Mem;
-    uint64_t Expected = W.BuildMemory(Mem);
-    sim::Simulator Sim(Cfg, LP, Mem);
-    sim::SimStats S = Sim.run();
-    EXPECT_EQ(Mem.read(ResultAddr), Expected);
-    return S;
+    sim::RunOutcome Out =
+        sim::runProgram(ir::LinkedProgram::link(P), W.BuildMemory, Cfg);
+    EXPECT_TRUE(Out.checksumOk());
+    return Out.Stats;
   }
 };
 

@@ -22,7 +22,7 @@
 #include "analysis/StreamPatterns.h"
 #include "core/PostPassTool.h"
 #include "ir/Parser.h"
-#include "sim/Simulator.h"
+#include "sim/Run.h"
 #include "verify/PassManager.h"
 #include "workloads/Workload.h"
 
@@ -183,13 +183,10 @@ struct StreamSetup {
   }
 
   sim::SimStats run(const ir::Program &P, sim::MachineConfig Cfg) {
-    ir::LinkedProgram LP = ir::LinkedProgram::link(P);
-    mem::SimMemory Mem;
-    uint64_t Expected = W.BuildMemory(Mem);
-    sim::Simulator Sim(Cfg, LP, Mem);
-    sim::SimStats S = Sim.run();
-    EXPECT_EQ(Mem.read(ResultAddr), Expected) << W.Name;
-    return S;
+    sim::RunOutcome Out =
+        sim::runProgram(ir::LinkedProgram::link(P), W.BuildMemory, Cfg);
+    EXPECT_TRUE(Out.checksumOk()) << W.Name;
+    return Out.Stats;
   }
 };
 

@@ -2,7 +2,7 @@
 
 #include "core/PostPassTool.h"
 #include "obs/TraceSink.h"
-#include "sim/Simulator.h"
+#include "sim/Run.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -33,16 +33,12 @@ struct AdaptedKernel {
   sim::SimStats run(const ir::Program &P, sim::MachineConfig Cfg,
                     uint64_t *Checksum = nullptr,
                     obs::TraceSink *Trace = nullptr) {
-    ir::LinkedProgram LP = ir::LinkedProgram::link(P);
-    mem::SimMemory Mem;
-    uint64_t Expected = W.BuildMemory(Mem);
-    sim::Simulator Sim(Cfg, LP, Mem);
-    Sim.setTraceSink(Trace);
-    sim::SimStats S = Sim.run();
-    EXPECT_EQ(Mem.read(ResultAddr), Expected);
+    sim::RunOutcome Out = sim::runProgram(ir::LinkedProgram::link(P),
+                                          W.BuildMemory, Cfg, Trace);
+    EXPECT_TRUE(Out.checksumOk());
     if (Checksum)
-      *Checksum = Mem.read(ResultAddr);
-    return S;
+      *Checksum = Out.Result.value_or(0);
+    return Out.Stats;
   }
 };
 

@@ -8,7 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/PostPassTool.h"
-#include "sim/Simulator.h"
+#include "sim/Run.h"
 #include "workloads/Workload.h"
 
 #include "ProfiledFixture.h"
@@ -30,14 +30,13 @@ struct AdaptedRun {
 
   sim::SimStats run(const ir::Program &P, sim::MachineConfig Cfg,
                     uint64_t *Checksum = nullptr) const {
-    ir::LinkedProgram LP = ir::LinkedProgram::link(P);
-    mem::SimMemory Mem;
-    W.BuildMemory(Mem);
-    sim::Simulator Sim(Cfg, LP, Mem);
-    sim::SimStats S = Sim.run();
-    if (Checksum)
-      *Checksum = Mem.read(ResultAddr);
-    return S;
+    sim::RunOutcome Out =
+        sim::runProgram(ir::LinkedProgram::link(P), W.BuildMemory, Cfg);
+    if (Checksum) {
+      EXPECT_TRUE(Out.Result.has_value());
+      *Checksum = Out.Result.value_or(0);
+    }
+    return Out.Stats;
   }
 };
 

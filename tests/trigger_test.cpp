@@ -3,7 +3,7 @@
 #include "analysis/RegionGraph.h"
 #include "ir/IRBuilder.h"
 #include "profile/Profile.h"
-#include "sim/Simulator.h"
+#include "sim/Run.h"
 #include "sched/Scheduler.h"
 #include "slicer/Slicer.h"
 #include "trigger/MinCut.h"
@@ -146,10 +146,9 @@ struct PlaceHarness {
     W.BuildMemory(Mem);
     profile::ProfileData PD = profile::collectControlFlowProfile(LP, Mem);
     // Timing pass for the cache profile (delinquent-load selection).
-    mem::SimMemory Mem2;
-    W.BuildMemory(Mem2);
-    sim::Simulator Sim(sim::MachineConfig::inOrder(), LP, Mem2);
-    profile::addCacheProfile(PD, Sim.run());
+    profile::addCacheProfile(
+        PD, sim::runProgram(LP, W.BuildMemory, sim::MachineConfig::inOrder())
+                .Stats);
     return PD;
   }
 };

@@ -31,8 +31,7 @@ struct AdaptedWorkload {
 AdaptedWorkload adaptWorkload(const workloads::Workload &W) {
   AdaptedWorkload A;
   A.Orig = W.Build();
-  profile::ProfileData PD = core::profileProgram(
-      A.Orig, [&](mem::SimMemory &M) { W.BuildMemory(M); });
+  profile::ProfileData PD = core::profileProgram(A.Orig, W.BuildMemory);
   core::ToolOptions Opts;
   Opts.FatalOnVerifyError = false; // Findings land in Rep.VerifyDiags.
   core::PostPassTool Tool(A.Orig, PD, Opts);

@@ -75,7 +75,7 @@
 #include "ir/Parser.h"
 #include "ir/Verifier.h"
 #include "profile/ProfileIO.h"
-#include "sim/Simulator.h"
+#include "sim/Run.h"
 #include "support/FlagParser.h"
 #include "verify/Diagnostic.h"
 
@@ -97,20 +97,6 @@ int usage(const char *Argv0) {
                "[--feedback[=N] [--sample[=W:D:F[:R]]]]\n",
                Argv0);
   return 1;
-}
-
-void applyData(mem::SimMemory &Mem, const ir::DataImage &Data) {
-  for (const auto &[Addr, Value] : Data)
-    Mem.write(Addr, Value);
-}
-
-sim::SimStats simulate(const ir::Program &P, const ir::DataImage &Data,
-                       sim::MachineConfig Cfg) {
-  ir::LinkedProgram LP = ir::LinkedProgram::link(P);
-  mem::SimMemory Mem;
-  applyData(Mem, Data);
-  sim::Simulator Sim(Cfg, LP, Mem);
-  return Sim.run();
 }
 
 } // namespace
@@ -188,6 +174,7 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "%s: %s\n", Path, D.Message.c_str());
     return 1;
   }
+  const sim::MemoryBuilder Image = sim::imageOf(Data);
 
   // Pass 1 (Figure 1): profile the original binary on its data image —
   // or load a recorded `.sspprof` (the form adaptation requests arrive
@@ -211,10 +198,7 @@ int main(int argc, char **argv) {
       return 1;
     }
   } else {
-    auto BuildMemory = [&Data](mem::SimMemory &Mem) {
-      applyData(Mem, Data);
-    };
-    PD = core::profileProgram(Orig, BuildMemory);
+    PD = core::profileProgram(Orig, Image);
   }
   if (EmitProfilePath) {
     std::ofstream POut(EmitProfilePath);
@@ -235,11 +219,8 @@ int main(int argc, char **argv) {
     core::FeedbackOptions FO;
     FO.MaxRounds = Opts.FeedbackRounds;
     FO.Sample = Sample;
-    auto BuildMemory = [&Data](mem::SimMemory &Mem) {
-      applyData(Mem, Data);
-    };
     core::FeedbackResult FR =
-        core::runFeedbackLoop(Orig, PD, Opts, FO, BuildMemory);
+        core::runFeedbackLoop(Orig, PD, Opts, FO, Image);
     Enhanced = std::move(FR.Best);
     Rep = std::move(FR.BestReport);
     FeedbackTrace = core::renderFeedbackText(FR);
@@ -276,14 +257,16 @@ int main(int argc, char **argv) {
     std::printf("\n%s", Enhanced.str().c_str());
 
   if (Run && Rep.VerifyErrors == 0) { // Never simulate an unsafe binary.
+    ir::LinkedProgram OrigLP = ir::LinkedProgram::link(Orig);
+    ir::LinkedProgram EnhancedLP = ir::LinkedProgram::link(Enhanced);
     for (auto Pipe : {sim::PipelineKind::InOrder,
                       sim::PipelineKind::OutOfOrder}) {
       sim::MachineConfig Cfg = Pipe == sim::PipelineKind::InOrder
                                    ? sim::MachineConfig::inOrder()
                                    : sim::MachineConfig::outOfOrder();
       Cfg.EnableSSPThrottle = Throttle;
-      sim::SimStats Base = simulate(Orig, Data, Cfg);
-      sim::SimStats Ssp = simulate(Enhanced, Data, Cfg);
+      sim::SimStats Base = sim::runProgram(OrigLP, Image, Cfg).Stats;
+      sim::SimStats Ssp = sim::runProgram(EnhancedLP, Image, Cfg).Stats;
       std::printf("\n%s: baseline %llu cycles, SSP %llu cycles "
                   "(%.2fx); %llu triggers, %llu spawns\n",
                   Pipe == sim::PipelineKind::InOrder ? "in-order" : "ooo",

@@ -42,7 +42,7 @@
 #include "obs/TraceSink.h"
 #include "profile/Profile.h"
 #include "profile/ProfileIO.h"
-#include "sim/Simulator.h"
+#include "sim/Run.h"
 #include "support/FlagParser.h"
 #include "support/TablePrinter.h"
 #include "support/ThreadPool.h"
@@ -178,13 +178,7 @@ bool simulateFile(const std::string &Path, const sim::MachineConfig &Cfg,
   }
 
   ir::LinkedProgram LP = ir::LinkedProgram::link(P);
-  mem::SimMemory Mem;
-  for (const auto &[Addr, Value] : Data)
-    Mem.write(Addr, Value);
-  sim::Simulator Sim(Cfg, LP, Mem);
-  if (Trace)
-    Sim.setTraceSink(Trace);
-  sim::SimStats S = Sim.run();
+  sim::SimStats S = sim::runProgram(LP, sim::imageOf(Data), Cfg, Trace).Stats;
 
   if (Banner)
     appendf(Out, "=== %s ===\n", Path.c_str());
