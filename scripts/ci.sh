@@ -16,6 +16,18 @@ cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-ci -j "$JOBS"
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
+echo "== Switch dispatch (SSP_FORCE_SWITCH_DISPATCH) =="
+# The executor compiles its handlers as a plain switch when computed goto is
+# unavailable; this build keeps that path compiling under -Werror (and so
+# -Wswitch-checked against the Opcode enum) and bit-identical to the
+# threaded one: the golden simulator statistics must still match.
+cmake -B build-ci-switch -S . -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS=-DSSP_FORCE_SWITCH_DISPATCH >/dev/null
+cmake --build build-ci-switch -j "$JOBS" --target executor_test \
+  golden_stats_test
+./build-ci-switch/tests/executor_test
+./build-ci-switch/tests/golden_stats_test
+
 echo "== clang-tidy (no-op when not installed) =="
 cmake --build build-ci --target lint
 
@@ -147,6 +159,27 @@ grep -q '^response good ok$' build-ci/served-hugefuncs.txt
 } | limited ./build-ci/tools/ssp-adaptd >build-ci/served-hugeframe.txt
 grep -q '^response bad error$' build-ci/served-hugeframe.txt
 grep -q '^response good ok$' build-ci/served-hugeframe.txt
+# An instruction id that used to size a table: 600 functions with one
+# `instcount` at the top id each (8 MiB per function when rows were dense).
+# The parse stays small, and the function-count check rejects the profile.
+{
+  printf 'sspprof v1\nfuncs 600\n'
+  for f in $(seq 0 599); do echo "blockcounts $f 0:"; done
+  echo 'depevidence 1'
+  for f in $(seq 0 599); do echo "instcount $f 1048575 1"; done
+} >build-ci/manyfuncs-instcount.sspprof
+rc=0
+limited ./build-ci/tools/ssp-adapt examples/listsum.ssp \
+  --profile build-ci/manyfuncs-instcount.sspprof >/dev/null \
+  2>build-ci/instcount.txt || rc=$?
+test "$rc" -eq 1
+grep -q 'function count 600 does not match program' build-ci/instcount.txt
+{
+  serve_request bad examples/listsum.ssp build-ci/manyfuncs-instcount.sspprof
+  serve_request good examples/listsum.ssp build-ci/listsum.sspprof
+} | limited ./build-ci/tools/ssp-adaptd --jobs 2 >build-ci/served-instcount.txt
+grep -q '^response bad error$' build-ci/served-instcount.txt
+grep -q '^response good ok$' build-ci/served-instcount.txt
 # Negative smokes: the CLIs reject the values and spellings the request
 # parser rejects, exiting non-zero with their usage text.
 expect_usage() { # command...

@@ -40,9 +40,14 @@ int innermostCommonLoop(const LoopInfo &LI, uint32_t A, uint32_t B) {
 uint64_t SpecDeps::tripsOf(const InstRef &Consumer) const {
   if (!Ev.InstCounts || Consumer.Func >= Ev.InstCounts->size())
     return 0;
-  const std::vector<uint64_t> &IC = (*Ev.InstCounts)[Consumer.Func];
+  const InstCountRow &Row = (*Ev.InstCounts)[Consumer.Func];
   uint32_t Id = Consumer.get(Deps.program()).Id;
-  return Id < IC.size() ? IC[Id] : 0;
+  auto It = std::lower_bound(
+      Row.begin(), Row.end(), Id,
+      [](const std::pair<uint32_t, uint64_t> &E, uint32_t K) {
+        return E.first < K;
+      });
+  return It != Row.end() && It->first == Id ? It->second : 0;
 }
 
 void SpecDeps::evidenceFor(DepKind Kind, const InstRef &From,

@@ -42,6 +42,7 @@
 #include "analysis/InstRef.h"
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace ssp::analysis {
@@ -62,6 +63,11 @@ struct DepEdgeCount {
   }
 };
 
+/// One function's instruction execution counts: (Instruction::Id, count)
+/// pairs in increasing Id order, zero counts omitted. A row costs its
+/// records whatever the ids are, so a profile's text cannot size it.
+using InstCountRow = std::vector<std::pair<uint32_t, uint64_t>>;
+
 /// Flat, layering-free view of the dependence evidence one profile carries
 /// (see profile::ProfileData::depEvidence). All pointers may be null when
 /// the profile predates evidence collection; Collected distinguishes "no
@@ -73,7 +79,7 @@ struct DepEvidence {
   /// of a consumer is the number of times it itself executed. (Block entry
   /// counts would over-count blocks containing calls — the call-return
   /// resumption re-enters the block.)
-  const std::vector<std::vector<uint64_t>> *InstCounts = nullptr;
+  const std::vector<InstCountRow> *InstCounts = nullptr;
   bool Collected = false;
 };
 

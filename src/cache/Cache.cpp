@@ -13,22 +13,26 @@ using namespace ssp::cache;
 //===----------------------------------------------------------------------===//
 
 CacheLevel::CacheLevel(const CacheParams &P) : Params(P) {
-  assert(P.LineBytes > 0 && P.Assoc > 0 && "degenerate cache geometry");
+  // Line addresses are below 2^63 once the line has two bytes or more, so
+  // the stored tag LineAddr + 1 never wraps to the invalid marker.
+  assert(P.LineBytes > 1 && P.Assoc > 0 && "degenerate cache geometry");
   assert(P.SizeBytes % (P.LineBytes * P.Assoc) == 0 &&
          "cache size must be divisible by way size");
   NumSets = P.SizeBytes / (P.LineBytes * P.Assoc);
   assert(NumSets > 0 && "cache must have at least one set");
   if ((NumSets & (NumSets - 1)) == 0)
     SetMask = NumSets - 1;
-  Ways.resize(static_cast<size_t>(NumSets) * P.Assoc);
+  Tags.assign(static_cast<size_t>(NumSets) * P.Assoc, 0);
+  LastUse.assign(Tags.size(), 0);
 }
 
 bool CacheLevel::lookup(uint64_t LineAddr) {
-  uint32_t Set = setOf(LineAddr);
-  Way *Base = &Ways[static_cast<size_t>(Set) * Params.Assoc];
+  size_t Base = static_cast<size_t>(setOf(LineAddr)) * Params.Assoc;
+  const uint64_t *T = &Tags[Base];
+  const uint64_t Key = LineAddr + 1;
   for (uint32_t W = 0; W < Params.Assoc; ++W) {
-    if (Base[W].Valid && Base[W].Tag == LineAddr) {
-      Base[W].LastUse = ++UseClock;
+    if (T[W] == Key) {
+      LastUse[Base + W] = ++UseClock;
       return true;
     }
   }
@@ -36,38 +40,39 @@ bool CacheLevel::lookup(uint64_t LineAddr) {
 }
 
 bool CacheLevel::contains(uint64_t LineAddr) const {
-  uint32_t Set = setOf(LineAddr);
-  const Way *Base = &Ways[static_cast<size_t>(Set) * Params.Assoc];
+  const uint64_t *T =
+      &Tags[static_cast<size_t>(setOf(LineAddr)) * Params.Assoc];
+  const uint64_t Key = LineAddr + 1;
   for (uint32_t W = 0; W < Params.Assoc; ++W)
-    if (Base[W].Valid && Base[W].Tag == LineAddr)
+    if (T[W] == Key)
       return true;
   return false;
 }
 
 void CacheLevel::insert(uint64_t LineAddr) {
-  uint32_t Set = setOf(LineAddr);
-  Way *Base = &Ways[static_cast<size_t>(Set) * Params.Assoc];
-  Way *Victim = &Base[0];
+  size_t Base = static_cast<size_t>(setOf(LineAddr)) * Params.Assoc;
+  uint64_t *T = &Tags[Base];
+  const uint64_t *U = &LastUse[Base];
+  const uint64_t Key = LineAddr + 1;
+  uint32_t Victim = 0;
   for (uint32_t W = 0; W < Params.Assoc; ++W) {
-    if (Base[W].Valid && Base[W].Tag == LineAddr) {
-      Base[W].LastUse = ++UseClock; // Already present; refresh.
+    if (T[W] == Key) {
+      LastUse[Base + W] = ++UseClock; // Already present; refresh.
       return;
     }
-    if (!Base[W].Valid) {
-      Victim = &Base[W];
+    if (T[W] == 0) {
+      Victim = W;
       break;
     }
-    if (Base[W].LastUse < Victim->LastUse)
-      Victim = &Base[W];
+    if (U[W] < U[Victim])
+      Victim = W;
   }
-  Victim->Valid = true;
-  Victim->Tag = LineAddr;
-  Victim->LastUse = ++UseClock;
+  T[Victim] = Key;
+  LastUse[Base + Victim] = ++UseClock;
 }
 
 void CacheLevel::reset() {
-  for (Way &W : Ways)
-    W.Valid = false;
+  std::fill(Tags.begin(), Tags.end(), 0);
   UseClock = 0;
 }
 

@@ -92,12 +92,6 @@ public:
   uint32_t latency() const { return Params.LatencyCycles; }
 
 private:
-  struct Way {
-    uint64_t Tag = 0;
-    uint64_t LastUse = 0;
-    bool Valid = false;
-  };
-
   /// Set index of a *line address* (already divided by the line size). For
   /// the common power-of-two geometries this is a mask; degenerate sweep
   /// configurations fall back to modulo. NumSets > 0 is asserted at
@@ -111,7 +105,11 @@ private:
   CacheParams Params;
   uint32_t NumSets;
   uint32_t SetMask = 0; ///< NumSets - 1 when NumSets is a power of two.
-  std::vector<Way> Ways; ///< NumSets * Assoc, set-major.
+  /// NumSets * Assoc ways, set-major, in two parallel arrays so a probe
+  /// reads only tags: LineAddr + 1 (0 marks an invalid way) and the
+  /// way's last-use stamp.
+  std::vector<uint64_t> Tags;
+  std::vector<uint64_t> LastUse;
   uint64_t UseClock = 0;
 };
 

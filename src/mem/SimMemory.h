@@ -7,7 +7,11 @@
 /// \file
 /// SimMemory is the 64-bit data address space of the simulated machine,
 /// stored sparsely in 4 KiB pages. All accesses are 8-byte words (the IR's
-/// ld8/st8). Speculative threads may compute wild addresses; readMaybe lets
+/// ld8/st8). Pages below DirectoryPages are found by indexing a dense
+/// directory, one pointer per page number up to the highest page written;
+/// pages above it live in a hash map. The suite's images lie entirely below
+/// the cap, so their loads and stores never hash.
+/// Speculative threads may compute wild addresses; readMaybe lets
 /// the simulator service those without faulting, matching the paper's
 /// statement that p-slice computation need not satisfy correctness
 /// constraints.
@@ -21,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 namespace ssp::mem {
 
@@ -66,7 +71,12 @@ public:
   }
 
   /// Number of mapped pages (test/diagnostic aid).
-  size_t numPages() const { return Pages.size(); }
+  size_t numPages() const { return NumDirPages + FarPages.size(); }
+
+  /// Pages with a page number below this are found through the dense
+  /// directory (2^16 pages: 256 MiB of address space, a directory of at
+  /// most 512 KiB); the rest through the map.
+  static constexpr uint64_t DirectoryPages = uint64_t(1) << 16;
 
 private:
   struct Page {
@@ -79,18 +89,38 @@ private:
   }
 
   const Page *findPage(uint64_t Addr) const {
-    auto It = Pages.find(pageNumber(Addr));
-    return It == Pages.end() ? nullptr : It->second.get();
+    uint64_t PN = pageNumber(Addr);
+    if (PN < Directory.size())
+      return Directory[PN].get();
+    if (PN < DirectoryPages || FarPages.empty())
+      return nullptr;
+    auto It = FarPages.find(PN);
+    return It == FarPages.end() ? nullptr : It->second.get();
   }
 
   Page &getOrCreatePage(uint64_t Addr) {
-    std::unique_ptr<Page> &Slot = Pages[pageNumber(Addr)];
-    if (!Slot)
+    uint64_t PN = pageNumber(Addr);
+    if (PN >= DirectoryPages) {
+      std::unique_ptr<Page> &Slot = FarPages[PN];
+      if (!Slot)
+        Slot = std::make_unique<Page>();
+      return *Slot;
+    }
+    if (PN >= Directory.size())
+      Directory.resize(PN + 1);
+    std::unique_ptr<Page> &Slot = Directory[PN];
+    if (!Slot) {
       Slot = std::make_unique<Page>();
+      ++NumDirPages;
+    }
     return *Slot;
   }
 
-  std::unordered_map<uint64_t, std::unique_ptr<Page>> Pages;
+  /// Page number -> page for pages below DirectoryPages; sized to the
+  /// highest such page written.
+  std::vector<std::unique_ptr<Page>> Directory;
+  size_t NumDirPages = 0;
+  std::unordered_map<uint64_t, std::unique_ptr<Page>> FarPages;
 };
 
 /// A bump allocator over SimMemory used by the workload generators to lay

@@ -44,7 +44,9 @@ ssp::profile::collectControlFlowProfile(const LinkedProgram &LP,
   ProfileData PD;
   PD.BlockCounts.resize(P.numFuncs());
   PD.EdgeCounts.resize(P.numFuncs());
-  PD.InstCounts.resize(P.numFuncs());
+  // Instruction counts accumulate in dense rows sized by the program's
+  // ids, and become ProfileData's sparse rows at the end.
+  std::vector<std::vector<uint64_t>> InstCounts(P.numFuncs());
   for (uint32_t FI = 0; FI < P.numFuncs(); ++FI) {
     const Function &F = P.func(FI);
     PD.BlockCounts[FI].assign(F.numBlocks(), 0);
@@ -52,7 +54,7 @@ ssp::profile::collectControlFlowProfile(const LinkedProgram &LP,
     for (uint32_t BI = 0; BI < F.numBlocks(); ++BI)
       for (const Instruction &I : F.block(BI).Insts)
         Width = std::max(Width, size_t(I.Id) + 1);
-    PD.InstCounts[FI].assign(Width, 0);
+    InstCounts[FI].assign(Width, 0);
   }
 
   // Accumulate call-site counts in ordered maps while the run is live,
@@ -102,7 +104,7 @@ ssp::profile::collectControlFlowProfile(const LinkedProgram &LP,
     const LinkedInst &LI = LP.at(Ctx.PC);
     uint32_t InstIdx = Ctx.PC - LP.blockStart(LI.Func, LI.Block);
     InstRef Ref{LI.Func, LI.Block, InstIdx};
-    PD.InstCounts[LI.Func][LI.I->Id]++;
+    InstCounts[LI.Func][LI.I->Id]++;
 
     if (LI.I->Op == Opcode::Call)
       DirectCounts[Ref]++;
@@ -194,6 +196,11 @@ ssp::profile::collectControlFlowProfile(const LinkedProgram &LP,
   PD.RegDepCounts.reserve(RegPairs.size());
   for (const auto &[Edge, Count] : RegPairs)
     PD.RegDepCounts.push_back({Edge.first, Edge.second, Count});
+  PD.InstCounts.resize(P.numFuncs());
+  for (uint32_t FI = 0; FI < P.numFuncs(); ++FI)
+    for (uint32_t Id = 0; Id < InstCounts[FI].size(); ++Id)
+      if (uint64_t C = InstCounts[FI][Id])
+        PD.InstCounts[FI].push_back({Id, C});
   PD.HasDepEvidence = true;
   return PD;
 }

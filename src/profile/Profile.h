@@ -72,7 +72,7 @@ struct ProfileData {
   /// that role: a block containing a call is counted again when the return
   /// resumes it, so an every-iteration edge would look half-activated.
   /// Collected together with the dependence evidence below.
-  std::vector<std::vector<uint64_t>> InstCounts;
+  std::vector<analysis::InstCountRow> InstCounts;
 
   /// True once a functional run collected the dependence evidence above.
   /// Profiles predating the evidence records parse with this false, which

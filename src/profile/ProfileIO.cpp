@@ -59,10 +59,9 @@ std::string profile::writeProfileText(const ProfileData &PD) {
   if (PD.HasDepEvidence) {
     S += "depevidence 1\n";
     for (size_t F = 0; F < PD.InstCounts.size(); ++F)
-      for (size_t Id = 0; Id < PD.InstCounts[F].size(); ++Id)
-        if (uint64_t C = PD.InstCounts[F][Id])
-          S += "instcount " + std::to_string(F) + " " + std::to_string(Id) +
-               " " + std::to_string(C) + "\n";
+      for (const auto &[Id, C] : PD.InstCounts[F])
+        S += "instcount " + std::to_string(F) + " " + std::to_string(Id) +
+             " " + std::to_string(C) + "\n";
     for (const analysis::DepEdgeCount &D : PD.MemDepCounts)
       S += "memdep " + std::to_string(ir::staticIdFunc(D.From)) + " " +
            std::to_string(ir::staticIdInst(D.From)) + " " +
@@ -374,10 +373,9 @@ private:
       return failed("'instcount' records out of order");
     SawInstCount = true;
     LastInstCount = {F, Id};
-    std::vector<uint64_t> &Row = PD.InstCounts[F];
-    if (Row.size() <= Id)
-      Row.resize(Id + 1);
-    Row[Id] = Count;
+    // Records arrive in increasing (F, Id) order, so appending keeps each
+    // sparse row sorted.
+    PD.InstCounts[F].push_back({uint32_t(Id), Count});
     return true;
   }
 

@@ -29,7 +29,6 @@
 
 #include <bit>
 #include <cassert>
-#include <cstring>
 
 #if !defined(SSP_FORCE_SWITCH_DISPATCH) &&                                    \
     (defined(__GNUC__) || defined(__clang__))
@@ -354,7 +353,6 @@ uint64_t execCore(ThreadContext &Ctx, const LinkedProgram &LP,
         Out->Kind = CtrlKind::SpawnPoint;
         Out->HasSpawn = true;
         Out->SpawnTargetAddr = D->Target;
-        std::memcpy(Out->SpawnFrame, Ctx.LIBStage, sizeof(Out->SpawnFrame));
       }
       SSP_END;
     SSP_CASE(KillThread)
@@ -391,10 +389,7 @@ uint64_t execCore(ThreadContext &Ctx, const LinkedProgram &LP,
 void ssp::sim::executeStep(ThreadContext &Ctx, const LinkedProgram &LP,
                            mem::SimMemory &Mem, bool Speculative,
                            bool FreeContextAvailable, ExecOutcome &Out) {
-  // Cheap per-step reset: scalar fields only. SpawnFrame is written and
-  // read only under HasSpawn, so this reset leaves the 128-byte frame
-  // alone. (The simulator still clears it for every fetched instruction:
-  // InstWindow::fetchSlot resets the whole slot, Out included.)
+  // Per-step reset of every field.
   Out.Kind = CtrlKind::Fall;
   Out.Taken = false;
   Out.IsMem = false;

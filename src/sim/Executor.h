@@ -54,9 +54,11 @@ struct ExecOutcome {
   bool WildLoad = false; ///< Speculative load touched unmapped memory.
   uint64_t MemAddr = 0;
 
-  bool HasSpawn = false; ///< Spawn payload captured below.
+  /// A spawn executed. Its live-in frame is the context's LIBStage as this
+  /// step leaves it; a caller that acts on the spawn later snapshots the
+  /// frame before the next step can stage another.
+  bool HasSpawn = false;
   uint32_t SpawnTargetAddr = 0;
-  uint64_t SpawnFrame[MaxLIBSlots] = {};
 };
 
 /// Executes the instruction at \p Ctx.PC, updating \p Ctx (including PC).

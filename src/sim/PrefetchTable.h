@@ -13,11 +13,13 @@
 /// multiplicative hash, a short linear probe over three parallel arrays,
 /// no allocation on the hot path.
 ///
-/// Capacity is fixed at 2^17 slots so that the historical overflow policy
-/// is preserved exactly: the simulator clears the table when the live count
-/// exceeds 2^16 entries ("stale entries lapse"), which keeps the load
-/// factor at or below one half. Tombstones left by erasures are reclaimed
-/// by an in-place deterministic rebuild when they accumulate.
+/// The table starts at 2^10 slots on first insert and doubles when three
+/// quarters of its slots are used, up to 2^17 slots. That cap preserves
+/// the historical overflow policy exactly: the simulator clears the table
+/// when the live count exceeds 2^16 entries ("stale entries lapse").
+/// Tombstones left by erasures are reclaimed by a deterministic rebuild
+/// when they accumulate. Growth and rebuilds change only the slot order,
+/// which forEach's callers do not depend on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,14 +48,14 @@ struct PrefetchOrigin {
 /// access that moved the line up the hierarchy.
 class PrefetchedLineTable {
   enum : uint8_t { Empty = 0, Full = 1, Tomb = 2 };
-  static constexpr unsigned LogCap = 17;
-  static constexpr size_t Cap = size_t(1) << LogCap;
+  static constexpr unsigned MinLogCap = 10;
+  static constexpr unsigned MaxLogCap = 17;
 
 public:
   /// Storage is allocated on first insert: baseline and profiling runs
   /// never touch the table, and a Simulator is built per run, so paying
-  /// several MB of zeroed arrays up front would tax exactly the runs that
-  /// cannot use them.
+  /// for zeroed arrays up front would tax exactly the runs that cannot use
+  /// them.
   PrefetchedLineTable() = default;
 
   size_t size() const { return Live; }
@@ -66,7 +68,7 @@ public:
     while (State[I] != Empty) {
       if (State[I] == Full && Keys[I] == Line)
         return &Vals[I];
-      I = (I + 1) & (Cap - 1);
+      I = (I + 1) & Mask;
     }
     return nullptr;
   }
@@ -78,15 +80,15 @@ public:
   /// the superseded prefetch's fate.
   bool insertOrAssign(uint64_t Line, const PrefetchOrigin &Origin,
                       PrefetchOrigin *Replaced = nullptr) {
-    if (State.empty()) {
-      Keys.assign(Cap, 0);
-      Vals.assign(Cap, PrefetchOrigin());
-      State.assign(Cap, Empty);
-    }
-    if (Live + Tombs >= Cap - (Cap >> 2))
-      rebuild(); // Reclaim tombstones before probes can degenerate.
+    const size_t Cap = Mask + 1;
+    if (State.empty())
+      rehash(MinLogCap);
+    else if (Live + Tombs >= Cap - (Cap >> 2))
+      // Three quarters used: grow while live entries fill a quarter,
+      // otherwise reclaim tombstones before probes can degenerate.
+      rehash(LogCap < MaxLogCap && Live >= (Cap >> 2) ? LogCap + 1 : LogCap);
     size_t I = slotOf(Line);
-    size_t FirstFree = Cap;
+    size_t FirstFree = SIZE_MAX;
     while (State[I] != Empty) {
       if (State[I] == Full && Keys[I] == Line) {
         if (Replaced)
@@ -94,11 +96,11 @@ public:
         Vals[I] = Origin;
         return false;
       }
-      if (State[I] == Tomb && FirstFree == Cap)
+      if (State[I] == Tomb && FirstFree == SIZE_MAX)
         FirstFree = I;
-      I = (I + 1) & (Cap - 1);
+      I = (I + 1) & Mask;
     }
-    if (FirstFree != Cap) {
+    if (FirstFree != SIZE_MAX) {
       I = FirstFree;
       --Tombs;
     }
@@ -121,7 +123,7 @@ public:
         ++Tombs;
         return;
       }
-      I = (I + 1) & (Cap - 1);
+      I = (I + 1) & Mask;
     }
   }
 
@@ -145,22 +147,44 @@ private:
     return size_t((Line * 0x9E3779B97F4A7C15ULL) >> (64 - LogCap));
   }
 
-  /// Rehashes live entries in place, dropping tombstones. Deterministic and
-  /// invisible to callers (no entry is added or removed).
-  void rebuild() {
+  /// Re-inserts the live entries into 2^NewLogCap fresh slots, dropping
+  /// tombstones. Deterministic and invisible to callers (no entry is added
+  /// or removed).
+  void rehash(unsigned NewLogCap) {
     std::vector<std::pair<uint64_t, PrefetchOrigin>> Entries;
     Entries.reserve(Live);
-    for (size_t I = 0; I < Cap; ++I)
-      if (State[I] == Full)
-        Entries.push_back({Keys[I], Vals[I]});
-    clear();
+    forEach([&Entries](uint64_t Line, const PrefetchOrigin &Origin) {
+      Entries.push_back({Line, Origin});
+    });
+    if (NewLogCap != LogCap) {
+      LogCap = NewLogCap;
+      Mask = (size_t(1) << LogCap) - 1;
+      Keys.resize(Mask + 1);
+      Vals.resize(Mask + 1);
+    }
+    State.assign(Mask + 1, Empty);
+    Live = 0;
+    Tombs = 0;
     for (const auto &[Line, Origin] : Entries)
-      insertOrAssign(Line, Origin);
+      place(Line, Origin);
+  }
+
+  /// Stores a key known to be absent into its first empty probe slot.
+  void place(uint64_t Line, const PrefetchOrigin &Origin) {
+    size_t I = slotOf(Line);
+    while (State[I] != Empty)
+      I = (I + 1) & Mask;
+    State[I] = Full;
+    Keys[I] = Line;
+    Vals[I] = Origin;
+    ++Live;
   }
 
   std::vector<uint64_t> Keys;
   std::vector<PrefetchOrigin> Vals;
   std::vector<uint8_t> State;
+  unsigned LogCap = 0; ///< log2 of the slot count once allocated.
+  size_t Mask = 0;     ///< Slot count - 1 once allocated.
   size_t Live = 0;
   size_t Tombs = 0;
 };

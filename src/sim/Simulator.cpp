@@ -258,7 +258,8 @@ void Simulator::noteDataAccess(unsigned Tid, const InstSlot &S,
   PrefetchedLines.erase(Line);
 }
 
-void Simulator::trySpawn(const ExecOutcome &Out, unsigned SpawnerTid) {
+void Simulator::trySpawn(const ExecOutcome &Out, const uint64_t *Frame,
+                         unsigned SpawnerTid) {
   const Thread &Spawner = Threads[SpawnerTid];
   ir::StaticId Origin = Spawner.Speculative ? Spawner.OriginTrigger
                                             : Spawner.LastFiredTrigger;
@@ -275,7 +276,7 @@ void Simulator::trySpawn(const ExecOutcome &Out, unsigned SpawnerTid) {
     T.SliceSid = LP.at(Out.SpawnTargetAddr).Sid;
     T.SpawnDepth = Spawner.Speculative ? Spawner.SpawnDepth + 1 : 1;
     T.Ctx.PC = Out.SpawnTargetAddr;
-    std::memcpy(T.Ctx.LIBIn, Out.SpawnFrame, sizeof(T.Ctx.LIBIn));
+    std::memcpy(T.Ctx.LIBIn, Frame, sizeof(T.Ctx.LIBIn));
     // The new context begins fetching next cycle.
     T.FetchResumeCycle = Now + 1;
     if (Origin != 0) {
@@ -462,8 +463,8 @@ void Simulator::fetchCycle() {
   if (Cfg.Fetch == FetchPolicy::ICount) {
     // ICOUNT: fewest in-flight pre-issue instructions first.
     sortSmall(Order, N, [this](unsigned A, unsigned B) {
-      size_t IA = Threads[A].Window.frontSize() + Threads[A].Rs.size();
-      size_t IB = Threads[B].Window.frontSize() + Threads[B].Rs.size();
+      size_t IA = Threads[A].Window.frontSize() + Threads[A].RsCount;
+      size_t IB = Threads[B].Window.frontSize() + Threads[B].RsCount;
       if (IA != IB)
         return IA < IB;
       return Threads[A].LastFetchCycle < Threads[B].LastFetchCycle;
@@ -520,7 +521,7 @@ unsigned Simulator::fetchThread(unsigned Tid, unsigned MaxBundles) {
       // flush/refill the exception costs.
       const StreamInfo *SI = nullptr;
       bool Fire = false;
-      if (S.LI->I->Op == Opcode::ChkC) {
+      if (S.DI->Op == Opcode::ChkC) {
         auto StreamIt = StreamByStubAddr.find(S.LI->TargetAddr);
         if (StreamIt != StreamByStubAddr.end())
           SI = &StreamIt->second;
@@ -532,8 +533,11 @@ unsigned Simulator::fetchThread(unsigned Tid, unsigned MaxBundles) {
 
       bool InOrder = Cfg.Pipeline == PipelineKind::InOrder;
       switch (S.Out.Kind) {
-      case CtrlKind::Fall:
       case CtrlKind::SpawnPoint:
+        std::memcpy(T.Window.spawnFrame(S), T.Ctx.LIBStage,
+                    sizeof(T.Ctx.LIBStage));
+        break;
+      case CtrlKind::Fall:
       case CtrlKind::ChkCNop:
         if (S.Out.Kind == CtrlKind::ChkCNop) {
           if (SI)
@@ -661,7 +665,7 @@ void Simulator::applyIssueTiming(unsigned Tid, InstSlot &S) {
   }
 
   if (S.Out.HasSpawn)
-    trySpawn(S.Out, Tid);
+    trySpawn(S.Out, T.Window.spawnFrame(S), Tid);
 
   if (S.Resume == ResumeEvent::AtIssue)
     fireResume(Tid, S);
@@ -692,9 +696,13 @@ void Simulator::issueCycleInOrder() {
 
   unsigned Order[8];
   unsigned N = 0;
-  for (unsigned Tid = 0; Tid < Threads.size(); ++Tid)
-    if (Threads[Tid].Active && !Threads[Tid].Window.frontEmpty())
+  for (unsigned Tid = 0; Tid < Threads.size(); ++Tid) {
+    const Thread &T = Threads[Tid];
+    // A thread whose head is known to stall this cycle would issue
+    // nothing, so leaving it out changes no arbitration outcome.
+    if (T.Active && !T.Window.frontEmpty() && T.IssueReadyAt <= Now)
       Order[N++] = Tid;
+  }
   sortSmall(Order, N, [this](unsigned A, unsigned B) {
     if (Threads[A].LastIssueCycle != Threads[B].LastIssueCycle)
       return Threads[A].LastIssueCycle < Threads[B].LastIssueCycle;
@@ -722,22 +730,20 @@ unsigned Simulator::issueFromThreadInOrder(unsigned Tid, unsigned MaxBundles,
 
   while (!T.Window.frontEmpty()) {
     InstSlot &S = T.Window.frontHead();
-    if (S.EligibleCycle > Now)
+    // In-order stall-on-use: the head blocks until it is eligible and its
+    // operands are ready. Record when that is, so issueCycleInOrder passes
+    // the thread over until then.
+    const DecodedInst &D = *S.DI;
+    uint64_t ReadyAt = S.EligibleCycle;
+    for (unsigned U = 0; U < D.NumUses; ++U)
+      ReadyAt = std::max(ReadyAt, T.RegReady[D.Uses[U]]);
+    if (ReadyAt > Now) {
+      T.IssueReadyAt = ReadyAt;
       break;
+    }
 
     // Starting a new bundle requires budget.
     if (S.LI->BundleId != CurBundle && Bundles == MaxBundles)
-      break;
-
-    // In-order stall-on-use: the head blocks until its operands are ready.
-    const DecodedInst &D = *S.DI;
-    bool Ready = true;
-    for (unsigned U = 0; U < D.NumUses; ++U)
-      if (T.RegReady[D.Uses[U]] > Now) {
-        Ready = false;
-        break;
-      }
-    if (!Ready)
       break;
 
     FuncUnit FU = D.FU;
@@ -790,8 +796,17 @@ void Simulator::oooWriteback() {
       while (C) {
         C->OperandReadyCycle =
             std::max(C->OperandReadyCycle, S.CompleteCycle);
-        if (--C->NumProd == 0)
+        if (--C->NumProd == 0) {
+          // Join the no-producer list at C's age position.
+          std::vector<InstSlot *> &L = T.RsNoProd;
+          const uint64_t Age = T.Window.robAge(*C);
+          size_t J = L.size();
+          L.push_back(C);
+          for (; J > 0 && T.Window.robAge(*L[J - 1]) > Age; --J)
+            L[J] = L[J - 1];
+          L[J] = C;
           T.RsReadyAt = std::min(T.RsReadyAt, C->OperandReadyCycle);
+        }
         InstSlot *Next = C->NextWaiter[I];
         I = C->NextWaiterIdx[I];
         C = Next;
@@ -834,14 +849,15 @@ void Simulator::oooRetire() {
 void Simulator::oooIssue() {
   // Gather ready reservation-station entries, oldest first, into the
   // reused candidate buffer; a thread whose earliest issuable entry is not
-  // yet due is skipped without looking at its RS.
+  // yet due is skipped without looking at its RS, and only entries with no
+  // producer in flight are looked at.
   ReadyBuf.clear();
   for (unsigned Tid = 0; Tid < Threads.size(); ++Tid) {
     Thread &T = Threads[Tid];
     if (T.RsReadyAt > Now)
       continue;
-    for (InstSlot *S : T.Rs)
-      if (S->NumProd == 0 && S->OperandReadyCycle <= Now)
+    for (InstSlot *S : T.RsNoProd)
+      if (S->OperandReadyCycle <= Now)
         ReadyBuf.push_back({S, Tid});
   }
   // Oldest fetch first, then lowest thread; the stable sort keeps ROB age
@@ -868,17 +884,17 @@ void Simulator::oooIssue() {
     ++IssuedCount;
   }
 
-  // Drop the issued entries from their RS lists and recompute the
-  // earliest issuable cycle of the threads that issued.
+  // Drop the issued entries from the RS and recompute the earliest
+  // issuable cycle of the threads that issued.
   for (unsigned Tid = 0; Tid < Threads.size(); ++Tid) {
     if (IssuedThisCycle[Tid] == 0)
       continue;
     Thread &T = Threads[Tid];
-    std::erase_if(T.Rs, [](const InstSlot *S) { return S->Issued; });
+    T.RsCount -= IssuedThisCycle[Tid];
+    std::erase_if(T.RsNoProd, [](const InstSlot *S) { return S->Issued; });
     T.RsReadyAt = UINT64_MAX;
-    for (const InstSlot *S : T.Rs)
-      if (S->NumProd == 0)
-        T.RsReadyAt = std::min(T.RsReadyAt, S->OperandReadyCycle);
+    for (const InstSlot *S : T.RsNoProd)
+      T.RsReadyAt = std::min(T.RsReadyAt, S->OperandReadyCycle);
   }
 }
 
@@ -917,7 +933,7 @@ unsigned Simulator::oooDispatchThread(unsigned Tid, unsigned MaxBundles) {
     InstSlot &Head = T.Window.frontHead();
     if (Head.EligibleCycle > Now)
       break;
-    if (T.Window.robSize() >= Cfg.RobEntries || T.Rs.size() >= Cfg.RsEntries)
+    if (T.Window.robSize() >= Cfg.RobEntries || T.RsCount >= Cfg.RsEntries)
       break;
     if (Head.LI->BundleId != CurBundle && Bundles == MaxBundles)
       break;
@@ -927,7 +943,7 @@ unsigned Simulator::oooDispatchThread(unsigned Tid, unsigned MaxBundles) {
     }
 
     InstSlot &S = T.Window.dispatchFront();
-    T.Rs.push_back(&S);
+    ++T.RsCount;
 
     // Capture operand producers (register renaming happens here: each use
     // binds to the latest prior writer of that register, and joins its
@@ -949,8 +965,10 @@ unsigned Simulator::oooDispatchThread(unsigned Tid, unsigned MaxBundles) {
             std::max(S.OperandReadyCycle, T.RegReady[Dense]);
       }
     }
-    if (S.NumProd == 0)
+    if (S.NumProd == 0) {
+      T.RsNoProd.push_back(&S); // The youngest entry: age order holds.
       T.RsReadyAt = std::min(T.RsReadyAt, S.OperandReadyCycle);
+    }
     if (D.Def != DecodedInst::NoReg)
       T.RegProd[D.Def] = &S;
   }
@@ -1070,7 +1088,7 @@ uint64_t Simulator::nextEventCycle() const {
         if (!AnyUnready)
           Consider(Now + 1); // Ready head: issues next tick (defensive).
       } else if (T.Window.robSize() < Cfg.RobEntries &&
-                 T.Rs.size() < Cfg.RsEntries) {
+                 T.RsCount < Cfg.RsEntries) {
         Consider(Now + 1); // Eligible head with ROB/RS space: dispatches.
       }
     }

@@ -34,6 +34,7 @@
 #include "sim/SimStats.h"
 #include "sim/ThreadContext.h"
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <unordered_map>
@@ -110,7 +111,8 @@ private:
   /// (out-of-order pipeline only) followed by the front queue, in a
   /// fixed ring whose slots never move, so other structures may point
   /// into it until retirement. Dispatch moves the boundary between the
-  /// two instead of copying the slot.
+  /// two instead of copying the slot. A spawn's live-in frame waits in a
+  /// side buffer parallel to the ring, so the slots stay small.
   class InstWindow {
   public:
     /// Empties the window and sizes it for at least \p N instructions.
@@ -119,6 +121,7 @@ private:
       while (C < N)
         C <<= 1;
       Buf.assign(C, InstSlot());
+      Frames.assign(C, SpawnFrame());
       Mask = C - 1;
       clear();
     }
@@ -150,8 +153,19 @@ private:
     const InstSlot &robHead() const { return Buf[Head & Mask]; }
     void retire() { ++Head; }
 
+    /// Position of ROB entry \p S counted from the oldest (0 = robHead).
+    uint64_t robAge(const InstSlot &S) const {
+      return (static_cast<uint64_t>(&S - Buf.data()) - Head) & Mask;
+    }
+    /// The live-in frame of the spawn in slot \p S, written at fetch.
+    uint64_t *spawnFrame(const InstSlot &S) {
+      return Frames[static_cast<size_t>(&S - Buf.data())].data();
+    }
+
   private:
+    using SpawnFrame = std::array<uint64_t, MaxLIBSlots>;
     std::vector<InstSlot> Buf;
+    std::vector<SpawnFrame> Frames; ///< Parallel to Buf.
     uint64_t Mask = 0;
     uint64_t Head = 0; ///< Oldest ROB entry.
     uint64_t Disp = 0; ///< Front-queue head; the ROB is [Head, Disp).
@@ -181,11 +195,14 @@ private:
 
     // OOO event indexes into the ROB. Each phase touches only entries with
     // something due:
-    std::vector<InstSlot *> Rs; ///< Dispatched, not issued; oldest first.
+    size_t RsCount = 0; ///< Dispatched, not issued (RS occupancy).
+    /// The RS entries with no producer in flight, oldest first: added at
+    /// dispatch and at the wakeup that clears their last producer. Only
+    /// these can issue.
+    std::vector<InstSlot *> RsNoProd;
     /// Issued, not completed: a min-heap on CompleteCycle.
     std::vector<Completion> Calendar;
-    /// Earliest OperandReadyCycle among Rs entries with no producer in
-    /// flight; UINT64_MAX if there is none.
+    /// Earliest OperandReadyCycle in RsNoProd; UINT64_MAX if it is empty.
     uint64_t RsReadyAt = UINT64_MAX;
 
     uint64_t FetchResumeCycle = 0;
@@ -193,6 +210,11 @@ private:
 
     uint64_t LastFetchCycle = 0;
     uint64_t LastIssueCycle = 0;
+    /// In-order only: the earliest cycle the front-queue head that last
+    /// stalled can issue, max(EligibleCycle, RegReady of its uses). The
+    /// thread is no issue candidate before it. Exact because a stalled
+    /// in-order thread issues nothing, so none of its registers changes.
+    uint64_t IssueReadyAt = 0;
 
     // In-order scoreboard: cycle each register becomes available, plus the
     // cache level that produced it (for Figure 10 stall classification).
@@ -205,9 +227,11 @@ private:
     void resetForSpawn() {
       Ctx.reset();
       Window.clear();
-      Rs.clear();
+      RsCount = 0;
+      RsNoProd.clear();
       Calendar.clear();
       RsReadyAt = UINT64_MAX;
+      IssueReadyAt = 0;
       FetchResumeCycle = 0;
       FetchWaitingOnEvent = false;
       FetchStopped = false;
@@ -245,7 +269,8 @@ private:
   // Helpers.
   void applyIssueTiming(unsigned Tid, InstSlot &S);
   void fireResume(unsigned Tid, const InstSlot &S);
-  void trySpawn(const ExecOutcome &Out, unsigned SpawnerTid);
+  void trySpawn(const ExecOutcome &Out, const uint64_t *Frame,
+                unsigned SpawnerTid);
   bool hasFreeContext() const;
   /// Whether dynamic throttling currently disables trigger \p Sid (a
   /// chk.c then reports no free context; a stream trigger is ignored).

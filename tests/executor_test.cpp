@@ -326,7 +326,7 @@ TEST(Executor, SpawnCapturesStagedFrame) {
   executeStep(Ctx, LP, Mem, false, true, Out); // spawn
   EXPECT_EQ(Out.Kind, CtrlKind::SpawnPoint);
   EXPECT_TRUE(Out.HasSpawn);
-  EXPECT_EQ(Out.SpawnFrame[0], 5u);
+  EXPECT_EQ(Ctx.LIBStage[0], 5u); // The frame a caller snapshots.
   EXPECT_EQ(Out.SpawnTargetAddr, LP.blockStart(0, 1));
 }
 

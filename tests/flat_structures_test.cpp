@@ -1,0 +1,375 @@
+//===- tests/flat_structures_test.cpp - Flat host structures vs. originals ===//
+//
+// The simulator's per-access host structures are flat arrays: SimMemory's
+// page directory, CacheLevel's split tag/stamp arrays and the growing
+// PrefetchedLineTable. Each test here drives one of them and a test-local
+// copy of the structure it replaced with the same seeded operation stream,
+// and requires every answer to agree.
+//
+//===----------------------------------------------------------------------===//
+
+#include "cache/Cache.h"
+#include "mem/SimMemory.h"
+#include "sim/PrefetchTable.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <random>
+#include <tuple>
+#include <unordered_map>
+#include <vector>
+
+using namespace ssp;
+
+namespace {
+
+//===----------------------------------------------------------------------===//
+// The replaced structures, as they were.
+//===----------------------------------------------------------------------===//
+
+/// Set-associative LRU array of {Tag, LastUse, Valid} ways.
+class WayCache {
+public:
+  explicit WayCache(const cache::CacheParams &P)
+      : Assoc(P.Assoc), NumSets(P.SizeBytes / (P.LineBytes * P.Assoc)),
+        Ways(static_cast<size_t>(NumSets) * Assoc) {}
+
+  bool lookup(uint64_t LineAddr) {
+    Way *Base = set(LineAddr);
+    for (uint32_t W = 0; W < Assoc; ++W)
+      if (Base[W].Valid && Base[W].Tag == LineAddr) {
+        Base[W].LastUse = ++UseClock;
+        return true;
+      }
+    return false;
+  }
+  bool contains(uint64_t LineAddr) {
+    Way *Base = set(LineAddr);
+    for (uint32_t W = 0; W < Assoc; ++W)
+      if (Base[W].Valid && Base[W].Tag == LineAddr)
+        return true;
+    return false;
+  }
+  void insert(uint64_t LineAddr) {
+    Way *Base = set(LineAddr);
+    Way *Victim = &Base[0];
+    for (uint32_t W = 0; W < Assoc; ++W) {
+      if (Base[W].Valid && Base[W].Tag == LineAddr) {
+        Base[W].LastUse = ++UseClock;
+        return;
+      }
+      if (!Base[W].Valid) {
+        Victim = &Base[W];
+        break;
+      }
+      if (Base[W].LastUse < Victim->LastUse)
+        Victim = &Base[W];
+    }
+    Victim->Valid = true;
+    Victim->Tag = LineAddr;
+    Victim->LastUse = ++UseClock;
+  }
+  void reset() {
+    for (Way &W : Ways)
+      W.Valid = false;
+    UseClock = 0;
+  }
+
+private:
+  struct Way {
+    uint64_t Tag = 0;
+    uint64_t LastUse = 0;
+    bool Valid = false;
+  };
+  Way *set(uint64_t LineAddr) {
+    return &Ways[static_cast<size_t>(LineAddr % NumSets) * Assoc];
+  }
+  uint32_t Assoc, NumSets;
+  std::vector<Way> Ways;
+  uint64_t UseClock = 0;
+};
+
+/// Fixed 2^17-slot open-addressed line table.
+class FixedLineTable {
+  enum : uint8_t { Empty = 0, Full = 1, Tomb = 2 };
+  static constexpr unsigned LogCap = 17;
+  static constexpr size_t Cap = size_t(1) << LogCap;
+
+public:
+  size_t size() const { return Live; }
+  sim::PrefetchOrigin *find(uint64_t Line) {
+    if (State.empty())
+      return nullptr;
+    for (size_t I = slotOf(Line); State[I] != Empty; I = (I + 1) & (Cap - 1))
+      if (State[I] == Full && Keys[I] == Line)
+        return &Vals[I];
+    return nullptr;
+  }
+  bool insertOrAssign(uint64_t Line, const sim::PrefetchOrigin &Origin,
+                      sim::PrefetchOrigin *Replaced) {
+    if (State.empty()) {
+      Keys.assign(Cap, 0);
+      Vals.assign(Cap, sim::PrefetchOrigin());
+      State.assign(Cap, Empty);
+    }
+    if (Live + Tombs >= Cap - (Cap >> 2))
+      rebuild();
+    size_t I = slotOf(Line);
+    size_t FirstFree = Cap;
+    while (State[I] != Empty) {
+      if (State[I] == Full && Keys[I] == Line) {
+        *Replaced = Vals[I];
+        Vals[I] = Origin;
+        return false;
+      }
+      if (State[I] == Tomb && FirstFree == Cap)
+        FirstFree = I;
+      I = (I + 1) & (Cap - 1);
+    }
+    if (FirstFree != Cap) {
+      I = FirstFree;
+      --Tombs;
+    }
+    State[I] = Full;
+    Keys[I] = Line;
+    Vals[I] = Origin;
+    ++Live;
+    return true;
+  }
+  void erase(uint64_t Line) {
+    if (State.empty())
+      return;
+    for (size_t I = slotOf(Line); State[I] != Empty; I = (I + 1) & (Cap - 1))
+      if (State[I] == Full && Keys[I] == Line) {
+        State[I] = Tomb;
+        --Live;
+        ++Tombs;
+        return;
+      }
+  }
+  template <typename Fn> void forEach(Fn &&Visit) const {
+    for (size_t I = 0; I < State.size(); ++I)
+      if (State[I] == Full)
+        Visit(Keys[I], Vals[I]);
+  }
+  void clear() {
+    std::fill(State.begin(), State.end(), uint8_t(Empty));
+    Live = 0;
+    Tombs = 0;
+  }
+
+private:
+  size_t slotOf(uint64_t Line) const {
+    return size_t((Line * 0x9E3779B97F4A7C15ULL) >> (64 - LogCap));
+  }
+  void rebuild() {
+    std::vector<std::pair<uint64_t, sim::PrefetchOrigin>> Entries;
+    forEach([&](uint64_t L, const sim::PrefetchOrigin &O) {
+      Entries.push_back({L, O});
+    });
+    clear();
+    sim::PrefetchOrigin Unused;
+    for (const auto &[L, O] : Entries)
+      insertOrAssign(L, O, &Unused);
+  }
+  std::vector<uint64_t> Keys;
+  std::vector<sim::PrefetchOrigin> Vals;
+  std::vector<uint8_t> State;
+  size_t Live = 0;
+  size_t Tombs = 0;
+};
+
+/// Sparse memory as a page-number -> page hash map.
+class MapMemory {
+public:
+  bool readMaybe(uint64_t Addr, uint64_t &Value) const {
+    if ((Addr & 7) != 0)
+      return false;
+    auto It = Pages.find(Addr / mem::PageSize);
+    if (It == Pages.end())
+      return false;
+    Value = It->second[(Addr % mem::PageSize) / 8];
+    return true;
+  }
+  void write(uint64_t Addr, uint64_t Value) {
+    std::vector<uint64_t> &P = Pages[Addr / mem::PageSize];
+    if (P.empty())
+      P.assign(mem::PageSize / 8, 0);
+    P[(Addr % mem::PageSize) / 8] = Value;
+  }
+  size_t numPages() const { return Pages.size(); }
+
+private:
+  std::unordered_map<uint64_t, std::vector<uint64_t>> Pages;
+};
+
+bool sameOrigin(const sim::PrefetchOrigin &A, const sim::PrefetchOrigin &B) {
+  return A.Trigger == B.Trigger && A.Slice == B.Slice && A.Depth == B.Depth &&
+         A.Wild == B.Wild;
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// CacheLevel
+//===----------------------------------------------------------------------===//
+
+// Seeded lookup/insert/contains/reset streams over several geometries:
+// power-of-two and non-power-of-two set counts, direct-mapped and the
+// 12-way L3, with line address 0 in every pool.
+TEST(FlatStructures, CacheLevelMatchesTheWayArray) {
+  const cache::CacheParams Geometries[] = {
+      {1024, 2, 64, 2},          // 8 sets.
+      {3 * 4 * 64, 4, 64, 2},    // 3 sets.
+      {5 * 64, 1, 64, 2},        // 5 sets, direct-mapped.
+      {3072 * 1024, 12, 64, 30}, // The L3 of Table 1.
+  };
+  uint64_t Seed = 0;
+  for (const cache::CacheParams &P : Geometries) {
+    cache::CacheLevel L(P);
+    WayCache Ref(P);
+    std::mt19937_64 Rng(++Seed);
+    const uint64_t Lines =
+        uint64_t(P.SizeBytes / P.LineBytes) * 3 / 2; // Pool 1.5x capacity.
+    for (int Step = 0; Step < 300000; ++Step) {
+      uint64_t Line = Rng() % 8 == 0 ? 0 : Rng() % Lines;
+      switch (Rng() % 16) {
+      case 0:
+        ASSERT_EQ(L.contains(Line), Ref.contains(Line)) << Step;
+        break;
+      case 1:
+        if (Rng() % 1024 == 0) {
+          L.reset();
+          Ref.reset();
+        }
+        break;
+      default:
+        if (Rng() % 2 == 0) {
+          ASSERT_EQ(L.lookup(Line), Ref.lookup(Line)) << Step;
+        } else {
+          L.insert(Line);
+          Ref.insert(Line);
+        }
+      }
+    }
+    for (uint64_t Line = 0; Line < Lines; ++Line)
+      ASSERT_EQ(L.contains(Line), Ref.contains(Line)) << Line;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// PrefetchedLineTable
+//===----------------------------------------------------------------------===//
+
+// Grows the table through every capacity step (1K .. 128K slots) up to the
+// simulator's 65,536-entry overflow clear, with assignments and erasures
+// (tombstones) mixed in, twice over. forEach is compared as a set: growth
+// changes slot order, which its callers do not depend on.
+TEST(FlatStructures, PrefetchedLineTableMatchesTheFixedTable) {
+  sim::PrefetchedLineTable T;
+  FixedLineTable Ref;
+  std::mt19937_64 Rng(11);
+  using Entry = std::tuple<uint64_t, uint32_t, uint32_t, uint32_t, bool>;
+  auto Entries = [](const auto &Table) {
+    std::vector<Entry> Out;
+    Table.forEach([&](uint64_t L, const sim::PrefetchOrigin &O) {
+      Out.emplace_back(L, O.Trigger, O.Slice, O.Depth, O.Wild);
+    });
+    std::sort(Out.begin(), Out.end());
+    return Out;
+  };
+  size_t NextCheck = 512;
+  unsigned Clears = 0;
+  for (int Step = 0; Clears < 2; ++Step) {
+    // Lines from a pool twice the overflow bound, so assignments to live
+    // keys are common; line 0 is an ordinary key.
+    uint64_t Line = (Rng() % (1u << 17)) * 3;
+    sim::PrefetchOrigin O{static_cast<ir::StaticId>(Rng() % 5 + 1),
+                          static_cast<ir::StaticId>(Rng() % 3),
+                          static_cast<uint32_t>(Rng() % 4), Rng() % 7 == 0};
+    switch (Rng() % 8) {
+    case 0:
+      T.erase(Line);
+      Ref.erase(Line);
+      break;
+    case 1: {
+      sim::PrefetchOrigin *A = T.find(Line), *B = Ref.find(Line);
+      ASSERT_EQ(A != nullptr, B != nullptr) << Step;
+      if (A) {
+        ASSERT_TRUE(sameOrigin(*A, *B)) << Step;
+      }
+      break;
+    }
+    default: {
+      // The simulator's overflow policy: drain and clear past 2^16.
+      if (Ref.size() > (1u << 16)) {
+        ASSERT_EQ(Entries(T), Entries(Ref));
+        T.clear();
+        Ref.clear();
+        ++Clears;
+        NextCheck = 512;
+      }
+      sim::PrefetchOrigin PrevA, PrevB;
+      bool FreshA = T.insertOrAssign(Line, O, &PrevA);
+      bool FreshB = Ref.insertOrAssign(Line, O, &PrevB);
+      ASSERT_EQ(FreshA, FreshB) << Step;
+      if (!FreshA) {
+        ASSERT_TRUE(sameOrigin(PrevA, PrevB)) << Step;
+      }
+    }
+    }
+    ASSERT_EQ(T.size(), Ref.size()) << Step;
+    if (T.size() >= NextCheck) { // Once per doubling of the live count.
+      ASSERT_EQ(Entries(T), Entries(Ref)) << Step;
+      NextCheck *= 2;
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// SimMemory
+//===----------------------------------------------------------------------===//
+
+// Writes and reads around the directory cap (pages below, at and above
+// it), far pages, page 0, wild and unaligned speculative reads, and the
+// page count after every write.
+TEST(FlatStructures, SimMemoryMatchesTheMapMemory) {
+  mem::SimMemory M;
+  MapMemory Ref;
+  std::mt19937_64 Rng(5);
+  const uint64_t Cap = mem::SimMemory::DirectoryPages;
+  const uint64_t PageBases[] = {0,       1,       2,          100,
+                                Cap - 2, Cap - 1, Cap,        Cap + 1,
+                                2 * Cap, 1u << 30, uint64_t(1) << 51};
+  auto RandomAddr = [&] {
+    uint64_t Page = PageBases[Rng() % std::size(PageBases)] + Rng() % 3;
+    return Page * mem::PageSize + (Rng() % (mem::PageSize / 8)) * 8;
+  };
+  for (int Step = 0; Step < 100000; ++Step) {
+    uint64_t Addr = RandomAddr();
+    if (Rng() % 4 == 0) {
+      uint64_t V = Rng();
+      M.write(Addr, V);
+      Ref.write(Addr, V);
+      ASSERT_EQ(M.numPages(), Ref.numPages()) << Step;
+      continue;
+    }
+    if (Rng() % 8 == 0)
+      Addr += 1 + Rng() % 7; // Unaligned: always wild.
+    if (Rng() % 16 == 0)
+      Addr = Rng(); // Anywhere in the 64-bit space.
+    uint64_t Want = 0;
+    bool WantMapped = Ref.readMaybe(Addr, Want);
+    bool Mapped = !WantMapped;
+    ASSERT_EQ(M.readMaybe(Addr, Mapped), WantMapped ? Want : 0) << Step;
+    ASSERT_EQ(Mapped, WantMapped) << Step;
+    if ((Addr & 7) == 0) {
+      ASSERT_EQ(M.isMapped(Addr), WantMapped) << Step;
+    }
+    if (WantMapped) {
+      ASSERT_EQ(M.read(Addr), Want) << Step;
+    }
+  }
+}

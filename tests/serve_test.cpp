@@ -300,6 +300,14 @@ TEST(Serve, BadRequestContentIsRejectedWithoutKillingTheBatch) {
   size_t CountAt = HugeCountProf.find("\nblockcounts 0 ") + 15;
   HugeCountProf.replace(CountAt, HugeCountProf.find(':', CountAt) - CountAt,
                         "1099511627776");
+  // 600 functions, each with one `instcount` at the top id: the parser
+  // used to allocate 8 MiB per function for it before the program check.
+  std::string ManyFuncsProf = "sspprof v1\nfuncs 600\n";
+  for (unsigned F = 0; F < 600; ++F)
+    ManyFuncsProf += "blockcounts " + std::to_string(F) + " 0:\n";
+  ManyFuncsProf += "depevidence 1\n";
+  for (unsigned F = 0; F < 600; ++F)
+    ManyFuncsProf += "instcount " + std::to_string(F) + " 1048575 1\n";
   struct Case {
     const char *Name;
     std::string Session;
@@ -342,6 +350,10 @@ TEST(Serve, BadRequestContentIsRejectedWithoutKillingTheBatch) {
       {"profile block count beyond its values",
        frameRequest("x", J.Prog, HugeCountProf),
        "expected 1099511627776 counts"},
+      {"profile instcount ids in many functions",
+       frameRequest("x", J.Prog, ManyFuncsProf),
+       "profile: function count 600 does not match program (" +
+           std::to_string(NF) + " functions)"},
       {"unparsable profile",
        frameRequest("x", J.Prog, "garbage profile text\n"),
        "profile: line 1"},

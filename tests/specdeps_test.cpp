@@ -57,7 +57,7 @@ struct LoopFixture {
 
   // Evidence backing the classifier; rows keyed by Instruction::Id.
   std::vector<DepEdgeCount> MemDeps, RegDeps;
-  std::vector<std::vector<uint64_t>> InstCounts;
+  std::vector<InstCountRow> InstCounts;
 
   LoopFixture() {
     IRBuilder B(P);
@@ -103,14 +103,9 @@ struct LoopFixture {
     // The loop ran 100 times; the carried pointer edge activated once
     // (the rare-resync profile), the carried sum edge every iteration.
     InstCounts.resize(1);
-    auto Count = [&](const InstRef &R, uint64_t N) {
-      uint32_t Id = R.get(P).Id;
-      if (InstCounts[0].size() <= Id)
-        InstCounts[0].resize(Id + 1);
-      InstCounts[0][Id] = N;
-    };
     for (const InstRef *R : {&Load, &Add, &Store, &Load2, &AddI, &Cmp})
-      Count(*R, 100);
+      InstCounts[0].push_back({R->get(P).Id, 100});
+    std::sort(InstCounts[0].begin(), InstCounts[0].end());
     RegDeps.push_back({sid(AddI), sid(Load), 1});
     RegDeps.push_back({sid(Add), sid(Add), 99});
     std::sort(RegDeps.begin(), RegDeps.end());
@@ -170,7 +165,7 @@ TEST(SpecDepsClassify, CarriedEdgesSplitHotColdOnThreshold) {
 TEST(SpecDepsClassify, UncoveredConsumersAndMissingEvidenceStayHot) {
   LoopFixture F;
   // Zero trips (consumer never executed): hot regardless of threshold.
-  std::vector<std::vector<uint64_t>> Saved = F.InstCounts;
+  std::vector<InstCountRow> Saved = F.InstCounts;
   F.InstCounts.assign(1, {});
   EXPECT_EQ(F.specDeps(true, 1.0).classifyRegEdge(F.AddI, F.Load),
             DepClass::Hot);
