@@ -37,10 +37,6 @@ using namespace ssp::harness;
 
 namespace {
 
-/// Feedback-round cap: the acceptance bar is a fixpoint within 4 rounds on
-/// every workload.
-constexpr unsigned kMaxRounds = 4;
-
 struct WorkloadOutcome {
   std::string Name;
   double OneShot = 0.0;
@@ -62,12 +58,9 @@ WorkloadOutcome runOne(const workloads::Workload &W, const BenchArgs &Args) {
   profile::ProfileData PD = core::profileProgram(Orig, W.BuildMemory);
 
   core::ToolOptions TO;
-  core::FeedbackOptions FO;
-  FO.MaxRounds = kMaxRounds;
-  if (Args.Sample.enabled())
-    FO.Sample = Args.Sample;
+  TO.FeedbackRounds = core::DefaultFeedbackRounds;
   core::FeedbackResult FR =
-      core::runFeedbackLoop(Orig, PD, TO, FO, W.BuildMemory);
+      core::runFeedbackLoop(Orig, PD, TO, W.BuildMemory, Args.Sample);
 
   O.OneShot = FR.OneShotSpeedup;
   O.Feedback = FR.BestSpeedup;
@@ -97,7 +90,7 @@ int main(int argc, char **argv) {
   BenchArgs Args = parseBenchArgs(argc, argv);
   std::printf("=== Closed-loop feedback-directed re-adaptation "
               "(max %u rounds) ===\n",
-              kMaxRounds);
+              core::DefaultFeedbackRounds);
   printMachineBanner();
 
   const std::vector<workloads::Workload> Suite = workloads::paperSuite();
@@ -150,8 +143,8 @@ int main(int argc, char **argv) {
     if (O.Feedback < O.OneShot)
       ++Regressed;
     // Round 1 (the one-shot binary) is always accepted.
-    if (O.Rounds < 1 || O.Rounds > kMaxRounds || O.AcceptedRounds < 1 ||
-        O.AcceptedRounds > O.Rounds) {
+    if (O.Rounds < 1 || O.Rounds > core::DefaultFeedbackRounds ||
+        O.AcceptedRounds < 1 || O.AcceptedRounds > O.Rounds) {
       std::fprintf(stderr, "%s: %u rounds, %u accepted, outside bounds\n",
                    O.Name.c_str(), O.Rounds, O.AcceptedRounds);
       LoopOk = false;

@@ -16,9 +16,9 @@
 // see DESIGN.md "Sampled simulation"), so em3d, whose enhanced run
 // retires tens of thousands of fates, is the meaningful fate-error tier.
 // Sampled error values are deterministic (independent of --jobs and
-// machine load); throughputs are best-of-two wall measurements. The
-// exit code is 1 when any checksum is wrong; the error bounds are pinned
-// by tests/sample_test.cpp.
+// machine load); throughputs are best-of-two wall measurements. Every
+// timed run checks its checksum; the exit code is 1 when any is wrong.
+// The error bounds are pinned by tests/sample_test.cpp.
 //
 //   bench_smoke [--jobs N] [--no-skip] [--sample[=W:D:F[:R]]]
 //
@@ -55,10 +55,13 @@ double relErrPct(uint64_t Got, uint64_t Want) {
 
 /// One simulation of \p LP timed around Sim.run() only (link and memory
 /// image construction excluded); returns the stats, best wall in \p Wall.
+/// Every rep's checksum is checked by sim::runProgram's rule (the result
+/// page is mapped and its word is the expected one); a wrong one clears
+/// \p ChecksumOk.
 sim::SimStats runTimed(const ir::LinkedProgram &LP,
                        const workloads::Workload &W,
                        const sim::MachineConfig &Cfg, unsigned Reps,
-                       double &Wall, bool *ChecksumOk = nullptr) {
+                       double &Wall, bool &ChecksumOk) {
   sim::SimStats S;
   Wall = 1e30;
   for (unsigned R = 0; R < Reps; ++R) {
@@ -70,9 +73,8 @@ sim::SimStats runTimed(const ir::LinkedProgram &LP,
     double T = seconds(Start);
     if (T < Wall)
       Wall = T;
-    if (ChecksumOk)
-      *ChecksumOk =
-          *ChecksumOk && Mem.read(workloads::ResultAddr) == Expected;
+    ChecksumOk = ChecksumOk && Mem.isMapped(mem::ResultAddr) &&
+                 Mem.read(mem::ResultAddr) == Expected;
   }
   return S;
 }
@@ -119,8 +121,8 @@ TierResult runTier(SuiteRunner &Runner, const workloads::Workload &W,
   Sampled.Sample = Plan;
 
   double WallExact = 0, WallSampled = 0;
-  sim::SimStats E = runTimed(LP, W, Exact, 2, WallExact);
-  sim::SimStats S = runTimed(LP, W, Sampled, 2, WallSampled, &T.ChecksumOk);
+  sim::SimStats E = runTimed(LP, W, Exact, 2, WallExact, T.ChecksumOk);
+  sim::SimStats S = runTimed(LP, W, Sampled, 2, WallSampled, T.ChecksumOk);
 
   T.RateSkip = WallExact > 0 ? static_cast<double>(E.Cycles) / WallExact : 0;
   T.RateSampled =
@@ -181,8 +183,9 @@ int main(int argc, char **argv) {
   sim::MachineConfig NoSkip = Skip;
   NoSkip.SkipIdleCycles = false;
   double WallSkip = 0, WallNoSkip = 0;
-  sim::SimStats SS = runTimed(LP, Em3d, Skip, 2, WallSkip);
-  sim::SimStats SN = runTimed(LP, Em3d, NoSkip, 2, WallNoSkip);
+  bool SkipPairOk = true;
+  sim::SimStats SS = runTimed(LP, Em3d, Skip, 2, WallSkip, SkipPairOk);
+  sim::SimStats SN = runTimed(LP, Em3d, NoSkip, 2, WallNoSkip, SkipPairOk);
   double RateSkip =
       WallSkip > 0 ? static_cast<double>(SS.Cycles) / WallSkip : 0;
   double RateNoSkip =
@@ -202,7 +205,7 @@ int main(int argc, char **argv) {
                           "20000:2000:78000:2000", /*Enhanced=*/false));
 
   double MaxErr = 0;
-  bool AllOk = R.ChecksumsOk;
+  bool AllOk = R.ChecksumsOk && SkipPairOk;
   for (const TierResult &T : Tiers) {
     MaxErr = std::max(MaxErr, T.maxAbsErrPct());
     AllOk = AllOk && T.ChecksumOk;

@@ -133,6 +133,26 @@ for bad in nonload:'profile: load record fn0 @2 names' \
   grep -q '^response bad error$' "build-ci/served-$name.txt"
   grep -q '^response good ok$' "build-ci/served-$name.txt"
 done
+# A program immediate past int64_t, which the parser used to clamp to
+# INT64_MAX and run: ssp-sim and ssp-adapt exit 1 with the located parse
+# error, and the daemon fails only that request of its batch.
+sed 's/movi r1 = 1048576/movi r1 = 99999999999999999999999/' \
+  examples/listsum.ssp >build-ci/listsum-hugeimm.ssp
+hugeimm_msg='line 16: integer 99999999999999999999999 out of range'
+for tool in ssp-sim ssp-adapt; do
+  rc=0
+  "./build-ci/tools/$tool" build-ci/listsum-hugeimm.ssp >/dev/null \
+    2>"build-ci/hugeimm-$tool.txt" || rc=$?
+  test "$rc" -eq 1
+  grep -q "$hugeimm_msg" "build-ci/hugeimm-$tool.txt"
+done
+{
+  serve_request bad build-ci/listsum-hugeimm.ssp build-ci/listsum.sspprof
+  serve_request good examples/listsum.ssp build-ci/listsum.sspprof
+} | ./build-ci/tools/ssp-adaptd --jobs 2 >build-ci/served-hugeimm.txt
+grep -q '^response bad error$' build-ci/served-hugeimm.txt
+grep -q "$hugeimm_msg" build-ci/served-hugeimm.txt
+grep -q '^response good ok$' build-ci/served-hugeimm.txt
 # Two counts that used to size an allocation before anything they count
 # was read, each run under a 3 GB `ulimit -v` set in a subshell so it binds
 # only that process: a `funcs 4294967295` profile (exit 1 from ssp-adapt,

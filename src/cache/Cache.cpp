@@ -102,9 +102,7 @@ void TLB::pushFront(uint32_t Slot) {
     Tail = Slot;
 }
 
-bool TLB::touch(uint64_t Page, uint32_t Capacity) {
-  if (Capacity == 0)
-    return false;
+bool TLB::touch(uint64_t Page) {
   auto It = Map.find(Page);
   if (It != Map.end()) {
     uint32_t Slot = It->second;
@@ -115,7 +113,7 @@ bool TLB::touch(uint64_t Page, uint32_t Capacity) {
     return true;
   }
   uint32_t Slot;
-  if (PageOf.size() < Capacity) {
+  if (PageOf.size() < CacheConfig::TLBEntries) {
     Slot = static_cast<uint32_t>(PageOf.size());
     PageOf.push_back(Page);
     PrevS.push_back(NoSlot);
@@ -145,12 +143,11 @@ void TLB::clear() {
 
 CacheHierarchy::CacheHierarchy(const CacheConfig &Cfg, unsigned NumThreads)
     : Cfg(Cfg), L1(Cfg.L1), L2(Cfg.L2), L3(Cfg.L3) {
-  if (Cfg.L1.LineBytes > 0 &&
-      (Cfg.L1.LineBytes & (Cfg.L1.LineBytes - 1)) == 0) {
-    LineShift = 0;
-    while ((1u << LineShift) != Cfg.L1.LineBytes)
-      ++LineShift;
-  }
+  assert(Cfg.L1.LineBytes > 0 &&
+         (Cfg.L1.LineBytes & (Cfg.L1.LineBytes - 1)) == 0 &&
+         "line size must be a power of two");
+  while ((1u << LineShift) != Cfg.L1.LineBytes)
+    ++LineShift;
   Fill.resize(Cfg.FillBufferEntries);
   TLBs.resize(NumThreads);
   TLBLastPage.resize(NumThreads, 0);
@@ -209,10 +206,10 @@ uint32_t CacheHierarchy::tlbAccess(unsigned Tid, uint64_t Addr) {
     return 0;
   TLBLastPage[Tid] = Page;
   TLBLastValid[Tid] = 1;
-  if (TLBs[Tid].touch(Page, Cfg.TLBEntries))
+  if (TLBs[Tid].touch(Page))
     return 0;
   ++Tot.TLBMisses;
-  return Cfg.TLBMissPenalty;
+  return CacheConfig::TLBMissPenalty;
 }
 
 AccessResult CacheHierarchy::access(uint64_t Addr, uint64_t Cycle,
@@ -322,7 +319,7 @@ void CacheHierarchy::warmAccess(uint64_t Addr, ir::StaticId Pc, unsigned Tid) {
   if (!TLBLastValid[Tid] || TLBLastPage[Tid] != Page) {
     TLBLastPage[Tid] = Page;
     TLBLastValid[Tid] = 1;
-    TLBs[Tid].touch(Page, Cfg.TLBEntries);
+    TLBs[Tid].touch(Page);
   }
 
   if (L1.lookup(Line))

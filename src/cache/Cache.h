@@ -53,15 +53,16 @@ struct CacheParams {
   uint32_t LatencyCycles;
 };
 
-/// Full hierarchy configuration. Defaults are the paper's Table 1.
+/// Full hierarchy configuration. Defaults are the paper's Table 1; the
+/// per-thread TLB, which no experiment varies, is constant.
 struct CacheConfig {
   CacheParams L1 = {16 * 1024, 4, 64, 2};
   CacheParams L2 = {256 * 1024, 4, 64, 14};
   CacheParams L3 = {3072 * 1024, 12, 64, 30};
   uint32_t MemLatency = 230;
   uint32_t FillBufferEntries = 16;
-  uint32_t TLBEntries = 64;
-  uint32_t TLBMissPenalty = 30;
+  static constexpr uint32_t TLBEntries = 64;
+  static constexpr uint32_t TLBMissPenalty = 30;
 };
 
 /// The outcome of one data access.
@@ -123,9 +124,9 @@ private:
 class TLB {
 public:
   /// Touches \p Page: returns true on a hit (refreshing recency), false
-  /// on a miss (inserting, evicting the LRU page when full). A
-  /// zero-capacity TLB misses every touch and holds nothing.
-  bool touch(uint64_t Page, uint32_t Capacity);
+  /// on a miss (inserting, evicting the LRU page when all
+  /// CacheConfig::TLBEntries slots are full).
+  bool touch(uint64_t Page);
 
   /// Drops every translation.
   void clear();
@@ -219,14 +220,8 @@ private:
     bool Valid = false;
   };
 
-  /// Line address of \p Addr. The shift is precomputed at construction for
-  /// the (universal) power-of-two line size; LineShift < 0 falls back to
-  /// division for degenerate sweep configurations.
-  uint64_t lineOf(uint64_t Addr) const {
-    if (LineShift >= 0)
-      return Addr >> LineShift;
-    return Addr / Cfg.L1.LineBytes;
-  }
+  /// Line address of \p Addr.
+  uint64_t lineOf(uint64_t Addr) const { return Addr >> LineShift; }
 
   /// Looks up \p LineAddr in the fill buffer; returns entry or nullptr.
   FillEntry *findInFlight(uint64_t LineAddr, uint64_t Cycle);
@@ -241,7 +236,7 @@ private:
 
   CacheConfig Cfg;
   CacheLevel L1, L2, L3;
-  int LineShift = -1; ///< log2(L1.LineBytes) when it is a power of two.
+  unsigned LineShift = 0; ///< log2(L1.LineBytes), a power of two.
   std::vector<FillEntry> Fill;
   /// Latest ReadyCycle over all fill-buffer allocations: when the current
   /// cycle is past it, no fill can be in flight and the 16-entry scan is

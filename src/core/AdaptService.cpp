@@ -239,10 +239,9 @@ void AdaptService::executeBatch(std::vector<Request> &Batch,
         // re-adapt loop itself (it has the data image and the warm
         // analyses), and the response carries the best round's binary
         // plus the per-round decision trace appended to the report.
-        FeedbackOptions FO;
-        FO.MaxRounds = R.TO.FeedbackRounds;
-        FeedbackResult FR = runFeedbackLoop(E.Prog, E.PD, R.TO, FO,
-                                            sim::imageOf(E.Data), &*E.AC);
+        FeedbackResult FR =
+            runFeedbackLoop(E.Prog, E.PD, R.TO, sim::imageOf(E.Data),
+                            sim::SamplingPlan(), &*E.AC);
         R.Report = renderReportText(E.PD.BaselineCycles, FR.BestReport) +
                    renderFeedbackText(FR);
         R.Binary = FR.Best.str();

@@ -186,12 +186,12 @@ std::map<uint64_t, LoadOverride> core::proposeOverrides(
 
 FeedbackResult core::runFeedbackLoop(
     const ir::Program &Orig, const profile::ProfileData &PD,
-    const ToolOptions &Opts, const FeedbackOptions &FO,
-    const sim::MemoryBuilder &BuildMemory, const AnalysisCache *AC) {
+    const ToolOptions &Opts, const sim::MemoryBuilder &BuildMemory,
+    const sim::SamplingPlan &Sample, const AnalysisCache *AC) {
   FeedbackResult Res;
 
   sim::MachineConfig Cfg = sim::MachineConfig::inOrder();
-  Cfg.Sample = FO.Sample;
+  Cfg.Sample = Sample;
   auto Simulate = [&](const ir::Program &P) {
     return sim::runProgram(ir::LinkedProgram::link(P), BuildMemory, Cfg)
         .Stats;
@@ -205,7 +205,7 @@ FeedbackResult core::runFeedbackLoop(
     Out = Tool.adaptWith(AC, &Rep);
   };
 
-  unsigned MaxRounds = std::max(1u, FO.MaxRounds);
+  unsigned MaxRounds = std::max(1u, Opts.FeedbackRounds);
   std::set<std::string> Tried;
 
   // Round 1: the one-shot adaptation (with whatever overrides the caller

@@ -75,15 +75,8 @@ struct FeedbackRound {
   bool Accepted = false;          ///< Became the best-so-far binary.
 };
 
-/// Options of the loop itself (thresholds live in ToolOptions::Feedback).
-struct FeedbackOptions {
-  /// Maximum adapt+simulate rounds (including the one-shot round 1).
-  unsigned MaxRounds = 4;
-  /// Optional sampling plan for the per-round simulations (exact when
-  /// disabled). The one-shot baseline and every round use the same plan,
-  /// so accept decisions compare like with like.
-  sim::SamplingPlan Sample;
-};
+/// The round bound bare `--feedback` sets (ToolOptions::FeedbackRounds).
+constexpr unsigned DefaultFeedbackRounds = 4;
 
 /// The loop's result: the best-accepted binary plus the full round log.
 struct FeedbackResult {
@@ -93,7 +86,7 @@ struct FeedbackResult {
   std::vector<FeedbackRound> Rounds;  ///< Executed rounds, in order.
   double OneShotSpeedup = 0.0;    ///< Round 1 simulated speedup.
   double BestSpeedup = 0.0;       ///< Best accepted simulated speedup.
-  bool Fixpoint = false;          ///< Converged before MaxRounds ran out.
+  bool Fixpoint = false;          ///< Converged before the round bound.
 };
 
 /// Derives the next round's override set from the best round's manifest
@@ -110,18 +103,22 @@ proposeOverrides(const FeedbackPolicy &Policy,
                  std::vector<FeedbackDecision> *Decisions = nullptr);
 
 /// Runs the closed loop over \p Orig with profile \p PD. \p Opts supplies
-/// the tool configuration (Overrides seeds round 1 — normally empty — and
-/// Opts.Feedback the policy thresholds). The sim::MemoryBuilder
-/// \p BuildMemory recreates the workload's memory image for each
-/// simulation, which sim::runProgram runs. \p AC, when non-null, is
-/// a warm analysis cache matching \p Opts (the serving daemon's path);
-/// overrides never affect cached analyses, so one cache serves all rounds.
-/// A round with verify errors is never simulated: it is rejected, or, in
-/// round 1, returned unsimulated as Best (with its diagnostics).
+/// the tool configuration: Overrides seeds round 1 (normally empty),
+/// Opts.Feedback the policy thresholds and Opts.FeedbackRounds the bound
+/// on adapt+simulate rounds, round 1 included (at least one round runs).
+/// The sim::MemoryBuilder \p BuildMemory recreates the workload's memory
+/// image for each simulation, which sim::runProgram runs under \p Sample
+/// (exact when disabled); round 1 and every later round use the same
+/// plan, so accept decisions compare like with like. \p AC, when
+/// non-null, is a warm analysis cache matching \p Opts (the serving
+/// daemon's path); overrides never affect cached analyses, so one cache
+/// serves all rounds. A round with verify errors is never simulated: it
+/// is rejected, or, in round 1, returned unsimulated as Best (with its
+/// diagnostics).
 FeedbackResult
 runFeedbackLoop(const ir::Program &Orig, const profile::ProfileData &PD,
-                const ToolOptions &Opts, const FeedbackOptions &FO,
-                const sim::MemoryBuilder &BuildMemory,
+                const ToolOptions &Opts, const sim::MemoryBuilder &BuildMemory,
+                const sim::SamplingPlan &Sample = sim::SamplingPlan(),
                 const AnalysisCache *AC = nullptr);
 
 } // namespace ssp::core

@@ -186,6 +186,6 @@ void core::addToolFlags(support::FlagParser &P, ToolOptions &TO) {
               })
       .flagEq("--feedback", [&TO](const char *V) {
         return setField(TO, TO.FeedbackRounds,
-                        V ? V : std::to_string(FeedbackOptions().MaxRounds));
+                        V ? V : std::to_string(DefaultFeedbackRounds));
       });
 }

@@ -76,7 +76,9 @@ struct LoadOverride {
 
 /// Thresholds of the feedback policy mapping each trigger's fate
 /// distribution to a re-adaptation action (the policy table lives in
-/// DESIGN.md "Closed-loop adaptation"; the loop in core/Feedback.h).
+/// DESIGN.md "Closed-loop adaptation"; the loop in core/Feedback.h). The
+/// fields are request keys (`feedback-*`); the saturation caps are
+/// constants.
 struct FeedbackPolicy {
   /// Ignore slices with fewer attributed prefetches than this — the fate
   /// distribution is noise at small samples.
@@ -94,28 +96,15 @@ struct FeedbackPolicy {
   /// Disable the restart trigger when its useful fraction is below this
   /// while the cut-set trigger sustains chains >= RestartMinCutDepth deep
   /// on its own.
-  double RestartUsefulMax = 0.30;
-  uint32_t RestartMinCutDepth = 64;
+  static constexpr double RestartUsefulMax = 0.30;
+  static constexpr uint32_t RestartMinCutDepth = 64;
   /// Saturation cap for deepened inner unroll (guarantees the override
   /// map reaches a fixpoint).
-  unsigned MaxInnerUnroll = 8;
+  static constexpr unsigned MaxInnerUnroll = 8;
   /// Saturation caps for hoisting, throttling and budget deepening.
-  unsigned MaxHoistDepth = 3;
-  int MinTripBudgetLog2 = -3;
-  int MaxTripBudgetLog2 = 2;
-
-  bool operator==(const FeedbackPolicy &O) const {
-    return MinSample == O.MinSample && DropUsefulMax == O.DropUsefulMax &&
-           HoistLateMin == O.HoistLateMin &&
-           ThrottleEvictedMin == O.ThrottleEvictedMin &&
-           DeepenLateMax == O.DeepenLateMax &&
-           RestartUsefulMax == O.RestartUsefulMax &&
-           RestartMinCutDepth == O.RestartMinCutDepth &&
-           MaxInnerUnroll == O.MaxInnerUnroll &&
-           MaxHoistDepth == O.MaxHoistDepth &&
-           MinTripBudgetLog2 == O.MinTripBudgetLog2 &&
-           MaxTripBudgetLog2 == O.MaxTripBudgetLog2;
-  }
+  static constexpr unsigned MaxHoistDepth = 3;
+  static constexpr int MinTripBudgetLog2 = -3;
+  static constexpr int MaxTripBudgetLog2 = 2;
 };
 
 /// Tuning options of the tool (defaults follow the paper).
@@ -174,10 +163,10 @@ struct ToolOptions {
   std::map<uint64_t, LoadOverride> Overrides;
 
   /// Closed-loop feedback re-adaptation (`ssp-adapt --feedback[=N]`):
-  /// upper bound on adapt -> simulate -> re-adapt rounds taken by
-  /// core::runFeedbackLoop. 0 (the default) disables the loop. adapt()
-  /// itself never reads this — it is carried here so the CLIs and the
-  /// serving daemon configure and cache-key the loop uniformly.
+  /// upper bound on adapt -> simulate -> re-adapt rounds, read by
+  /// core::runFeedbackLoop. 0 (the default) disables the loop in the
+  /// CLIs and the serving daemon; adapt() itself never reads it. Bare
+  /// `--feedback` sets core::DefaultFeedbackRounds.
   unsigned FeedbackRounds = 0;
   /// Thresholds of the feedback policy (only read when FeedbackRounds>0).
   FeedbackPolicy Feedback;

@@ -91,6 +91,18 @@ enum class CondCode : uint8_t { EQ, NE, LT, LE, GT, GE };
 /// units, 2 FP units, 3 branch units, 2 memory ports).
 enum class FuncUnit : uint8_t { None, Int, FP, Mem, Br };
 
+/// Units of class \p FU per cycle on the Table 1 machine, shared by the
+/// simulator's issue stage and the verifier's bundle lint. None (nops)
+/// occupies no unit and is unlimited.
+constexpr unsigned unitsOf(FuncUnit FU) {
+  constexpr unsigned Units[] = {~0u, 4, 2, 2, 3}; // None, Int, FP, Mem, Br.
+  return Units[static_cast<unsigned>(FU)];
+}
+
+/// Instruction slots per issue bundle. Bundles never span a block
+/// boundary (see LinkedProgram::link).
+constexpr unsigned BundleSlots = 3;
+
 /// Returns the function unit \p Op executes on.
 FuncUnit funcUnitOf(Opcode Op);
 

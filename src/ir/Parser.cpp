@@ -5,6 +5,7 @@
 #include "ir/Program.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 #include <vector>
@@ -60,7 +61,9 @@ public:
   }
 
   /// Reads a signed integer; returns false on failure (including a bare
-  /// sign with no digits, which strtoll would silently read as 0).
+  /// sign with no digits, which strtoll would silently read as 0). A
+  /// number outside int64_t also fails and is kept in outOfRange(), which
+  /// the parser reports in place of the caller's message.
   bool integer(int64_t &Out) {
     skipSpace();
     size_t Start = Pos;
@@ -74,14 +77,24 @@ public:
       Pos = Start;
       return false;
     }
-    Out = std::strtoll(Text.substr(Start, Pos - Start).c_str(), nullptr,
-                       10);
+    std::string Num = Text.substr(Start, Pos - Start);
+    errno = 0;
+    Out = std::strtoll(Num.c_str(), nullptr, 10);
+    if (errno == ERANGE) {
+      BadNumber = std::move(Num);
+      Pos = Start;
+      return false;
+    }
     return true;
   }
+
+  /// The last integer integer() rejected as out of range, or empty.
+  const std::string &outOfRange() const { return BadNumber; }
 
 private:
   const std::string &Text;
   size_t Pos = 0;
+  std::string BadNumber;
 };
 
 class Parser {
@@ -106,13 +119,13 @@ public:
       if (C.peek("function")) {
         InDataSection = false;
         if (!parseFunctionHeader(C))
-          return fail(Error);
+          return fail(Error, &C);
         continue;
       }
       if (C.peek("stream ")) {
         InDataSection = false;
         if (!parseStreamLine(C))
-          return fail(Error);
+          return fail(Error, &C);
         continue;
       }
       if (C.eat("data:")) {
@@ -125,16 +138,16 @@ public:
       }
       if (InDataSection) {
         if (!parseDataLine(C))
-          return fail(Error);
+          return fail(Error, &C);
         continue;
       }
       if (C.peek("bb")) {
         if (!parseBlockHeader(C))
-          return fail(Error);
+          return fail(Error, &C);
         continue;
       }
       if (!parseInstruction(C))
-        return fail(Error);
+        return fail(Error, &C);
     }
     if (Out.numFuncs() == 0) {
       Msg = "no functions in input";
@@ -144,7 +157,11 @@ public:
   }
 
 private:
-  bool fail(std::string &Error) {
+  /// Reports the current line's error. An out-of-range number on the
+  /// line is the root cause of whatever message the failing rule chose.
+  bool fail(std::string &Error, const LineCursor *C = nullptr) {
+    if (C && !C->outOfRange().empty())
+      Msg = "integer " + C->outOfRange() + " out of range";
     Error = "line " + std::to_string(LineNo + 1) + ": " + Msg;
     return false;
   }
@@ -165,6 +182,9 @@ private:
       return error("data address must be 8-byte aligned");
     bool Any = false;
     while (!C.atEnd()) {
+      // The previous word was the last one below 2^64.
+      if (Any && Addr == 0)
+        return error("data line runs past the end of the address space");
       int64_t V = 0;
       if (!C.integer(V))
         return error("expected data word");
@@ -197,6 +217,8 @@ private:
     int64_t V = 0;
     if (!C.integer(V))
       return error("expected data address");
+    if (V < 0)
+      return error("data address must not be negative");
     Addr = static_cast<uint64_t>(V);
     return true;
   }

@@ -38,7 +38,7 @@ LinkedProgram LinkedProgram::link(const Program &P) {
         LI.Sid = makeStaticId(FI, I.Id);
         LP.Code.push_back(LI);
         ++Addr;
-        if (++InBundle == 3) {
+        if (++InBundle == BundleSlots) {
           InBundle = 0;
           ++BundleId;
         }

@@ -48,12 +48,12 @@ struct ScheduleOptions {
   bool EnableLoopRotation = true;
   bool EnableConditionPrediction = true;
   /// Estimated cycles for the spawn itself (context allocation + restart).
-  unsigned SpawnOverheadBase = 4;
+  static constexpr unsigned SpawnOverheadBase = 4;
   /// Estimated cycles per live-in LIB copy.
-  unsigned CopyLatency = 2;
+  static constexpr unsigned CopyLatency = 2;
   /// Estimated main-thread cost of one chk.c exception (pipeline flush +
   /// stub + rfi). Basic SP inside a loop pays it every iteration.
-  unsigned TriggerOverhead = 24;
+  static constexpr unsigned TriggerOverhead = 24;
 };
 
 /// A fully scheduled slice ready for code generation.

@@ -33,32 +33,29 @@ enum class PipelineKind : uint8_t { InOrder, OutOfOrder };
 enum class FetchPolicy : uint8_t { RoundRobin, ICount };
 
 /// Full machine configuration. Defaults reproduce the paper's Table 1.
+/// The parameters no experiment varies are constants: the static members
+/// below, the function-unit counts (ir::unitsOf) and the bundle width
+/// (ir::BundleSlots).
 struct MachineConfig {
   PipelineKind Pipeline = PipelineKind::InOrder;
 
   unsigned NumThreads = 4;
 
   /// Fetch/issue policy: 2 bundles from 1 thread, or 1 each from 2 threads.
-  unsigned FetchBundlesPerCycle = 2;
+  static constexpr unsigned FetchBundlesPerCycle = 2;
   FetchPolicy Fetch = FetchPolicy::RoundRobin;
-  unsigned IssueBundlesPerCycle = 2;
-
-  /// Function units: 4 integer, 2 FP, 3 branch, 2 memory ports.
-  unsigned IntUnits = 4;
-  unsigned FPUnits = 2;
-  unsigned BranchUnits = 3;
-  unsigned MemPorts = 2;
+  static constexpr unsigned IssueBundlesPerCycle = 2;
 
   /// In-order: per-thread 16-bundle expansion queue.
-  unsigned ExpansionQueueBundles = 16;
+  static constexpr unsigned ExpansionQueueBundles = 16;
 
   /// OOO: per-thread 255-entry reorder buffer, 18-entry reservation station.
-  unsigned RobEntries = 255;
-  unsigned RsEntries = 18;
+  static constexpr unsigned RobEntries = 255;
+  static constexpr unsigned RsEntries = 18;
 
   /// Extra restart delay after a chk.c exception or rfi redirect, on top of
   /// the natural pipeline-refill cost.
-  unsigned ExceptionRestartDelay = 4;
+  static constexpr unsigned ExceptionRestartDelay = 4;
 
   /// Dynamic SSP throttling (the paper's Section 4.4.1 future-work idea:
   /// monitor the coverage and timeliness of each trigger's prefetch
@@ -74,17 +71,19 @@ struct MachineConfig {
   /// activates the descriptor directly instead of raising the spawn
   /// exception — no pipeline flush, no context occupied, no slice
   /// fetch/decode. A binary without descriptors behaves bit-identically
-  /// whatever these knobs say.
+  /// either way. Off replays the p-slices instead: the reference the
+  /// engine is tested against.
   bool EnableStreamEngine = true;
   /// Concurrently active descriptor activations; activations beyond this
   /// are ignored like a chk.c with no free context.
-  unsigned MaxActiveStreams = 8;
+  static constexpr unsigned MaxActiveStreams = 8;
   /// Descriptor steps advanced per cycle across all active streams.
-  unsigned StreamIssueWidth = 2;
+  static constexpr unsigned StreamIssueWidth = 2;
   /// Per-activation bound on steps (clamps the descriptor's Depth).
-  uint32_t MaxStreamDepth = 64;
+  static constexpr uint32_t MaxStreamDepth = 64;
 
-  /// Safety bound on simulated cycles.
+  /// Safety bound on simulated cycles; a field so that a caller can give
+  /// one run a smaller cycle budget.
   uint64_t MaxCycles = 4000000000ULL;
 
   /// Event-driven idle-cycle skipping: when a cycle fetches, issues,

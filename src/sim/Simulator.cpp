@@ -32,6 +32,10 @@ void sortSmall(T *Begin, size_t N, LessT Less) {
   }
 }
 
+/// Instruction slots in one thread's expansion queue.
+constexpr size_t QueueCap =
+    MachineConfig::ExpansionQueueBundles * BundleSlots;
+
 /// Heap order for the completion calendars: earliest CompleteCycle on top.
 constexpr auto LaterCompletion = [](const auto &A, const auto &B) {
   return A.first > B.first;
@@ -46,9 +50,9 @@ Simulator::Simulator(const MachineConfig &Cfg, const LinkedProgram &LP,
   Cache.setPerfectMemory(Cfg.PerfectMemory);
   Cache.setPerfectLoads(Cfg.PerfectLoads);
   for (Thread &T : Threads)
-    T.Window.setCapacity(
-        static_cast<size_t>(Cfg.ExpansionQueueBundles) * 3 +
-        (Cfg.Pipeline == PipelineKind::OutOfOrder ? Cfg.RobEntries : 0));
+    T.Window.setCapacity(QueueCap + (Cfg.Pipeline == PipelineKind::OutOfOrder
+                                         ? Cfg.RobEntries
+                                         : 0));
   Threads[0].Active = true;
   Threads[0].Speculative = false;
   Threads[0].Ctx.PC = LP.entry();
@@ -75,22 +79,6 @@ Simulator::Simulator(const MachineConfig &Cfg, const LinkedProgram &LP,
       StreamByStubAddr.emplace(Addr, SI);
     }
   }
-}
-
-unsigned Simulator::fuLimit(FuncUnit FU) const {
-  switch (FU) {
-  case FuncUnit::None:
-    return ~0u;
-  case FuncUnit::Int:
-    return Cfg.IntUnits;
-  case FuncUnit::FP:
-    return Cfg.FPUnits;
-  case FuncUnit::Mem:
-    return Cfg.MemPorts;
-  case FuncUnit::Br:
-    return Cfg.BranchUnits;
-  }
-  ssp_unreachable("bad func unit");
 }
 
 bool Simulator::hasFreeContext() const {
@@ -456,7 +444,7 @@ void Simulator::fetchCycle() {
       continue;
     if (Now < T.FetchResumeCycle)
       continue;
-    if (T.Window.frontSize() >= Cfg.ExpansionQueueBundles * 3)
+    if (T.Window.frontSize() >= QueueCap)
       continue;
     Order[N++] = Tid;
   }
@@ -493,7 +481,6 @@ void Simulator::fetchCycle() {
 
 unsigned Simulator::fetchThread(unsigned Tid, unsigned MaxBundles) {
   Thread &T = Threads[Tid];
-  const size_t QueueCap = static_cast<size_t>(Cfg.ExpansionQueueBundles) * 3;
   unsigned Bundles = 0;
 
   while (Bundles < MaxBundles) {
@@ -746,17 +733,15 @@ unsigned Simulator::issueFromThreadInOrder(unsigned Tid, unsigned MaxBundles,
     if (S.LI->BundleId != CurBundle && Bundles == MaxBundles)
       break;
 
-    FuncUnit FU = D.FU;
-    if (FU != FuncUnit::None &&
-        FUUsed[static_cast<unsigned>(FU)] >= fuLimit(FU))
+    unsigned &Used = FUUsed[static_cast<unsigned>(D.FU)];
+    if (Used >= unitsOf(D.FU))
       break;
 
     if (S.LI->BundleId != CurBundle) {
       CurBundle = S.LI->BundleId;
       ++Bundles;
     }
-    if (FU != FuncUnit::None)
-      ++FUUsed[static_cast<unsigned>(FU)];
+    ++Used;
 
     applyIssueTiming(Tid, S);
     bool WasKill = S.Out.Kind == CtrlKind::Kill;
@@ -870,16 +855,15 @@ void Simulator::oooIssue() {
 
   unsigned FUUsed[5] = {0, 0, 0, 0, 0};
   unsigned IssuedCount = 0;
-  const unsigned IssueWidth = Cfg.IssueBundlesPerCycle * 3;
+  const unsigned IssueWidth = Cfg.IssueBundlesPerCycle * BundleSlots;
   for (Cand &C : ReadyBuf) {
     if (IssuedCount >= IssueWidth)
       break;
     FuncUnit FU = C.S->DI->FU;
-    if (FU != FuncUnit::None &&
-        FUUsed[static_cast<unsigned>(FU)] >= fuLimit(FU))
+    unsigned &Used = FUUsed[static_cast<unsigned>(FU)];
+    if (Used >= unitsOf(FU))
       continue;
-    if (FU != FuncUnit::None)
-      ++FUUsed[static_cast<unsigned>(FU)];
+    ++Used;
     applyIssueTiming(C.Tid, *C.S);
     ++IssuedCount;
   }
@@ -1060,7 +1044,6 @@ uint64_t Simulator::nextEventCycle() const {
       Next = C;
   };
 
-  const size_t QueueCap = static_cast<size_t>(Cfg.ExpansionQueueBundles) * 3;
   const bool InOrder = Cfg.Pipeline == PipelineKind::InOrder;
   for (const Thread &T : Threads) {
     if (!T.Active)

@@ -292,7 +292,6 @@ private:
   void drainPendingFates();
   /// Periodic per-trigger verdicts; runs only with throttling on.
   void evaluateThrottle();
-  unsigned fuLimit(ir::FuncUnit FU) const;
   bool mainMissOutstanding() const;
   void pruneMainOutstanding();
 

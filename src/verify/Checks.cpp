@@ -874,13 +874,12 @@ private:
     }
   }
 
-  /// Issue bundles are 3 slots wide and reset at block entry; the Table 1
-  /// machine has 2 memory ports and 2 FP units, so a bundle with 3 memory
-  /// or 3 FP operations can never issue in one cycle.
+  /// Issue bundles are ir::BundleSlots wide and reset at block entry; the
+  /// Table 1 machine has ir::unitsOf(Mem) memory ports and unitsOf(FP) FP
+  /// units, so a bundle with more of either can never issue in one cycle.
   void lintBundles(const Function &F, DiagnosticEngine &DE) {
-    constexpr unsigned BundleSlots = 3;
-    constexpr unsigned MemPorts = 2; // sim::MachineConfig Table 1 default.
-    constexpr unsigned FPUnits = 2;  // sim::MachineConfig Table 1 default.
+    constexpr unsigned MemPorts = unitsOf(FuncUnit::Mem);
+    constexpr unsigned FPUnits = unitsOf(FuncUnit::FP);
     for (const BasicBlock &BB : F.blocks()) {
       for (uint32_t Start = 0; Start < BB.Insts.size();
            Start += BundleSlots) {

@@ -237,10 +237,10 @@ const FeedbackResult &em3dLoop(unsigned Jobs) {
     const ProfiledWorkload &PW = profiledWorkload(makeEm3d());
     ToolOptions TO;
     TO.Jobs = Jobs;
-    FeedbackOptions FO;
+    TO.FeedbackRounds = DefaultFeedbackRounds;
     It = Cache
-             .emplace(Jobs, runFeedbackLoop(PW.P, PW.PD, TO, FO,
-                                            PW.W.BuildMemory))
+             .emplace(Jobs,
+                      runFeedbackLoop(PW.P, PW.PD, TO, PW.W.BuildMemory))
              .first;
   }
   return It->second;
@@ -260,7 +260,7 @@ TEST(FeedbackLoop, ByteIdenticalForAnyJobsValue) {
 TEST(FeedbackLoop, AcceptsMonotonicallyAndConverges) {
   const FeedbackResult &FR = em3dLoop(1);
   ASSERT_FALSE(FR.Rounds.empty());
-  EXPECT_LE(FR.Rounds.size(), FeedbackOptions().MaxRounds);
+  EXPECT_LE(FR.Rounds.size(), DefaultFeedbackRounds);
   EXPECT_TRUE(FR.Fixpoint);
 
   // Round 1 is the one-shot baseline: no decisions, always accepted.
@@ -306,13 +306,13 @@ TEST(FeedbackLoop, UnsafeRoundOneIsReturnedUnsimulated) {
 
   ToolOptions TO;
   TO.FatalOnVerifyError = false;
+  TO.FeedbackRounds = DefaultFeedbackRounds;
   unsigned Simulations = 0;
   auto BuildMemory = [&](mem::SimMemory &M) {
     ++Simulations;
     return PW.W.BuildMemory(M);
   };
-  FeedbackResult FR =
-      runFeedbackLoop(Orig, PW.PD, TO, FeedbackOptions(), BuildMemory);
+  FeedbackResult FR = runFeedbackLoop(Orig, PW.PD, TO, BuildMemory);
   EXPECT_EQ(Simulations, 0u);
   ASSERT_EQ(FR.Rounds.size(), 1u);
   EXPECT_EQ(FR.Rounds[0].Cycles, 0u);

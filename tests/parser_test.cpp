@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -383,4 +384,52 @@ TEST(ParserHardening, ListsumMutationsNeverCrash) {
     T[Pos] = static_cast<char>(Replacements[R++ % sizeof(Replacements)]);
     Check(T);
   }
+
+  // Numbers strtoll used to clamp (2^64 and 10^30 in an immediate, a data
+  // word and a decimal data address), a negative decimal data address
+  // (it wrapped to 0xFFFF...FFF8) and a data line past 2^64 (its second
+  // word wrapped to 0) are each a located error.
+  const std::string Pow64 = "18446744073709551616";
+  const std::string Pow30 = "1000000000000000000000000000000";
+  const struct {
+    std::string From, To, Msg;
+  } Subs[] = {
+      {"movi r1 = 1048576", "movi r1 = " + Pow64,
+       "integer " + Pow64 + " out of range"},
+      {"movi r1 = 1048576", "movi r1 = " + Pow30,
+       "integer " + Pow30 + " out of range"},
+      {"0x100000: 1368064", "0x100000: " + Pow64,
+       "integer " + Pow64 + " out of range"},
+      {"0x100000: 1368064", "0x100000: " + Pow30,
+       "integer " + Pow30 + " out of range"},
+      {"0x100000:", Pow64 + ":", "integer " + Pow64 + " out of range"},
+      {"0x100000:", "-8:", "data address must not be negative"},
+      {"0x100000:", "0xFFFFFFFFFFFFFFF8:",
+       "data line runs past the end of the address space"},
+  };
+  for (const auto &Sub : Subs) {
+    SCOPED_TRACE(Sub.To);
+    size_t At = Orig.find(Sub.From);
+    ASSERT_NE(At, std::string::npos);
+    std::string T = Orig;
+    T.replace(At, Sub.From.size(), Sub.To);
+    std::string Line = std::to_string(
+        std::count(Orig.begin(), Orig.begin() + At, '\n') + 1);
+    Program P;
+    std::string Err;
+    DataImage Data;
+    EXPECT_FALSE(parseProgram(T, P, Err, &Data));
+    EXPECT_EQ(Err, "line " + Line + ": " + Sub.Msg);
+  }
+
+  // Negative words and the last word below 2^64 stay legal.
+  std::string T = Orig;
+  T.replace(T.find("0x8000: 0"), 9,
+            "0xFFFFFFFFFFFFFFF8: -9223372036854775808");
+  Program P;
+  std::string Err;
+  DataImage Data;
+  ASSERT_TRUE(parseProgram(T, P, Err, &Data)) << Err;
+  EXPECT_EQ(Data.front(),
+            DataImage::value_type(0xFFFFFFFFFFFFFFF8, 0x8000000000000000));
 }

@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace ssp;
 using namespace ssp::core;
 using namespace ssp::workloads;
@@ -291,6 +293,13 @@ TEST(Serve, BadRequestContentIsRejectedWithoutKillingTheBatch) {
                     " @4294967295");
   HugeIdProf.insert(HugeIdProf.find("\nload ") + 1,
                     "load 0 4294967295 1 0 0 0 1 0 0 0 0 230\n");
+  // An immediate past int64_t (strtoll used to clamp it to INT64_MAX).
+  std::string HugeImmProg = J.Prog;
+  size_t ImmAt = HugeImmProg.find('\n', HugeImmProg.find("bb0 <")) + 1;
+  HugeImmProg.insert(ImmAt, "    movi r1 = 99999999999999999999999\n");
+  const std::string ImmLine = std::to_string(
+      std::count(HugeImmProg.begin(), HugeImmProg.begin() + ImmAt, '\n') +
+      1);
   // Counts that used to size allocations before anything they count was
   // read: a `funcs` claim of 2^32 - 1 and a `blockcounts` row of 2^40.
   std::string HugeFuncsProf = J.Prof, HugeCountProf = J.Prof;
@@ -340,6 +349,10 @@ TEST(Serve, BadRequestContentIsRejectedWithoutKillingTheBatch) {
        frameRequest("x", HugeIdProg, J.Prof),
        "instruction id @4294967295 out of range (ids must be below "
        "1048576)"},
+      {"program immediate out of range",
+       frameRequest("x", HugeImmProg, J.Prof),
+       "program: line " + ImmLine +
+           ": integer 99999999999999999999999 out of range"},
       {"profile instruction id out of range",
        frameRequest("x", J.Prog, HugeIdProf),
        "instruction id 4294967295 out of range (ids must be below "
@@ -556,6 +569,18 @@ TEST(OptionKeys, CliAndRequestSpellingsShareOneCanonicalText) {
   }
   EXPECT_EQ(renderOptions(Cli), renderOptions(Request));
   EXPECT_NE(renderOptions(Cli), DefaultCanonical);
+
+  // Bare --feedback is feedback-rounds=4.
+  std::string Arg0 = "ssp-adapt", Arg1 = "--feedback";
+  char *BareArgv[] = {Arg0.data(), Arg1.data()};
+  ToolOptions Bare;
+  support::FlagParser BareP(2, BareArgv);
+  addToolFlags(BareP, Bare);
+  ASSERT_TRUE(BareP.parse());
+  ToolOptions Four;
+  ASSERT_TRUE(setOption(Four, "feedback-rounds", "4", Msg)) << Msg;
+  EXPECT_EQ(renderOptions(Bare), renderOptions(Four));
+  EXPECT_NE(renderOptions(Bare), DefaultCanonical);
 }
 
 TEST(OptionKeys, CliRejectsWhatRequestsReject) {

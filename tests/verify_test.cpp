@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/PostPassTool.h"
+#include "ir/Parser.h"
 #include "verify/PassManager.h"
 #include "workloads/Workload.h"
 
@@ -165,6 +166,43 @@ TEST(PassManagerTest, StandardPipelineHasExpectedOrder) {
   EXPECT_EQ(Names[5], "speculation");
   EXPECT_EQ(Names[6], "feedback");
   EXPECT_EQ(Names.back(), "stream");
+}
+
+TEST(VerifyLint, OverfullBundlesNameTheMachinesUnitCounts) {
+  // bb0's one bundle holds 3 loads and bb1's first bundle 3 FP ops; the
+  // Table 1 machine has 2 memory ports and 2 FP units.
+  Program P;
+  std::string Err;
+  ASSERT_TRUE(parseProgram("function main (fn0) [entry]:\n"
+                           "  bb0 <mem>:\n"
+                           "    ld8 r1 = [r10 + 0]\n"
+                           "    ld8 r2 = [r10 + 8]\n"
+                           "    ld8 r3 = [r10 + 16]\n"
+                           "  bb1 <fp>:\n"
+                           "    fadd f1 = f2, f3\n"
+                           "    fmul f4 = f2, f3\n"
+                           "    fadd f5 = f2, f3\n"
+                           "    halt\n",
+                           P, Err))
+      << Err;
+  verify::DiagnosticEngine DE = runPipeline(P);
+  std::vector<verify::Diagnostic> Lints;
+  for (const verify::Diagnostic &D : DE.diagnostics())
+    if (D.CheckId == "lint.bundle")
+      Lints.push_back(D);
+  ASSERT_EQ(Lints.size(), 2u) << renderAll(Lints, P);
+  EXPECT_EQ(Lints[0].Sev, verify::Severity::Warning);
+  EXPECT_EQ(Lints[0].Loc.Block, 0u);
+  EXPECT_NE(Lints[0].Message.find(
+                "bundle needs 3 memory ports but the machine has 2"),
+            std::string::npos)
+      << Lints[0].Message;
+  EXPECT_EQ(Lints[1].Loc.Block, 1u);
+  EXPECT_EQ(Lints[1].Loc.Inst, 0u);
+  EXPECT_NE(
+      Lints[1].Message.find("bundle needs 3 FP units but the machine has 2"),
+      std::string::npos)
+      << Lints[1].Message;
 }
 
 //===----------------------------------------------------------------------===//

@@ -216,11 +216,8 @@ int main(int argc, char **argv) {
   ir::Program Enhanced;
   std::string FeedbackTrace;
   if (Opts.FeedbackRounds > 0) {
-    core::FeedbackOptions FO;
-    FO.MaxRounds = Opts.FeedbackRounds;
-    FO.Sample = Sample;
     core::FeedbackResult FR =
-        core::runFeedbackLoop(Orig, PD, Opts, FO, Image);
+        core::runFeedbackLoop(Orig, PD, Opts, Image, Sample);
     Enhanced = std::move(FR.Best);
     Rep = std::move(FR.BestReport);
     FeedbackTrace = core::renderFeedbackText(FR);
