@@ -59,7 +59,7 @@ int main(int argc, char **argv) {
 
   SuiteRunner Full;
   core::ToolOptions NoSpec;
-  NoSpec.EnableSpeculativeSlicing = false;
+  NoSpec.Slicing.Speculative = false;
   SuiteRunner StaticOnly(NoSpec);
   core::ToolOptions SpecDeps;
   SpecDeps.EnableSpecDeps = true;

@@ -16,18 +16,6 @@ cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-ci -j "$JOBS"
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
-echo "== Switch dispatch (SSP_FORCE_SWITCH_DISPATCH) =="
-# The executor compiles its handlers as a plain switch when computed goto is
-# unavailable; this build keeps that path compiling under -Werror (and so
-# -Wswitch-checked against the Opcode enum) and bit-identical to the
-# threaded one: the golden simulator statistics must still match.
-cmake -B build-ci-switch -S . -DCMAKE_BUILD_TYPE=Release \
-  -DCMAKE_CXX_FLAGS=-DSSP_FORCE_SWITCH_DISPATCH >/dev/null
-cmake --build build-ci-switch -j "$JOBS" --target executor_test \
-  golden_stats_test
-./build-ci-switch/tests/executor_test
-./build-ci-switch/tests/golden_stats_test
-
 echo "== clang-tidy (no-op when not installed) =="
 cmake --build build-ci --target lint
 
@@ -78,10 +66,12 @@ echo "== Serving layer (ssp-adaptd pipe) =="
 # flush boundary) through a real ssp-adaptd pipe; both must come back ok.
 ./build-ci/tools/ssp-adapt examples/listsum.ssp \
   --emit-profile build-ci/listsum.sspprof >/dev/null
-serve_request() { # id program profile
+serve_request() { # id program profile [key=value...]
   printf 'request %s\n' "$1"
   printf 'program %s\n' "$(wc -c <"$2")"; cat "$2"
   printf 'profile %s\n' "$(wc -c <"$3")"; cat "$3"
+  shift 3
+  for opt in "$@"; do printf 'option %s\n' "$opt"; done
   printf 'end\n'
 }
 {
@@ -153,6 +143,31 @@ done
 grep -q '^response bad error$' build-ci/served-hugeimm.txt
 grep -q "$hugeimm_msg" build-ci/served-hugeimm.txt
 grep -q '^response good ok$' build-ci/served-hugeimm.txt
+# A LIB slot past the 16-slot live-in buffer, which used to abort the
+# simulator: ssp-sim and ssp-adapt exit 1 with the located parse error.
+# The daemon, whose feedback round used to run the program under a
+# profile that matches it and abort, fails only that request of its batch.
+sed '/^    movi r2 = 0 /i\    lib.st lib[99] = r1' examples/listsum.ssp \
+  >build-ci/listsum-libslot.ssp
+printf 'sspprof v1\nbaseline 10\nfuncs 1\nblockcounts 0 1: 1\n' \
+  >build-ci/libslot.sspprof
+libslot_msg='line 17: LIB slot 99 out of range (16 slots)'
+for tool in ssp-sim ssp-adapt; do
+  rc=0
+  "./build-ci/tools/$tool" build-ci/listsum-libslot.ssp >/dev/null \
+    2>"build-ci/libslot-$tool.txt" || rc=$?
+  test "$rc" -eq 1
+  grep -q "$libslot_msg" "build-ci/libslot-$tool.txt"
+done
+{
+  serve_request bad build-ci/listsum-libslot.ssp build-ci/libslot.sspprof \
+    feedback-rounds=1
+  serve_request good examples/listsum.ssp build-ci/listsum.sspprof \
+    feedback-rounds=1
+} | ./build-ci/tools/ssp-adaptd --jobs 2 >build-ci/served-libslot.txt
+grep -q '^response bad error$' build-ci/served-libslot.txt
+grep -q "$libslot_msg" build-ci/served-libslot.txt
+grep -q '^response good ok$' build-ci/served-libslot.txt
 # Two counts that used to size an allocation before anything they count
 # was read, each run under a 3 GB `ulimit -v` set in a subshell so it binds
 # only that process: a `funcs 4294967295` profile (exit 1 from ssp-adapt,

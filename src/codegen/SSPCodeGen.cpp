@@ -4,7 +4,6 @@
 
 #include "analysis/StreamPatterns.h"
 #include "ir/IRBuilder.h"
-#include "sim/ThreadContext.h"
 #include "support/Assert.h"
 
 #include <algorithm>
@@ -215,8 +214,8 @@ Program ssp::codegen::rewriteWithSlices(const Program &Orig,
     // The LIB is finite; an adaptation whose live-ins cannot be marshalled
     // (plus one slot for the trip budget) is dropped rather than emitted
     // with threads reading unstaged registers.
-    if (StubLiveIns.size() + 1 > sim::MaxLIBSlots ||
-        ChainLiveIns.size() + 1 > sim::MaxLIBSlots)
+    if (StubLiveIns.size() + 1 > LIBSlots ||
+        ChainLiveIns.size() + 1 > LIBSlots)
       continue;
     const uint32_t BudgetSlot = static_cast<uint32_t>(ChainLiveIns.size());
 

@@ -201,7 +201,7 @@ void AdaptService::executeBatch(std::vector<Request> &Batch,
     R.Entry = findWarm(R.ProgramText, R.ProfileText,
                        renderAnalysisOptions(R.TO));
     if (!R.Entry->Built) {
-      R.Entry->SliceOpts = PostPassTool::sliceOptionsOf(R.TO);
+      R.Entry->SliceOpts = R.TO.Slicing;
       R.Entry->SchedOpts = PostPassTool::scheduleOptionsOf(R.TO);
       R.Entry->SpecOpts = PostPassTool::specDepOptionsOf(R.TO);
       if (std::find(ToBuild.begin(), ToBuild.end(), R.Entry) ==

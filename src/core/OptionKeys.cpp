@@ -60,7 +60,7 @@ const OptionKey Keys[] = {
     {"slice-max", FIELD(Slicing.MaxSize), 1, 4096, Analysis},
     {"spec-deps", FIELD(EnableSpecDeps), 0, 0, Analysis},
     {"spec-threshold", FIELD(SpecDepThreshold), 0, 0, Analysis},
-    {"speculative", FIELD(EnableSpeculativeSlicing), 0, 0, Analysis},
+    {"speculative", FIELD(Slicing.Speculative), 0, 0, Analysis},
     {"streams", FIELD(EnableStreams)},
     {"trip-budget", FIELD(MaxTripBudget), 1, Unbounded},
 };

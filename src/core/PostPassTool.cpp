@@ -26,12 +26,6 @@ PostPassTool::PostPassTool(const Program &Orig,
                            const profile::ProfileData &PD, ToolOptions Opts)
     : Orig(Orig), PD(PD), Opts(Opts) {}
 
-slicer::SliceOptions PostPassTool::sliceOptionsOf(const ToolOptions &Opts) {
-  slicer::SliceOptions SOpts = Opts.Slicing;
-  SOpts.Speculative = Opts.EnableSpeculativeSlicing;
-  return SOpts;
-}
-
 sched::ScheduleOptions PostPassTool::scheduleOptionsOf(const ToolOptions &Opts) {
   sched::ScheduleOptions SchedOpts;
   SchedOpts.EnableLoopRotation = Opts.EnableLoopRotation;
@@ -71,7 +65,7 @@ Program PostPassTool::adaptWith(const AnalysisCache *ExternalAC,
   // (const-shared across ThreadPool workers when Jobs != 1).
   std::optional<AnalysisCache> OwnAC;
   if (!ExternalAC) {
-    OwnAC.emplace(Orig, PD, sliceOptionsOf(Opts), scheduleOptionsOf(Opts),
+    OwnAC.emplace(Orig, PD, Opts.Slicing, scheduleOptionsOf(Opts),
                   specDepOptionsOf(Opts));
     ExternalAC = &*OwnAC;
   }

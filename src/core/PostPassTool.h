@@ -125,7 +125,6 @@ struct ToolOptions {
   bool EnableChaining = true;
   bool EnableLoopRotation = true;
   bool EnableConditionPrediction = true;
-  bool EnableSpeculativeSlicing = true;
 
   /// Speculation-aware dependence analysis (`--spec-deps[=T]`): prune
   /// may-dependence edges whose profiled activation ratio is at most
@@ -202,6 +201,7 @@ struct ToolOptions {
   /// use (requests over loads) safe. Results are unchanged either way.
   support::ThreadPool *Pool = nullptr;
 
+  /// Slicing options; `Slicing.Speculative` is the `speculative` key.
   slicer::SliceOptions Slicing;
 };
 
@@ -276,14 +276,14 @@ public:
   /// Like adapt(), but reuses a prebuilt AnalysisCache instead of building
   /// one — the serving daemon's warm path, which keeps per-program
   /// analyses alive across requests. \p AC must have been constructed from
-  /// this tool's program/profile with sliceOptionsOf/scheduleOptionsOf of
-  /// these options; null falls back to building locally.
+  /// this tool's program/profile with Slicing, scheduleOptionsOf and
+  /// specDepOptionsOf of these options; null falls back to building locally.
   ir::Program adaptWith(const AnalysisCache *AC,
                         AdaptationReport *Report = nullptr);
 
-  /// The slicing options adapt() derives from \p Opts — the AnalysisCache
-  /// construction parameters, exposed so external caches match exactly.
-  static slicer::SliceOptions sliceOptionsOf(const ToolOptions &Opts);
+  /// The AnalysisCache construction parameters adapt() derives from
+  /// \p Opts besides Opts.Slicing, exposed so external caches match
+  /// exactly.
   static sched::ScheduleOptions scheduleOptionsOf(const ToolOptions &Opts);
   static analysis::SpecDepOptions specDepOptionsOf(const ToolOptions &Opts);
 

@@ -23,19 +23,8 @@
 
 namespace ssp::ir {
 
-/// One instruction of the Itanium-like binary IR.
-///
-/// Field usage by opcode family:
-///  * ALU reg-reg:   Dst := Src1 op Src2
-///  * ALU reg-imm:   Dst := Src1 op Imm
-///  * Cmp/CmpI:      Dst(pred) := Src1 <Cond> (Src2 | Imm)
-///  * Load/LoadF:    Dst := mem[Src1 + Imm]
-///  * Store/StoreF:  mem[Src1 + Imm] := Src2
-///  * Prefetch:      touch mem[Src1 + Imm]
-///  * Br:            if Src1(pred) goto block Target
-///  * Jmp/ChkC/Spawn: block Target
-///  * Call:          function Target;  CallInd: function index in Src1
-///  * CopyToLIB:     LIB[Target] := Src1;  CopyFromLIB: Dst := LIB[Target]
+/// One instruction of the Itanium-like binary IR. Which fields an opcode
+/// uses, and how, is fixed by its OperandForm (see ir/Opcode.h).
 struct Instruction {
   Opcode Op = Opcode::Nop;
   CondCode Cond = CondCode::EQ;
@@ -57,90 +46,38 @@ struct Instruction {
 
   /// Returns true if the instruction writes its Dst register.
   bool writesDst() const {
-    switch (Op) {
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul:
-    case Opcode::And:
-    case Opcode::Or:
-    case Opcode::Xor:
-    case Opcode::Shl:
-    case Opcode::Shr:
-    case Opcode::AddI:
-    case Opcode::MulI:
-    case Opcode::ShlI:
-    case Opcode::AndI:
-    case Opcode::OrI:
-    case Opcode::Mov:
-    case Opcode::MovI:
-    case Opcode::Cmp:
-    case Opcode::CmpI:
-    case Opcode::FAdd:
-    case Opcode::FSub:
-    case Opcode::FMul:
-    case Opcode::XToF:
-    case Opcode::FToX:
-    case Opcode::Load:
-    case Opcode::LoadF:
-    case Opcode::CopyFromLIB:
+    switch (opcodeInfo(Op).Form) {
+    case OperandForm::RegImm:
+    case OperandForm::RegReg:
+    case OperandForm::RegRegReg:
+    case OperandForm::RegRegImm:
+    case OperandForm::Load:
+    case OperandForm::LibLoad:
       return true;
     default:
       return false;
     }
   }
 
-  /// Calls \p Fn for every register this instruction reads.
+  /// Calls \p Fn for every register this instruction reads, Src1 before
+  /// Src2.
   template <typename CallableT> void forEachUse(CallableT Fn) const {
-    switch (Op) {
-    case Opcode::Nop:
-    case Opcode::MovI:
-    case Opcode::Jmp:
-    case Opcode::Call:
-    case Opcode::Ret:
-    case Opcode::Halt:
-    case Opcode::ChkC:
-    case Opcode::Rfi:
-    case Opcode::Spawn:
-    case Opcode::KillThread:
-    case Opcode::CopyFromLIB:
-    case Opcode::CopyToLIBI:
-      return;
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul:
-    case Opcode::And:
-    case Opcode::Or:
-    case Opcode::Xor:
-    case Opcode::Shl:
-    case Opcode::Shr:
-    case Opcode::Cmp:
-    case Opcode::FAdd:
-    case Opcode::FSub:
-    case Opcode::FMul:
+    switch (opcodeInfo(Op).Form) {
+    case OperandForm::RegRegReg:
+    case OperandForm::Store: // Address base, then the stored value.
       Fn(Src1);
       Fn(Src2);
       return;
-    case Opcode::AddI:
-    case Opcode::MulI:
-    case Opcode::ShlI:
-    case Opcode::AndI:
-    case Opcode::OrI:
-    case Opcode::Mov:
-    case Opcode::CmpI:
-    case Opcode::XToF:
-    case Opcode::FToX:
-    case Opcode::Load:
-    case Opcode::LoadF:
-    case Opcode::Prefetch:
-    case Opcode::Br:
-    case Opcode::CallInd:
-    case Opcode::CopyToLIB:
+    case OperandForm::RegReg:
+    case OperandForm::RegRegImm:
+    case OperandForm::Load:
+    case OperandForm::Prefetch:
+    case OperandForm::Branch:
+    case OperandForm::CallInd:
+    case OperandForm::LibStore:
       Fn(Src1);
       return;
-    case Opcode::Store:
-    case Opcode::StoreF:
-      Fn(Src1); // Address base.
-      Fn(Src2); // Stored value.
+    default:
       return;
     }
   }

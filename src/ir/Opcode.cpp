@@ -1,4 +1,4 @@
-//===- ir/Opcode.cpp - Opcode metadata ------------------------------------===//
+//===- ir/Opcode.cpp - Condition codes ------------------------------------===//
 
 #include "ir/Opcode.h"
 
@@ -6,230 +6,6 @@
 
 using namespace ssp;
 using namespace ssp::ir;
-
-FuncUnit ssp::ir::funcUnitOf(Opcode Op) {
-  switch (Op) {
-  case Opcode::Nop:
-    return FuncUnit::None;
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::AddI:
-  case Opcode::MulI:
-  case Opcode::ShlI:
-  case Opcode::AndI:
-  case Opcode::OrI:
-  case Opcode::Mov:
-  case Opcode::MovI:
-  case Opcode::Cmp:
-  case Opcode::CmpI:
-  case Opcode::XToF:
-  case Opcode::FToX:
-    return FuncUnit::Int;
-  case Opcode::FAdd:
-  case Opcode::FSub:
-  case Opcode::FMul:
-    return FuncUnit::FP;
-  case Opcode::Load:
-  case Opcode::LoadF:
-  case Opcode::Store:
-  case Opcode::StoreF:
-  case Opcode::Prefetch:
-  case Opcode::CopyToLIB:
-  case Opcode::CopyToLIBI:
-  case Opcode::CopyFromLIB:
-    return FuncUnit::Mem;
-  case Opcode::Br:
-  case Opcode::Jmp:
-  case Opcode::Call:
-  case Opcode::CallInd:
-  case Opcode::Ret:
-  case Opcode::Halt:
-  case Opcode::ChkC:
-  case Opcode::Rfi:
-  case Opcode::Spawn:
-  case Opcode::KillThread:
-    return FuncUnit::Br;
-  }
-  ssp_unreachable("bad opcode");
-}
-
-unsigned ssp::ir::latencyOf(Opcode Op) {
-  switch (Op) {
-  case Opcode::Mul:
-  case Opcode::MulI:
-    return 3; // Integer multiply on the modeled Itanium pipeline.
-  case Opcode::FAdd:
-  case Opcode::FSub:
-  case Opcode::FMul:
-    return 4; // FMAC latency class.
-  case Opcode::XToF:
-  case Opcode::FToX:
-    return 2;
-  case Opcode::CopyToLIB:
-  case Opcode::CopyToLIBI:
-  case Opcode::CopyFromLIB:
-    return 2; // On-chip RSE backing-store buffer: L1-class latency.
-  default:
-    return 1;
-  }
-}
-
-bool ssp::ir::isMemoryOp(Opcode Op) {
-  switch (Op) {
-  case Opcode::Load:
-  case Opcode::LoadF:
-  case Opcode::Store:
-  case Opcode::StoreF:
-  case Opcode::Prefetch:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool ssp::ir::isLoad(Opcode Op) {
-  return Op == Opcode::Load || Op == Opcode::LoadF;
-}
-
-bool ssp::ir::isStore(Opcode Op) {
-  return Op == Opcode::Store || Op == Opcode::StoreF;
-}
-
-bool ssp::ir::isControlFlow(Opcode Op) {
-  switch (Op) {
-  case Opcode::Br:
-  case Opcode::Jmp:
-  case Opcode::Call:
-  case Opcode::CallInd:
-  case Opcode::Ret:
-  case Opcode::Halt:
-  case Opcode::ChkC:
-  case Opcode::Rfi:
-  case Opcode::KillThread:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool ssp::ir::isTerminator(Opcode Op) {
-  switch (Op) {
-  case Opcode::Jmp:
-  case Opcode::Ret:
-  case Opcode::Halt:
-  case Opcode::Rfi:
-  case Opcode::KillThread:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool ssp::ir::hasBlockTarget(Opcode Op) {
-  switch (Op) {
-  case Opcode::Br:
-  case Opcode::Jmp:
-  case Opcode::ChkC:
-  case Opcode::Spawn:
-    return true;
-  default:
-    return false;
-  }
-}
-
-const char *ssp::ir::opcodeName(Opcode Op) {
-  switch (Op) {
-  case Opcode::Nop:
-    return "nop";
-  case Opcode::Add:
-    return "add";
-  case Opcode::Sub:
-    return "sub";
-  case Opcode::Mul:
-    return "mul";
-  case Opcode::And:
-    return "and";
-  case Opcode::Or:
-    return "or";
-  case Opcode::Xor:
-    return "xor";
-  case Opcode::Shl:
-    return "shl";
-  case Opcode::Shr:
-    return "shr";
-  case Opcode::AddI:
-    return "addi";
-  case Opcode::MulI:
-    return "muli";
-  case Opcode::ShlI:
-    return "shli";
-  case Opcode::AndI:
-    return "andi";
-  case Opcode::OrI:
-    return "ori";
-  case Opcode::Mov:
-    return "mov";
-  case Opcode::MovI:
-    return "movi";
-  case Opcode::Cmp:
-    return "cmp";
-  case Opcode::CmpI:
-    return "cmpi";
-  case Opcode::FAdd:
-    return "fadd";
-  case Opcode::FSub:
-    return "fsub";
-  case Opcode::FMul:
-    return "fmul";
-  case Opcode::XToF:
-    return "xtof";
-  case Opcode::FToX:
-    return "ftox";
-  case Opcode::Load:
-    return "ld8";
-  case Opcode::LoadF:
-    return "ldf";
-  case Opcode::Store:
-    return "st8";
-  case Opcode::StoreF:
-    return "stf";
-  case Opcode::Prefetch:
-    return "lfetch";
-  case Opcode::Br:
-    return "br";
-  case Opcode::Jmp:
-    return "jmp";
-  case Opcode::Call:
-    return "call";
-  case Opcode::CallInd:
-    return "calli";
-  case Opcode::Ret:
-    return "ret";
-  case Opcode::Halt:
-    return "halt";
-  case Opcode::ChkC:
-    return "chk.c";
-  case Opcode::Rfi:
-    return "rfi";
-  case Opcode::CopyToLIB:
-    return "lib.st";
-  case Opcode::CopyToLIBI:
-    return "lib.sti";
-  case Opcode::CopyFromLIB:
-    return "lib.ld";
-  case Opcode::Spawn:
-    return "spawn";
-  case Opcode::KillThread:
-    return "kill";
-  }
-  ssp_unreachable("bad opcode");
-}
 
 const char *ssp::ir::condName(CondCode CC) {
   switch (CC) {

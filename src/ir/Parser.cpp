@@ -326,21 +326,25 @@ private:
   }
 
   bool parseCond(const std::string &Name, CondCode &CC) {
-    if (Name == "eq")
-      CC = CondCode::EQ;
-    else if (Name == "ne")
-      CC = CondCode::NE;
-    else if (Name == "lt")
-      CC = CondCode::LT;
-    else if (Name == "le")
-      CC = CondCode::LE;
-    else if (Name == "gt")
-      CC = CondCode::GT;
-    else if (Name == "ge")
-      CC = CondCode::GE;
-    else
-      return error("bad condition code '" + Name + "'");
-    return true;
+    for (CondCode K : {CondCode::EQ, CondCode::NE, CondCode::LT, CondCode::LE,
+                       CondCode::GT, CondCode::GE})
+      if (Name == condName(K)) {
+        CC = K;
+        return true;
+      }
+    return error("bad condition code '" + Name + "'");
+  }
+
+  /// Parses "lib[N]" into \p Slot; N must name one of the LIBSlots slots.
+  bool parseLibSlot(LineCursor &C, uint32_t &Slot) {
+    int64_t N = 0;
+    if (!C.eat("lib[") || !C.integer(N))
+      return false;
+    if (N < 0 || N >= int64_t(LIBSlots))
+      return error("LIB slot " + std::to_string(N) + " out of range (" +
+                   std::to_string(LIBSlots) + " slots)");
+    Slot = static_cast<uint32_t>(N);
+    return C.eat("]");
   }
 
   /// Assigns \p I its static id and appends it to the current block. An
@@ -367,149 +371,78 @@ private:
     return true;
   }
 
+  /// Reads \p I's operands in the syntax of \p Form. False with Msg
+  /// unset means the operands are malformed in no more specific way.
+  bool parseOperands(LineCursor &C, OperandForm Form, Instruction &I) {
+    switch (Form) {
+    case OperandForm::None:
+      return true;
+    case OperandForm::RegImm:
+      return parseReg(C, I.Dst) && C.eat("=") && C.integer(I.Imm);
+    case OperandForm::RegReg:
+      return parseReg(C, I.Dst) && C.eat("=") && parseReg(C, I.Src1);
+    case OperandForm::RegRegReg:
+      return parseReg(C, I.Dst) && C.eat("=") && parseReg(C, I.Src1) &&
+             C.eat(",") && parseReg(C, I.Src2);
+    case OperandForm::RegRegImm:
+      return parseReg(C, I.Dst) && C.eat("=") && parseReg(C, I.Src1) &&
+             C.eat(",") && C.integer(I.Imm);
+    case OperandForm::Load:
+      return parseReg(C, I.Dst) && C.eat("=") &&
+             parseMemRef(C, I.Src1, I.Imm);
+    case OperandForm::Store:
+      return parseMemRef(C, I.Src1, I.Imm) && C.eat("=") &&
+             parseReg(C, I.Src2);
+    case OperandForm::Prefetch:
+      return parseMemRef(C, I.Src1, I.Imm);
+    case OperandForm::Branch:
+      return C.eat("(") && parseReg(C, I.Src1) && C.eat(")") &&
+             parseBlockRef(C, I.Target);
+    case OperandForm::Block:
+      return parseBlockRef(C, I.Target);
+    case OperandForm::Call: {
+      int64_t N = 0;
+      if (!C.eat("fn") || !C.integer(N) || N < 0 || N > int64_t(~0u))
+        return false;
+      I.Target = static_cast<uint32_t>(N);
+      return true;
+    }
+    case OperandForm::CallInd:
+      return C.eat("[") && parseReg(C, I.Src1) && C.eat("]");
+    case OperandForm::LibStore:
+      return parseLibSlot(C, I.Target) && C.eat("=") && parseReg(C, I.Src1);
+    case OperandForm::LibStoreImm:
+      return parseLibSlot(C, I.Target) && C.eat("=") && C.integer(I.Imm);
+    case OperandForm::LibLoad:
+      return parseReg(C, I.Dst) && C.eat("=") && parseLibSlot(C, I.Target);
+    }
+    return false;
+  }
+
   bool parseInstruction(LineCursor &C) {
     if (!CurFunc || CurBlock == ~0u)
       return error("instruction outside a block");
     std::string Mn = C.word();
+
+    // A compare's mnemonic is its base name plus a ".cond" suffix; every
+    // other mnemonic matches a row's name whole ("chk.c", "lib.st").
+    size_t Dot = Mn.find('.');
+    std::string Base = Mn.substr(0, Dot);
+    std::string Suffix = Dot == std::string::npos ? "" : Mn.substr(Dot + 1);
     Instruction I;
-
-    // Split "cmp.lt" / "cmpi.ge" / "chk.c" / "lib.st" style mnemonics.
-    std::string Base = Mn, Suffix;
-    if (size_t Dot = Mn.find('.'); Dot != std::string::npos) {
-      Base = Mn.substr(0, Dot);
-      Suffix = Mn.substr(Dot + 1);
+    unsigned K = 0;
+    for (; K < NumOpcodes; ++K) {
+      I.Op = static_cast<Opcode>(K);
+      if (hasFlag(I.Op, OpcodeInfo::Cond)
+              ? Base == opcodeName(I.Op) && !Suffix.empty()
+              : Mn == opcodeName(I.Op))
+        break;
     }
-
-    auto RRR = [&](Opcode Op) {
-      I.Op = Op;
-      return parseReg(C, I.Dst) && C.eat("=") && parseReg(C, I.Src1) &&
-             C.eat(",") && parseReg(C, I.Src2);
-    };
-    auto RRI = [&](Opcode Op) {
-      I.Op = Op;
-      return parseReg(C, I.Dst) && C.eat("=") && parseReg(C, I.Src1) &&
-             C.eat(",") && C.integer(I.Imm);
-    };
-    auto RR = [&](Opcode Op) {
-      I.Op = Op;
-      return parseReg(C, I.Dst) && C.eat("=") && parseReg(C, I.Src1);
-    };
-    auto Bare = [&](Opcode Op) {
-      I.Op = Op;
-      return true;
-    };
-    auto BlockOp = [&](Opcode Op) {
-      I.Op = Op;
-      return parseBlockRef(C, I.Target);
-    };
-
-    bool Ok;
-    if (Mn == "nop")
-      Ok = Bare(Opcode::Nop);
-    else if (Mn == "add")
-      Ok = RRR(Opcode::Add);
-    else if (Mn == "sub")
-      Ok = RRR(Opcode::Sub);
-    else if (Mn == "mul")
-      Ok = RRR(Opcode::Mul);
-    else if (Mn == "and")
-      Ok = RRR(Opcode::And);
-    else if (Mn == "or")
-      Ok = RRR(Opcode::Or);
-    else if (Mn == "xor")
-      Ok = RRR(Opcode::Xor);
-    else if (Mn == "shl")
-      Ok = RRR(Opcode::Shl);
-    else if (Mn == "shr")
-      Ok = RRR(Opcode::Shr);
-    else if (Mn == "addi")
-      Ok = RRI(Opcode::AddI);
-    else if (Mn == "muli")
-      Ok = RRI(Opcode::MulI);
-    else if (Mn == "shli")
-      Ok = RRI(Opcode::ShlI);
-    else if (Mn == "andi")
-      Ok = RRI(Opcode::AndI);
-    else if (Mn == "ori")
-      Ok = RRI(Opcode::OrI);
-    else if (Mn == "mov")
-      Ok = RR(Opcode::Mov);
-    else if (Mn == "movi") {
-      I.Op = Opcode::MovI;
-      Ok = parseReg(C, I.Dst) && C.eat("=") && C.integer(I.Imm);
-    } else if (Base == "cmp" && !Suffix.empty()) {
-      Ok = parseCond(Suffix, I.Cond) && RRR(Opcode::Cmp);
-    } else if (Base == "cmpi" && !Suffix.empty()) {
-      Ok = parseCond(Suffix, I.Cond) && RRI(Opcode::CmpI);
-    } else if (Mn == "fadd")
-      Ok = RRR(Opcode::FAdd);
-    else if (Mn == "fsub")
-      Ok = RRR(Opcode::FSub);
-    else if (Mn == "fmul")
-      Ok = RRR(Opcode::FMul);
-    else if (Mn == "xtof")
-      Ok = RR(Opcode::XToF);
-    else if (Mn == "ftox")
-      Ok = RR(Opcode::FToX);
-    else if (Mn == "ld8" || Mn == "ldf") {
-      I.Op = Mn == "ld8" ? Opcode::Load : Opcode::LoadF;
-      Ok = parseReg(C, I.Dst) && C.eat("=") &&
-           parseMemRef(C, I.Src1, I.Imm);
-    } else if (Mn == "st8" || Mn == "stf") {
-      I.Op = Mn == "st8" ? Opcode::Store : Opcode::StoreF;
-      Ok = parseMemRef(C, I.Src1, I.Imm) && C.eat("=") &&
-           parseReg(C, I.Src2);
-    } else if (Mn == "lfetch") {
-      I.Op = Opcode::Prefetch;
-      Ok = parseMemRef(C, I.Src1, I.Imm);
-    } else if (Mn == "br") {
-      I.Op = Opcode::Br;
-      Ok = C.eat("(") && parseReg(C, I.Src1) && C.eat(")") &&
-           parseBlockRef(C, I.Target);
-    } else if (Mn == "jmp")
-      Ok = BlockOp(Opcode::Jmp);
-    else if (Mn == "call") {
-      I.Op = Opcode::Call;
-      int64_t N = 0;
-      Ok = C.eat("fn") && C.integer(N) && N >= 0 && N <= int64_t(~0u);
-      I.Target = static_cast<uint32_t>(N);
-    } else if (Mn == "calli") {
-      I.Op = Opcode::CallInd;
-      Ok = C.eat("[") && parseReg(C, I.Src1) && C.eat("]");
-    } else if (Mn == "ret")
-      Ok = Bare(Opcode::Ret);
-    else if (Mn == "halt")
-      Ok = Bare(Opcode::Halt);
-    else if (Base == "chk" && Suffix == "c")
-      Ok = BlockOp(Opcode::ChkC);
-    else if (Mn == "rfi")
-      Ok = Bare(Opcode::Rfi);
-    else if (Mn == "spawn")
-      Ok = BlockOp(Opcode::Spawn);
-    else if (Mn == "kill")
-      Ok = Bare(Opcode::KillThread);
-    else if (Base == "lib" && suffixIsLib(Suffix)) {
-      int64_t Slot = 0;
-      if (Suffix == "ld") {
-        I.Op = Opcode::CopyFromLIB;
-        Ok = parseReg(C, I.Dst) && C.eat("=") && C.eat("lib[") &&
-             C.integer(Slot) && C.eat("]");
-      } else {
-        I.Op = Suffix == "st" ? Opcode::CopyToLIB : Opcode::CopyToLIBI;
-        Ok = C.eat("lib[") && C.integer(Slot) && C.eat("]") && C.eat("=");
-        if (Ok) {
-          if (I.Op == Opcode::CopyToLIB)
-            Ok = parseReg(C, I.Src1);
-          else
-            Ok = C.integer(I.Imm);
-        }
-      }
-      I.Target = static_cast<uint32_t>(Slot);
-    } else {
+    if (K == NumOpcodes)
       return error("unknown mnemonic '" + Mn + "'");
-    }
-
-    if (!Ok)
+    if (hasFlag(I.Op, OpcodeInfo::Cond) && !parseCond(Suffix, I.Cond))
+      return false;
+    if (!parseOperands(C, opcodeInfo(I.Op).Form, I))
       return Msg.empty() ? error("malformed operands for '" + Mn + "'")
                          : false;
     // Optional static-id annotation: `@N` pins this instruction's id (see
@@ -522,10 +455,6 @@ private:
     if (!C.atEnd())
       return error("trailing junk after instruction");
     return emit(I, AnnotatedId);
-  }
-
-  static bool suffixIsLib(const std::string &S) {
-    return S == "st" || S == "sti" || S == "ld";
   }
 
   /// "none" or a register; D keeps the invalid default for "none".

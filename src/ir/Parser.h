@@ -37,6 +37,10 @@
 ///   lib.st lib[0] = r1         lib.sti lib[2] = 42  lib.ld r1 = lib[0]
 ///   kill                       nop
 ///
+/// Each mnemonic's operand syntax is its ir::OperandForm. A `lib[N]` slot
+/// must lie in [0, ir::LIBSlots), i.e. 0 to 15; any other slot is a
+/// located error, like a number outside int64_t.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SSP_IR_PARSER_H

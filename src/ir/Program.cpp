@@ -101,90 +101,50 @@ LinkedProgram LinkedProgram::link(const Program &P) {
 }
 
 std::string Instruction::str() const {
-  std::string S = opcodeName(Op);
-  if (Op == Opcode::Cmp || Op == Opcode::CmpI) {
+  const OpcodeInfo &Info = opcodeInfo(Op);
+  std::string S = Info.Name;
+  if (Info.Flags & OpcodeInfo::Cond) {
     S += '.';
     S += condName(Cond);
   }
-  auto Append = [&S](const std::string &Part) {
-    S += S.back() == ' ' ? "" : " ";
-    S += Part;
+  auto Mem = [&] {
+    return "[" + Src1.str() + " + " + std::to_string(Imm) + "]";
   };
-  switch (Op) {
-  case Opcode::Nop:
-  case Opcode::Ret:
-  case Opcode::Halt:
-  case Opcode::Rfi:
-  case Opcode::KillThread:
-    break;
-  case Opcode::MovI:
-    Append(Dst.str() + " = " + std::to_string(Imm));
-    break;
-  case Opcode::Mov:
-  case Opcode::XToF:
-  case Opcode::FToX:
-    Append(Dst.str() + " = " + Src1.str());
-    break;
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::Cmp:
-  case Opcode::FAdd:
-  case Opcode::FSub:
-  case Opcode::FMul:
-    Append(Dst.str() + " = " + Src1.str() + ", " + Src2.str());
-    break;
-  case Opcode::AddI:
-  case Opcode::MulI:
-  case Opcode::ShlI:
-  case Opcode::AndI:
-  case Opcode::OrI:
-  case Opcode::CmpI:
-    Append(Dst.str() + " = " + Src1.str() + ", " + std::to_string(Imm));
-    break;
-  case Opcode::Load:
-  case Opcode::LoadF:
-    Append(Dst.str() + " = [" + Src1.str() + " + " + std::to_string(Imm) +
-           "]");
-    break;
-  case Opcode::Store:
-  case Opcode::StoreF:
-    Append("[" + Src1.str() + " + " + std::to_string(Imm) + "] = " +
-           Src2.str());
-    break;
-  case Opcode::Prefetch:
-    Append("[" + Src1.str() + " + " + std::to_string(Imm) + "]");
-    break;
-  case Opcode::Br:
-    Append("(" + Src1.str() + ") bb" + std::to_string(Target));
-    break;
-  case Opcode::Jmp:
-  case Opcode::ChkC:
-  case Opcode::Spawn:
-    Append("bb" + std::to_string(Target));
-    break;
-  case Opcode::Call:
-    Append("fn" + std::to_string(Target));
-    break;
-  case Opcode::CallInd:
-    Append("[" + Src1.str() + "]");
-    break;
-  case Opcode::CopyToLIB:
-    Append("lib[" + std::to_string(Target) + "] = " + Src1.str());
-    break;
-  case Opcode::CopyToLIBI:
-    Append("lib[" + std::to_string(Target) + "] = " + std::to_string(Imm));
-    break;
-  case Opcode::CopyFromLIB:
-    Append(Dst.str() + " = lib[" + std::to_string(Target) + "]");
-    break;
+  auto Slot = [&] { return "lib[" + std::to_string(Target) + "]"; };
+  switch (Info.Form) {
+  case OperandForm::None:
+    return S;
+  case OperandForm::RegImm:
+    return S + " " + Dst.str() + " = " + std::to_string(Imm);
+  case OperandForm::RegReg:
+    return S + " " + Dst.str() + " = " + Src1.str();
+  case OperandForm::RegRegReg:
+    return S + " " + Dst.str() + " = " + Src1.str() + ", " + Src2.str();
+  case OperandForm::RegRegImm:
+    return S + " " + Dst.str() + " = " + Src1.str() + ", " +
+           std::to_string(Imm);
+  case OperandForm::Load:
+    return S + " " + Dst.str() + " = " + Mem();
+  case OperandForm::Store:
+    return S + " " + Mem() + " = " + Src2.str();
+  case OperandForm::Prefetch:
+    return S + " " + Mem();
+  case OperandForm::Branch:
+    return S + " (" + Src1.str() + ") bb" + std::to_string(Target);
+  case OperandForm::Block:
+    return S + " bb" + std::to_string(Target);
+  case OperandForm::Call:
+    return S + " fn" + std::to_string(Target);
+  case OperandForm::CallInd:
+    return S + " [" + Src1.str() + "]";
+  case OperandForm::LibStore:
+    return S + " " + Slot() + " = " + Src1.str();
+  case OperandForm::LibStoreImm:
+    return S + " " + Slot() + " = " + std::to_string(Imm);
+  case OperandForm::LibLoad:
+    return S + " " + Dst.str() + " = " + Slot();
   }
-  return S;
+  ssp_unreachable("bad operand form");
 }
 
 Program Program::clone() const {

@@ -12,6 +12,22 @@ using namespace ssp::ir;
 
 namespace {
 
+/// The name diagnostics give an opcode's Src1 operand.
+const char *src1Role(OperandForm Form) {
+  switch (Form) {
+  case OperandForm::Load:
+  case OperandForm::Store:
+  case OperandForm::Prefetch:
+    return "base";
+  case OperandForm::Branch:
+    return "predicate";
+  case OperandForm::CallInd:
+    return "target";
+  default:
+    return "src1";
+  }
+}
+
 class VerifierImpl {
 public:
   VerifierImpl(const Program &P, verify::DiagnosticEngine &DE)
@@ -127,103 +143,36 @@ private:
 
   void verifyInst(const Function &F, const BasicBlock &BB, uint32_t Idx,
                   const Instruction &I, bool IsLast) {
-    // Register class constraints.
+    // Register classes: the row's, except mov's same-class rule; a lib
+    // copy needs its register operand.
+    const OpcodeInfo &Info = opcodeInfo(I.Op);
     auto WantClass = [&](Reg R, RegClass C, const char *What) {
-      if (R.Cls != C)
+      if (C != RegClass::None && R.Cls != C)
         errorIn(F, BB, Idx, "structural.regclass",
                 std::string(What) + " has wrong register class in '" +
                     I.str() + "'");
     };
-    switch (I.Op) {
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul:
-    case Opcode::And:
-    case Opcode::Or:
-    case Opcode::Xor:
-    case Opcode::Shl:
-    case Opcode::Shr:
-      WantClass(I.Dst, RegClass::Int, "dst");
-      WantClass(I.Src1, RegClass::Int, "src1");
-      WantClass(I.Src2, RegClass::Int, "src2");
-      break;
-    case Opcode::AddI:
-    case Opcode::MulI:
-    case Opcode::ShlI:
-    case Opcode::AndI:
-    case Opcode::OrI:
-    case Opcode::MovI:
-      WantClass(I.Dst, RegClass::Int, "dst");
-      if (I.Op != Opcode::MovI)
-        WantClass(I.Src1, RegClass::Int, "src1");
-      break;
-    case Opcode::Mov:
-      if (I.Dst.Cls != I.Src1.Cls || (!I.Dst.isInt() && !I.Dst.isFP()))
-        errorIn(F, BB, Idx, "structural.regclass",
-                "mov operands must be same Int/FP class");
-      break;
-    case Opcode::Cmp:
-      WantClass(I.Dst, RegClass::Pred, "dst");
-      WantClass(I.Src1, RegClass::Int, "src1");
-      WantClass(I.Src2, RegClass::Int, "src2");
-      break;
-    case Opcode::CmpI:
-      WantClass(I.Dst, RegClass::Pred, "dst");
-      WantClass(I.Src1, RegClass::Int, "src1");
-      break;
-    case Opcode::FAdd:
-    case Opcode::FSub:
-    case Opcode::FMul:
-      WantClass(I.Dst, RegClass::FP, "dst");
-      WantClass(I.Src1, RegClass::FP, "src1");
-      WantClass(I.Src2, RegClass::FP, "src2");
-      break;
-    case Opcode::XToF:
-      WantClass(I.Dst, RegClass::FP, "dst");
-      WantClass(I.Src1, RegClass::Int, "src1");
-      break;
-    case Opcode::FToX:
-      WantClass(I.Dst, RegClass::Int, "dst");
-      WantClass(I.Src1, RegClass::FP, "src1");
-      break;
-    case Opcode::Load:
-      WantClass(I.Dst, RegClass::Int, "dst");
-      WantClass(I.Src1, RegClass::Int, "base");
-      break;
-    case Opcode::LoadF:
-      WantClass(I.Dst, RegClass::FP, "dst");
-      WantClass(I.Src1, RegClass::Int, "base");
-      break;
-    case Opcode::Store:
-      WantClass(I.Src1, RegClass::Int, "base");
-      WantClass(I.Src2, RegClass::Int, "value");
-      break;
-    case Opcode::StoreF:
-      WantClass(I.Src1, RegClass::Int, "base");
-      WantClass(I.Src2, RegClass::FP, "value");
-      break;
-    case Opcode::Prefetch:
-      WantClass(I.Src1, RegClass::Int, "base");
-      break;
-    case Opcode::Br:
-      WantClass(I.Src1, RegClass::Pred, "predicate");
-      break;
-    case Opcode::CallInd:
-      WantClass(I.Src1, RegClass::Int, "target");
-      break;
-    case Opcode::CopyToLIB:
-      if (!I.Src1.isValid())
-        errorIn(F, BB, Idx, "structural.regclass",
-                "lib.st needs a source register");
-      break;
-    case Opcode::CopyFromLIB:
-      if (!I.Dst.isValid())
-        errorIn(F, BB, Idx, "structural.regclass",
-                "lib.ld needs a destination register");
-      break;
-    default:
-      break;
-    }
+    WantClass(I.Dst, Info.Dst, "dst");
+    WantClass(I.Src1, Info.Src1, src1Role(Info.Form));
+    WantClass(I.Src2, Info.Src2,
+              Info.Form == OperandForm::Store ? "value" : "src2");
+    if (I.Op == Opcode::Mov &&
+        (I.Dst.Cls != I.Src1.Cls || (!I.Dst.isInt() && !I.Dst.isFP())))
+      errorIn(F, BB, Idx, "structural.regclass",
+              "mov operands must be same Int/FP class");
+    if (Info.Form == OperandForm::LibStore && !I.Src1.isValid())
+      errorIn(F, BB, Idx, "structural.regclass",
+              "lib.st needs a source register");
+    if (Info.Form == OperandForm::LibLoad && !I.Dst.isValid())
+      errorIn(F, BB, Idx, "structural.regclass",
+              "lib.ld needs a destination register");
+    bool IsLibCopy = Info.Form == OperandForm::LibStore ||
+                     Info.Form == OperandForm::LibStoreImm ||
+                     Info.Form == OperandForm::LibLoad;
+    if (IsLibCopy && I.Target >= LIBSlots)
+      errorIn(F, BB, Idx, "structural.lib-slot",
+              "LIB slot " + std::to_string(I.Target) + " out of range (" +
+                  std::to_string(LIBSlots) + " slots) in '" + I.str() + "'");
 
     if (I.Id >= MaxInstId)
       errorIn(F, BB, Idx, "structural.id-range",

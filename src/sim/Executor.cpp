@@ -12,12 +12,8 @@
 //                the branch predictor (sampled simulation's functional-
 //                warming level).
 //
-// Dispatch is direct-threaded where the compiler supports computed goto
-// (GCC/Clang's &&label extension): the opcode indexes a label table and
-// control jumps straight to the handler, with no range check. On other
-// compilers — or with SSP_FORCE_SWITCH_DISPATCH defined — the same handler
-// bodies compile as a plain switch, which also keeps -Wswitch coverage
-// checking alive for the Opcode enum.
+// Dispatch is one switch over the opcode, which -Wswitch checks against the
+// Opcode enum.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,13 +26,6 @@
 #include <bit>
 #include <cassert>
 
-#if !defined(SSP_FORCE_SWITCH_DISPATCH) &&                                    \
-    (defined(__GNUC__) || defined(__clang__))
-#define SSP_COMPUTED_GOTO 1
-#else
-#define SSP_COMPUTED_GOTO 0
-#endif
-
 using namespace ssp;
 using namespace ssp::sim;
 using namespace ssp::ir;
@@ -47,14 +36,6 @@ double asDouble(uint64_t Bits) { return std::bit_cast<double>(Bits); }
 uint64_t asBits(double D) { return std::bit_cast<uint64_t>(D); }
 
 enum class ExecMode { Timing, FastForward, Warm };
-
-#if SSP_COMPUTED_GOTO
-#define SSP_CASE(Name) H_##Name:
-#define SSP_END goto EndOfInst
-#else
-#define SSP_CASE(Name) case Opcode::Name:
-#define SSP_END break
-#endif
 
 /// The shared execution core. In Timing mode it executes exactly one
 /// instruction and fills \p Out; in the batch modes it loops until
@@ -107,112 +88,88 @@ uint64_t execCore(ThreadContext &Ctx, const LinkedProgram &LP,
       (void)Addr;
   };
 
-#if SSP_COMPUTED_GOTO
-  // Direct-threaded dispatch table, one entry per Opcode in declaration
-  // order (checked against the enum's size below).
-  static const void *const DispatchTable[] = {
-      &&H_Nop,    &&H_Add,        &&H_Sub,         &&H_Mul,
-      &&H_And,    &&H_Or,         &&H_Xor,         &&H_Shl,
-      &&H_Shr,    &&H_AddI,       &&H_MulI,        &&H_ShlI,
-      &&H_AndI,   &&H_OrI,        &&H_Mov,         &&H_MovI,
-      &&H_Cmp,    &&H_CmpI,       &&H_FAdd,        &&H_FSub,
-      &&H_FMul,   &&H_XToF,       &&H_FToX,        &&H_Load,
-      &&H_LoadF,  &&H_Store,      &&H_StoreF,      &&H_Prefetch,
-      &&H_Br,     &&H_Jmp,        &&H_Call,        &&H_CallInd,
-      &&H_Ret,    &&H_Halt,       &&H_ChkC,        &&H_Rfi,
-      &&H_CopyToLIB, &&H_CopyToLIBI, &&H_CopyFromLIB, &&H_Spawn,
-      &&H_KillThread};
-  static_assert(sizeof(DispatchTable) / sizeof(DispatchTable[0]) ==
-                    static_cast<unsigned>(Opcode::KillThread) + 1,
-                "dispatch table out of sync with the Opcode enum");
-#endif
-
   for (;;) {
-#if SSP_COMPUTED_GOTO
-    goto *DispatchTable[static_cast<unsigned>(D->Op)];
-#else
     switch (D->Op) {
-#endif
 
-    SSP_CASE(Nop)
-      SSP_END;
+    case Opcode::Nop:
+      break;
 
-    SSP_CASE(Add)
+    case Opcode::Add:
       WR(S1() + S2());
-      SSP_END;
-    SSP_CASE(Sub)
+      break;
+    case Opcode::Sub:
       WR(S1() - S2());
-      SSP_END;
-    SSP_CASE(Mul)
+      break;
+    case Opcode::Mul:
       WR(S1() * S2());
-      SSP_END;
-    SSP_CASE(And)
+      break;
+    case Opcode::And:
       WR(S1() & S2());
-      SSP_END;
-    SSP_CASE(Or)
+      break;
+    case Opcode::Or:
       WR(S1() | S2());
-      SSP_END;
-    SSP_CASE(Xor)
+      break;
+    case Opcode::Xor:
       WR(S1() ^ S2());
-      SSP_END;
-    SSP_CASE(Shl)
+      break;
+    case Opcode::Shl:
       WR(S1() << (S2() & 63));
-      SSP_END;
-    SSP_CASE(Shr)
+      break;
+    case Opcode::Shr:
       WR(S1() >> (S2() & 63));
-      SSP_END;
+      break;
 
-    SSP_CASE(AddI)
+    case Opcode::AddI:
       WR(S1() + static_cast<uint64_t>(D->Imm));
-      SSP_END;
-    SSP_CASE(MulI)
+      break;
+    case Opcode::MulI:
       WR(S1() * static_cast<uint64_t>(D->Imm));
-      SSP_END;
-    SSP_CASE(ShlI)
+      break;
+    case Opcode::ShlI:
       WR(S1() << (static_cast<uint64_t>(D->Imm) & 63));
-      SSP_END;
-    SSP_CASE(AndI)
+      break;
+    case Opcode::AndI:
       WR(S1() & static_cast<uint64_t>(D->Imm));
-      SSP_END;
-    SSP_CASE(OrI)
+      break;
+    case Opcode::OrI:
       WR(S1() | static_cast<uint64_t>(D->Imm));
-      SSP_END;
+      break;
 
-    SSP_CASE(Mov)
+    case Opcode::Mov:
       WR(S1());
-      SSP_END;
-    SSP_CASE(MovI)
+      break;
+    case Opcode::MovI:
       WR(static_cast<uint64_t>(D->Imm));
-      SSP_END;
+      break;
 
-    SSP_CASE(Cmp)
+    case Opcode::Cmp:
       WR(evalCond(D->Cond, static_cast<int64_t>(S1()),
                   static_cast<int64_t>(S2()))
              ? 1
              : 0);
-      SSP_END;
-    SSP_CASE(CmpI)
+      break;
+    case Opcode::CmpI:
       WR(evalCond(D->Cond, static_cast<int64_t>(S1()), D->Imm) ? 1 : 0);
-      SSP_END;
+      break;
 
-    SSP_CASE(FAdd)
+    case Opcode::FAdd:
       WR(asBits(asDouble(S1()) + asDouble(S2())));
-      SSP_END;
-    SSP_CASE(FSub)
+      break;
+    case Opcode::FSub:
       WR(asBits(asDouble(S1()) - asDouble(S2())));
-      SSP_END;
-    SSP_CASE(FMul)
+      break;
+    case Opcode::FMul:
       WR(asBits(asDouble(S1()) * asDouble(S2())));
-      SSP_END;
-    SSP_CASE(XToF)
+      break;
+    case Opcode::XToF:
       WR(asBits(static_cast<double>(static_cast<int64_t>(S1()))));
-      SSP_END;
-    SSP_CASE(FToX)
+      break;
+    case Opcode::FToX:
       WR(static_cast<uint64_t>(static_cast<int64_t>(asDouble(S1()))));
-      SSP_END;
+      break;
 
-    SSP_CASE(Load)
-    SSP_CASE(LoadF) {
+    case Opcode::Load:
+    case Opcode::LoadF: {
       uint64_t Addr = S1() + static_cast<uint64_t>(D->Imm);
       uint64_t Value;
       if constexpr (Timing) {
@@ -231,10 +188,10 @@ uint64_t execCore(ThreadContext &Ctx, const LinkedProgram &LP,
         Touch(Addr);
       }
       WR(Value);
-      SSP_END;
+      break;
     }
-    SSP_CASE(Store)
-    SSP_CASE(StoreF) {
+    case Opcode::Store:
+    case Opcode::StoreF: {
       assert(!Speculative && "speculative thread attempted a store");
       uint64_t Addr = S1() + static_cast<uint64_t>(D->Imm);
       if constexpr (Timing) {
@@ -245,9 +202,9 @@ uint64_t execCore(ThreadContext &Ctx, const LinkedProgram &LP,
         Touch(Addr);
       }
       Mem.write(Addr, S2());
-      SSP_END;
+      break;
     }
-    SSP_CASE(Prefetch) {
+    case Opcode::Prefetch: {
       // Non-binding, non-faulting touch: affects only cache state.
       uint64_t Addr = S1() + static_cast<uint64_t>(D->Imm);
       if constexpr (Timing) {
@@ -256,10 +213,10 @@ uint64_t execCore(ThreadContext &Ctx, const LinkedProgram &LP,
       } else {
         Touch(Addr);
       }
-      SSP_END;
+      break;
     }
 
-    SSP_CASE(Br) {
+    case Opcode::Br: {
       bool Taken = S1() != 0;
       if constexpr (Timing) {
         Out->Kind = CtrlKind::Branch;
@@ -269,20 +226,20 @@ uint64_t execCore(ThreadContext &Ctx, const LinkedProgram &LP,
         Bpred->predictAndTrainDirection(Ctx.PC, /*Tid=*/0, Taken);
       if (Taken)
         NextPC = D->Target;
-      SSP_END;
+      break;
     }
-    SSP_CASE(Jmp)
+    case Opcode::Jmp:
       if constexpr (Timing)
         Out->Kind = CtrlKind::DirectJump;
       NextPC = D->Target;
-      SSP_END;
-    SSP_CASE(Call)
+      break;
+    case Opcode::Call:
       if constexpr (Timing)
         Out->Kind = CtrlKind::DirectJump;
       Ctx.CallStack.push_back(Ctx.PC + 1);
       NextPC = D->Target;
-      SSP_END;
-    SSP_CASE(CallInd) {
+      break;
+    case Opcode::CallInd: {
       uint64_t FuncIdx = S1();
       assert(FuncIdx < LP.program().numFuncs() && "bad indirect call target");
       Ctx.CallStack.push_back(Ctx.PC + 1);
@@ -291,9 +248,9 @@ uint64_t execCore(ThreadContext &Ctx, const LinkedProgram &LP,
         Out->Kind = CtrlKind::IndirectJump;
       if constexpr (Warm)
         Bpred->predictAndTrainTarget(Ctx.PC, NextPC);
-      SSP_END;
+      break;
     }
-    SSP_CASE(Ret)
+    case Opcode::Ret:
       assert(!Ctx.CallStack.empty() && "ret with empty call stack");
       NextPC = Ctx.CallStack.back();
       Ctx.CallStack.pop_back();
@@ -301,12 +258,12 @@ uint64_t execCore(ThreadContext &Ctx, const LinkedProgram &LP,
         Out->Kind = CtrlKind::IndirectJump;
       if constexpr (Warm)
         Bpred->predictAndTrainTarget(Ctx.PC, NextPC);
-      SSP_END;
-    SSP_CASE(Halt)
+      break;
+    case Opcode::Halt:
       if constexpr (Timing) {
         Out->Kind = CtrlKind::Halt;
         NextPC = Ctx.PC; // Parked.
-        SSP_END;
+        break;
       } else {
         // The halt counts as executed; the PC parks on it, exactly as the
         // detailed level leaves it.
@@ -314,7 +271,7 @@ uint64_t execCore(ThreadContext &Ctx, const LinkedProgram &LP,
         return N + 1;
       }
 
-    SSP_CASE(ChkC)
+    case Opcode::ChkC:
       if (FreeContextAvailable) {
         if constexpr (Timing)
           Out->Kind = CtrlKind::ChkCFired;
@@ -323,8 +280,8 @@ uint64_t execCore(ThreadContext &Ctx, const LinkedProgram &LP,
       } else if constexpr (Timing) {
         Out->Kind = CtrlKind::ChkCNop;
       }
-      SSP_END;
-    SSP_CASE(Rfi)
+      break;
+    case Opcode::Rfi:
       // Reachable in batch mode when a detail interval hands over inside
       // a stub: the resume address pushed by the (detailed) chk.c is
       // still on the architectural resume stack.
@@ -333,20 +290,20 @@ uint64_t execCore(ThreadContext &Ctx, const LinkedProgram &LP,
       Ctx.ResumeStack.pop_back();
       if constexpr (Timing)
         Out->Kind = CtrlKind::RfiReturn;
-      SSP_END;
-    SSP_CASE(CopyToLIB)
-      assert(D->Target < MaxLIBSlots && "LIB slot out of range");
+      break;
+    case Opcode::CopyToLIB:
+      assert(D->Target < LIBSlots && "LIB slot out of range");
       Ctx.LIBStage[D->Target] = S1();
-      SSP_END;
-    SSP_CASE(CopyToLIBI)
-      assert(D->Target < MaxLIBSlots && "LIB slot out of range");
+      break;
+    case Opcode::CopyToLIBI:
+      assert(D->Target < LIBSlots && "LIB slot out of range");
       Ctx.LIBStage[D->Target] = static_cast<uint64_t>(D->Imm);
-      SSP_END;
-    SSP_CASE(CopyFromLIB)
-      assert(D->Target < MaxLIBSlots && "LIB slot out of range");
+      break;
+    case Opcode::CopyFromLIB:
+      assert(D->Target < LIBSlots && "LIB slot out of range");
       WR(Ctx.LIBIn[D->Target]);
-      SSP_END;
-    SSP_CASE(Spawn)
+      break;
+    case Opcode::Spawn:
       // Batch modes drop the request (functionally equivalent to finding
       // no free context); only the timing level materializes threads.
       if constexpr (Timing) {
@@ -354,20 +311,15 @@ uint64_t execCore(ThreadContext &Ctx, const LinkedProgram &LP,
         Out->HasSpawn = true;
         Out->SpawnTargetAddr = D->Target;
       }
-      SSP_END;
-    SSP_CASE(KillThread)
+      break;
+    case Opcode::KillThread:
       assert(Timing && "kill.thread outside a speculative timing thread");
       if constexpr (Timing) {
         Out->Kind = CtrlKind::Kill;
         NextPC = Ctx.PC; // Parked.
       }
-      SSP_END;
-
-#if !SSP_COMPUTED_GOTO
+      break;
     }
-#else
-  EndOfInst:;
-#endif
 
     // Shared per-instruction epilogue.
     Ctx.PC = NextPC;

@@ -163,7 +163,7 @@ private:
     }
 
   private:
-    using SpawnFrame = std::array<uint64_t, MaxLIBSlots>;
+    using SpawnFrame = std::array<uint64_t, ir::LIBSlots>;
     std::vector<InstSlot> Buf;
     std::vector<SpawnFrame> Frames; ///< Parallel to Buf.
     uint64_t Mask = 0;

@@ -16,6 +16,7 @@
 #ifndef SSP_SIM_THREADCONTEXT_H
 #define SSP_SIM_THREADCONTEXT_H
 
+#include "ir/Opcode.h"
 #include "ir/Reg.h"
 
 #include <cstdint>
@@ -23,9 +24,6 @@
 #include <vector>
 
 namespace ssp::sim {
-
-/// Maximum live-in slots per spawn frame.
-inline constexpr unsigned MaxLIBSlots = 16;
 
 /// Architectural state of one hardware thread context.
 struct ThreadContext {
@@ -44,9 +42,9 @@ struct ThreadContext {
   std::vector<uint32_t> ResumeStack; ///< Resume addresses for chk.c/rfi.
 
   /// Live-in frame handed to this thread when it was spawned.
-  uint64_t LIBIn[MaxLIBSlots];
+  uint64_t LIBIn[ir::LIBSlots];
   /// Staged outgoing live-ins, written by CopyToLIB, snapshotted by Spawn.
-  uint64_t LIBStage[MaxLIBSlots];
+  uint64_t LIBStage[ir::LIBSlots];
 
   ThreadContext() { reset(); }
 

@@ -2,7 +2,6 @@
 
 #include "slicer/Slicer.h"
 
-#include "sim/ThreadContext.h"
 #include "support/Assert.h"
 
 #include <algorithm>
@@ -343,7 +342,7 @@ Slice Slicer::computeSlice(const InstRef &Load, int RegionIdx,
   S.SpecDrops.erase(std::unique(S.SpecDrops.begin(), S.SpecDrops.end()),
                     S.SpecDrops.end());
 
-  if (S.LiveIns.size() > sim::MaxLIBSlots - 2) {
+  if (S.LiveIns.size() > LIBSlots - 2) {
     S.Valid = false;
     S.RejectReason = "too many live-ins for the LIB";
   }

@@ -21,7 +21,6 @@
 #include "analysis/ReachingDefs.h"
 #include "ir/Program.h"
 #include "ir/Verifier.h"
-#include "sim/ThreadContext.h"
 
 #include <algorithm>
 #include <bitset>
@@ -39,7 +38,7 @@ namespace {
 /// Registers defined for sure at a program point of a speculative thread.
 using RegSet = std::bitset<Reg::NumDenseIndices>;
 /// LIB slots staged for sure by the current thread.
-using SlotSet = std::bitset<sim::MaxLIBSlots>;
+using SlotSet = std::bitset<LIBSlots>;
 
 /// Dense index of p0 (hardwired true, like r0 is hardwired zero).
 constexpr unsigned P0Dense = NumIntRegs + NumFPRegs;
@@ -140,7 +139,7 @@ SlotSet requiredSlots(const SliceGraph &G, uint32_t Entry) {
         !Seen.insert(B).second)
       continue;
     for (const Instruction &I : G.F.block(B).Insts)
-      if (I.Op == Opcode::CopyFromLIB && I.Target < sim::MaxLIBSlots)
+      if (I.Op == Opcode::CopyFromLIB && I.Target < LIBSlots)
         Req.set(I.Target);
     auto It = G.Succ.find(B);
     if (It != G.Succ.end())
@@ -363,12 +362,6 @@ private:
         continue;
       case Opcode::CopyToLIB:
       case Opcode::CopyToLIBI:
-        if (I.Target >= sim::MaxLIBSlots)
-          DE.error("stub.lib-slot", Ref,
-                   "in " + F.getName() + " bb" + std::to_string(BB.Index) +
-                       ": LIB slot " + std::to_string(I.Target) +
-                       " out of range (" +
-                       std::to_string(sim::MaxLIBSlots) + " slots)");
         continue;
       default:
         break;
@@ -490,7 +483,7 @@ private:
   /// state (no diagnostics).
   static void transfer(const Instruction &I, FlowState &S) {
     if ((I.Op == Opcode::CopyToLIB || I.Op == Opcode::CopyToLIBI) &&
-        I.Target < sim::MaxLIBSlots)
+        I.Target < LIBSlots)
       S.Staged.set(I.Target);
     Reg D = I.def();
     if (D.isValid())
@@ -538,19 +531,6 @@ private:
       for (uint32_t Idx = 0; Idx < BB.Insts.size(); ++Idx) {
         const Instruction &I = BB.Insts[Idx];
         analysis::InstRef Ref{G.F.getIndex(), B, Idx};
-        if (I.Op == Opcode::CopyFromLIB && I.Target >= sim::MaxLIBSlots)
-          DE.error("slice.lib-slot", Ref,
-                   "in " + G.F.getName() + " bb" + std::to_string(B) +
-                       ": LIB slot " + std::to_string(I.Target) +
-                       " out of range (" +
-                       std::to_string(sim::MaxLIBSlots) + " slots)");
-        if ((I.Op == Opcode::CopyToLIB || I.Op == Opcode::CopyToLIBI) &&
-            I.Target >= sim::MaxLIBSlots)
-          DE.error("slice.lib-slot", Ref,
-                   "in " + G.F.getName() + " bb" + std::to_string(B) +
-                       ": LIB slot " + std::to_string(I.Target) +
-                       " out of range (" +
-                       std::to_string(sim::MaxLIBSlots) + " slots)");
         I.forEachUse([&](Reg R) {
           if (!R.isValid() || S.Defined.test(R.denseIndex()))
             return;
@@ -580,7 +560,7 @@ private:
       for (uint32_t Idx = 0; Idx < Ref.Inst; ++Idx) {
         const Instruction &I = BB.Insts[Idx];
         if ((I.Op == Opcode::CopyToLIB || I.Op == Opcode::CopyToLIBI) &&
-            I.Target < sim::MaxLIBSlots)
+            I.Target < LIBSlots)
           Staged.set(I.Target);
       }
       checkSpawnStaging(G, Ref, BB.Insts[Ref.Inst], Staged, DE);
@@ -595,7 +575,7 @@ private:
     if (Missing.none())
       return;
     std::string Slots;
-    for (unsigned S = 0; S < sim::MaxLIBSlots; ++S)
+    for (unsigned S = 0; S < LIBSlots; ++S)
       if (Missing.test(S))
         Slots += (Slots.empty() ? "" : ", ") + std::to_string(S);
     DE.error("slice.livein-staging", Ref,
@@ -919,12 +899,12 @@ private:
       for (const Instruction &I : BB.Insts)
         if (I.Op == Opcode::CopyToLIB || I.Op == Opcode::CopyToLIBI)
           Slots.insert(I.Target);
-      if (Slots.size() > sim::MaxLIBSlots - 2)
+      if (Slots.size() > LIBSlots - 2)
         DE.warningInBlock(
             "lint.stub-pressure", F.getIndex(), BB.Index,
             "in " + F.getName() + ": stub stages " +
                 std::to_string(Slots.size()) + " of " +
-                std::to_string(sim::MaxLIBSlots) +
+                std::to_string(LIBSlots) +
                 " LIB slots; chained re-staging has almost no headroom",
             "trim the slice live-in set or split the slice");
     }

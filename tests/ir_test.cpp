@@ -116,6 +116,31 @@ TEST(IR, VerifierRejectsBadCallTarget) {
   EXPECT_TRUE(reportsCheck(P, "structural.call-range"));
 }
 
+TEST(IR, VerifierRejectsLIBSlotOutOfRange) {
+  Program P;
+  IRBuilder B(P);
+  B.createFunction("f");
+  B.createBlock("entry");
+  B.copyToLIB(LIBSlots - 1, ireg(1)); // The last slot is fine.
+  B.copyToLIB(LIBSlots, ireg(1));
+  B.copyToLIBI(LIBSlots + 1, 7);
+  B.copyFromLIB(ireg(2), 99);
+  B.halt();
+  ssp::verify::DiagnosticEngine DE = ssp::tests::checkStructure(P);
+  std::vector<std::string> Msgs;
+  for (const ssp::verify::Diagnostic &D : DE.diagnostics()) {
+    EXPECT_EQ(D.CheckId, "structural.lib-slot");
+    Msgs.push_back(D.Message);
+  }
+  EXPECT_EQ(Msgs, (std::vector<std::string>{
+                      "in f bb0: LIB slot 16 out of range (16 slots) in "
+                      "'lib.st lib[16] = r1'",
+                      "in f bb0: LIB slot 17 out of range (16 slots) in "
+                      "'lib.sti lib[17] = 7'",
+                      "in f bb0: LIB slot 99 out of range (16 slots) in "
+                      "'lib.ld r2 = lib[99]'"}));
+}
+
 TEST(IR, LinkAssignsSequentialAddresses) {
   Program P = makeTinyProgram();
   LinkedProgram LP = LinkedProgram::link(P);

@@ -343,7 +343,7 @@ TEST(LazyAnalyses, AdaptationIdenticalAcrossJobsAndCacheWarmth) {
       std::string Fresh = Adapt(1, nullptr);
       for (unsigned Jobs : {1u, 4u, 8u}) {
         ToolOptions Opts = OptionsWithJobs(Jobs);
-        AnalysisCache AC(C.P, C.PD, PostPassTool::sliceOptionsOf(Opts),
+        AnalysisCache AC(C.P, C.PD, Opts.Slicing,
                          PostPassTool::scheduleOptionsOf(Opts),
                          PostPassTool::specDepOptionsOf(Opts));
         for (const char *Cache : {"cold", "warm"})

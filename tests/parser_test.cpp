@@ -315,6 +315,26 @@ TEST(ParserHardening, RejectsInstructionIdsAtTheBound) {
   EXPECT_EQ(P.func(0).numInstIds(), MaxInstId);
 }
 
+TEST(ParserHardening, RejectsLIBSlotsOutsideTheBuffer) {
+  // A slot past the live-in buffer used to abort the simulator, and
+  // 2^32 wrapped to slot 0.
+  for (const char *Inst : {"lib.st lib[%] = r1", "lib.sti lib[%] = 7",
+                           "lib.ld r1 = lib[%]"}) {
+    for (const char *Slot : {"16", "-1", "4294967296"}) {
+      std::string Line = Inst;
+      Line.replace(Line.find('%'), 1, Slot);
+      SCOPED_TRACE(Line);
+      EXPECT_EQ(parseErr("function f (fn0) [entry]:\n  bb0 <e>:\n    " +
+                         Line + "\n    halt\n"),
+                std::string("line 3: LIB slot ") + Slot +
+                    " out of range (16 slots)");
+    }
+  }
+  Program P = parseOk("function f (fn0) [entry]:\n  bb0 <e>:\n"
+                      "    lib.st lib[15] = r1\n    halt\n");
+  EXPECT_EQ(P.func(0).block(0).Insts[0].Target, LIBSlots - 1);
+}
+
 TEST(ParserHardening, HighBitBytesAreAParseErrorNotUB) {
   // Sign-extended high-bit chars passed to isspace/isalnum are UB; the
   // parser must cast through unsigned char and report a clean error.

@@ -300,6 +300,15 @@ TEST(Serve, BadRequestContentIsRejectedWithoutKillingTheBatch) {
   const std::string ImmLine = std::to_string(
       std::count(HugeImmProg.begin(), HugeImmProg.begin() + ImmAt, '\n') +
       1);
+  // A LIB slot past the buffer, with a profile that matches the program:
+  // the request's feedback round used to run it and abort the simulator.
+  const std::string BadSlotProg = "function main (fn0) [entry]:\n"
+                                  "  bb0 <entry>:\n"
+                                  "    movi r1 = 1\n"
+                                  "    lib.st lib[99] = r1\n"
+                                  "    halt\n";
+  const std::string BadSlotProf =
+      "sspprof v1\nbaseline 10\nfuncs 1\nblockcounts 0 1: 1\n";
   // Counts that used to size allocations before anything they count was
   // read: a `funcs` claim of 2^32 - 1 and a `blockcounts` row of 2^40.
   std::string HugeFuncsProf = J.Prof, HugeCountProf = J.Prof;
@@ -353,6 +362,9 @@ TEST(Serve, BadRequestContentIsRejectedWithoutKillingTheBatch) {
        frameRequest("x", HugeImmProg, J.Prof),
        "program: line " + ImmLine +
            ": integer 99999999999999999999999 out of range"},
+      {"program LIB slot out of range",
+       frameRequest("x", BadSlotProg, BadSlotProf, {"feedback-rounds=1"}),
+       "program: line 4: LIB slot 99 out of range (16 slots)"},
       {"profile instruction id out of range",
        frameRequest("x", J.Prog, HugeIdProf),
        "instruction id 4294967295 out of range (ids must be below "
@@ -461,7 +473,7 @@ ToolOptions allKeysNonDefault() {
   N.Slicing.MaxSize = 32;
   N.EnableSpecDeps = true;
   N.SpecDepThreshold = 0.05;
-  N.EnableSpeculativeSlicing = false;
+  N.Slicing.Speculative = false;
   N.EnableStreams = true;
   N.MaxTripBudget = 2048;
   return N;

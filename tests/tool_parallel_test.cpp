@@ -114,7 +114,7 @@ TEST(ToolParallelDeterminism, WarmRegionHeightMemoMatchesFreshCache) {
     AdaptResult Fresh = adaptWithJobs(PW, 1);
     for (unsigned Jobs : {1u, 4u, 8u}) {
       ToolOptions Opts = optionsWithJobs(Jobs);
-      AnalysisCache AC(PW.P, PW.PD, PostPassTool::sliceOptionsOf(Opts),
+      AnalysisCache AC(PW.P, PW.PD, Opts.Slicing,
                        PostPassTool::scheduleOptionsOf(Opts),
                        PostPassTool::specDepOptionsOf(Opts));
       for (const char *Memo : {"cold", "warm"}) {
