@@ -31,17 +31,15 @@ int main(int argc, char **argv) {
   NoPred.EnableConditionPrediction = false;
   SuiteRunner NoPrediction(NoPred);
 
-  // Warm every runner across the suite in parallel: one pool job per
-  // (runner, workload) pair; the report loop below then reads cached
-  // results, so the output is identical for any --jobs value.
+  // Warm every runner across the suite on the pool; the report loop
+  // below then reads cached results, so the output is identical for any
+  // --jobs value.
   const std::vector<workloads::Workload> Suite = workloads::fullSuite();
-  SuiteRunner *Runners[] = {&Full, &NoRotation, &NoPrediction};
   support::ThreadPool Pool(Args.Jobs);
-  for (SuiteRunner *R : Runners)
+  for (SuiteRunner *R : {&Full, &NoRotation, &NoPrediction}) {
     R->setSamplingPlan(Args.Sample);
-  Pool.parallelFor(3 * Suite.size(), [&](size_t I) {
-    Runners[I % 3]->run(Suite[I / 3], nullptr);
-  });
+    R->runAll(Suite, Pool);
+  }
 
   TablePrinter T;
   T.row();

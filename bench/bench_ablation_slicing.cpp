@@ -66,21 +66,17 @@ int main(int argc, char **argv) {
   SpecDeps.SpecDepThreshold = kSpecThreshold;
   SuiteRunner SpecOn(SpecDeps);
 
-  // Warm every runner across the suite in parallel: one pool job per
-  // (runner, workload) pair; the report loops below then read cached
-  // results, so the output is identical for any --jobs value.
+  // Warm every runner across the suite on the pool; the report loops
+  // below then read cached results, so the output is identical for any
+  // --jobs value.
   const std::vector<workloads::Workload> Suite = workloads::paperSuite();
-  SuiteRunner *Runners[] = {&Full, &StaticOnly, &SpecOn};
-  constexpr size_t NumRunners = sizeof(Runners) / sizeof(Runners[0]);
   support::ThreadPool Pool(Args.Jobs);
-  for (SuiteRunner *R : Runners) {
+  for (SuiteRunner *R : {&Full, &StaticOnly, &SpecOn}) {
     R->setSkipIdleCycles(!Args.NoSkip);
     if (Args.Sample.enabled())
       R->setSamplingPlan(Args.Sample);
+    R->runAll(Suite, Pool);
   }
-  Pool.parallelFor(NumRunners * Suite.size(), [&](size_t I) {
-    Runners[I % NumRunners]->run(Suite[I / NumRunners], nullptr);
-  });
 
   TablePrinter T;
   T.row();

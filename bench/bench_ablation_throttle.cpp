@@ -73,25 +73,17 @@ int main(int argc, char **argv) {
   std::vector<workloads::Workload> Suite = workloads::paperSuite();
   Suite.push_back(workloads::makePhasedKernel());
 
-  // Phase 1: build + profile + adapt each workload in parallel. Phase 2:
-  // one job per (workload, pipeline) point; each point runs its three
-  // simulations serially inside the job. The print loop then only reads
-  // the Rows array, so the output is identical for any --jobs value.
+  // Adapt every workload in parallel, then one job per (workload,
+  // pipeline) point; each point runs its three simulations serially
+  // inside the job. The print loop then only reads the Rows array, so the
+  // output is identical for any --jobs value.
+  SuiteRunner Runner;
   support::ThreadPool Pool(Args.Jobs);
-  struct Prepared {
-    ir::Program Orig, Enhanced;
-  };
-  std::vector<Prepared> Prep(Suite.size());
-  Pool.parallelFor(Suite.size(), [&](size_t I) {
-    const workloads::Workload &W = Suite[I];
-    Prep[I].Orig = W.Build();
-    profile::ProfileData PD = core::profileProgram(Prep[I].Orig, W.BuildMemory);
-    core::PostPassTool Tool(Prep[I].Orig, PD);
-    Prep[I].Enhanced = Tool.adapt();
-  });
+  Pool.parallelFor(Suite.size(), [&](size_t I) { Runner.adaptedOf(Suite[I]); });
   std::vector<Row> Rows(Suite.size() * 2);
   Pool.parallelFor(Rows.size(), [&](size_t I) {
-    Rows[I] = measure(Suite[I / 2], Prep[I / 2].Orig, Prep[I / 2].Enhanced,
+    const workloads::Workload &W = Suite[I / 2];
+    Rows[I] = measure(W, Runner.originalOf(W), Runner.adaptedOf(W).Program,
                       I % 2 == 0 ? sim::PipelineKind::InOrder
                                  : sim::PipelineKind::OutOfOrder,
                       Args.Sample);

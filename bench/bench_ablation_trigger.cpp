@@ -27,17 +27,15 @@ int main(int argc, char **argv) {
   NoRestart.EnableRestartTriggers = false;
   SuiteRunner WithoutRestart(NoRestart);
 
-  // Warm every runner across the suite in parallel: one pool job per
-  // (runner, workload) pair; the report loop below then reads cached
-  // results, so the output is identical for any --jobs value.
+  // Warm every runner across the suite on the pool; the report loop
+  // below then reads cached results, so the output is identical for any
+  // --jobs value.
   const std::vector<workloads::Workload> Suite = workloads::fullSuite();
-  SuiteRunner *Runners[] = {&Full, &WithoutRestart};
   support::ThreadPool Pool(Args.Jobs);
-  for (SuiteRunner *R : Runners)
+  for (SuiteRunner *R : {&Full, &WithoutRestart}) {
     R->setSamplingPlan(Args.Sample);
-  Pool.parallelFor(2 * Suite.size(), [&](size_t I) {
-    Runners[I % 2]->run(Suite[I / 2], nullptr);
-  });
+    R->runAll(Suite, Pool);
+  }
 
   TablePrinter T;
   T.row();

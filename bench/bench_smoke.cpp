@@ -24,7 +24,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/PostPassTool.h"
 #include "harness/Experiment.h"
 #include "sim/Simulator.h"
 
@@ -108,13 +107,8 @@ TierResult runTier(SuiteRunner &Runner, const workloads::Workload &W,
   sim::SamplingPlan Plan;
   sim::parseSamplingPlan(PlanStr, Plan);
 
-  const ir::Program &Orig = Runner.originalOf(W);
-  ir::Program Enh;
-  if (Enhanced) {
-    core::PostPassTool Tool(Orig, Runner.profileOf(W), Runner.options());
-    Enh = Tool.adapt();
-  }
-  ir::LinkedProgram LP = ir::LinkedProgram::link(Enhanced ? Enh : Orig);
+  ir::LinkedProgram LP = ir::LinkedProgram::link(
+      Enhanced ? Runner.adaptedOf(W).Program : Runner.originalOf(W));
 
   sim::MachineConfig Exact = sim::MachineConfig::inOrder();
   sim::MachineConfig Sampled = Exact;

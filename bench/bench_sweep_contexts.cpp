@@ -31,34 +31,26 @@ int main(int argc, char **argv) {
     T.cell("rr/" + std::to_string(C));
   T.cell(std::string("icount/4"));
 
-  // Phase 1: profile and adapt each workload once. Phase 2: one pool job
-  // per (workload, machine-config) point — three round-robin context
-  // counts plus ICOUNT at four contexts.
+  // Adapt every workload in parallel, then one pool job per (workload,
+  // machine-config) point — three round-robin context counts plus ICOUNT
+  // at four contexts.
   const std::vector<workloads::Workload> Suite = workloads::paperSuite();
   constexpr size_t NumCfgs = 4;
+  SuiteRunner Runner;
   support::ThreadPool Pool(Args.Jobs);
-  struct Prepared {
-    ir::Program Orig, Enhanced;
-  };
-  std::vector<Prepared> Prep(Suite.size());
-  Pool.parallelFor(Suite.size(), [&](size_t I) {
-    const workloads::Workload &W = Suite[I];
-    Prep[I].Orig = W.Build();
-    profile::ProfileData PD = core::profileProgram(Prep[I].Orig, W.BuildMemory);
-    core::PostPassTool Tool(Prep[I].Orig, PD);
-    Prep[I].Enhanced = Tool.adapt();
-  });
+  Pool.parallelFor(Suite.size(), [&](size_t I) { Runner.adaptedOf(Suite[I]); });
   std::vector<double> Speedups(Suite.size() * NumCfgs);
   Pool.parallelFor(Speedups.size(), [&](size_t I) {
-    size_t WI = I / NumCfgs, CI = I % NumCfgs;
+    const workloads::Workload &W = Suite[I / NumCfgs];
+    size_t CI = I % NumCfgs;
     sim::MachineConfig Cfg = sim::MachineConfig::inOrder();
     Cfg.Sample = Args.Sample;
     Cfg.NumThreads = CI < 3 ? Contexts[CI] : 4;
     Cfg.Fetch =
         CI < 3 ? sim::FetchPolicy::RoundRobin : sim::FetchPolicy::ICount;
-    uint64_t Base = SuiteRunner::simulate(Prep[WI].Orig, Suite[WI], Cfg).Cycles;
+    uint64_t Base = Runner.simulateOriginal(W, Cfg).Cycles;
     uint64_t Ssp =
-        SuiteRunner::simulate(Prep[WI].Enhanced, Suite[WI], Cfg).Cycles;
+        SuiteRunner::simulate(Runner.adaptedOf(W).Program, W, Cfg).Cycles;
     Speedups[I] = static_cast<double>(Base) / static_cast<double>(Ssp);
   });
 

@@ -30,31 +30,22 @@ int main(int argc, char **argv) {
   for (unsigned L : Latencies)
     T.cell("mem=" + std::to_string(L));
 
-  // Phase 1: profile and adapt each workload once, at the default
-  // (230-cycle) machine — the paper's flow fixes the binary and varies
-  // the hardware. Phase 2: one pool job per (workload, latency) point.
+  // Adapt each workload once, in parallel, at the default (230-cycle)
+  // machine — the paper's flow fixes the binary and varies the hardware.
+  // Then one pool job per (workload, latency) point.
   const std::vector<workloads::Workload> Suite = workloads::paperSuite();
+  SuiteRunner Runner;
   support::ThreadPool Pool(Args.Jobs);
-  struct Prepared {
-    ir::Program Orig, Enhanced;
-  };
-  std::vector<Prepared> Prep(Suite.size());
-  Pool.parallelFor(Suite.size(), [&](size_t I) {
-    const workloads::Workload &W = Suite[I];
-    Prep[I].Orig = W.Build();
-    profile::ProfileData PD = core::profileProgram(Prep[I].Orig, W.BuildMemory);
-    core::PostPassTool Tool(Prep[I].Orig, PD);
-    Prep[I].Enhanced = Tool.adapt();
-  });
+  Pool.parallelFor(Suite.size(), [&](size_t I) { Runner.adaptedOf(Suite[I]); });
   std::vector<double> Speedups(Suite.size() * NumLat);
   Pool.parallelFor(Speedups.size(), [&](size_t I) {
     const workloads::Workload &W = Suite[I / NumLat];
     sim::MachineConfig Cfg = sim::MachineConfig::inOrder();
     Cfg.Sample = Args.Sample;
     Cfg.Cache.MemLatency = Latencies[I % NumLat];
-    uint64_t Base = SuiteRunner::simulate(Prep[I / NumLat].Orig, W, Cfg).Cycles;
+    uint64_t Base = Runner.simulateOriginal(W, Cfg).Cycles;
     uint64_t Ssp =
-        SuiteRunner::simulate(Prep[I / NumLat].Enhanced, W, Cfg).Cycles;
+        SuiteRunner::simulate(Runner.adaptedOf(W).Program, W, Cfg).Cycles;
     Speedups[I] = static_cast<double>(Base) / static_cast<double>(Ssp);
   });
 

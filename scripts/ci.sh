@@ -32,6 +32,15 @@ for f in examples/*.ssp; do
   ./build-ci/tools/ssp-verify "build-ci/$(basename "$f").adapted"
 done
 
+echo "== ssp-adapt --run against its golden output =="
+# The in-order baseline --run prints comes from the profile's timing pass,
+# or from a fresh run under --throttle; both must print what the fresh
+# simulations printed.
+{
+  ./build-ci/tools/ssp-adapt examples/listsum.ssp --run
+  ./build-ci/tools/ssp-adapt examples/listsum.ssp --run --throttle
+} | diff tests/golden/ssp_adapt_run_listsum.txt -
+
 echo "== Observability artifacts (trace + metrics JSON) =="
 # The obs layer is off by default; this stage exercises the opt-in paths
 # and validates the emitted JSON with the stdlib checker (no new deps).
@@ -215,6 +224,27 @@ grep -q 'function count 600 does not match program' build-ci/instcount.txt
 } | limited ./build-ci/tools/ssp-adaptd --jobs 2 >build-ci/served-instcount.txt
 grep -q '^response bad error$' build-ci/served-instcount.txt
 grep -q '^response good ok$' build-ci/served-instcount.txt
+# The same for `load` ids: 200 functions with one `load` at the top id each
+# (4 MiB per function when load rows were dense), under a 512 MB limit the
+# dense rows overran.
+limited512() { (ulimit -v 524288; "$@"); }
+{
+  printf 'sspprof v1\nfuncs 200\n'
+  for f in $(seq 0 199); do echo "blockcounts $f 0:"; done
+  for f in $(seq 0 199); do echo "load $f 1048575 1 0 0 0 1 0 0 0 0 230"; done
+} >build-ci/manyfuncs-load.sspprof
+rc=0
+limited512 ./build-ci/tools/ssp-adapt examples/listsum.ssp \
+  --profile build-ci/manyfuncs-load.sspprof >/dev/null \
+  2>build-ci/load.txt || rc=$?
+test "$rc" -eq 1
+grep -q 'function count 200 does not match program' build-ci/load.txt
+{
+  serve_request bad examples/listsum.ssp build-ci/manyfuncs-load.sspprof
+  serve_request good examples/listsum.ssp build-ci/listsum.sspprof
+} | limited512 ./build-ci/tools/ssp-adaptd --jobs 2 >build-ci/served-load.txt
+grep -q '^response bad error$' build-ci/served-load.txt
+grep -q '^response good ok$' build-ci/served-load.txt
 # Negative smokes: the CLIs reject the values and spellings the request
 # parser rejects, exiting non-zero with their usage text.
 expect_usage() { # command...
@@ -265,12 +295,16 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 # over shared, lazily filled state — per-function reaching defs, control
 # dependences and callee summaries built once on first use, the call-cost
 # and region-height memos — and the daemon's batched request execution).
-# It adds about 80 s of build and 30 s of tests on 4 vCPUs.
+# The runner's shared caches are covered twice: runAll driving run() jobs
+# that fan out on the same pool, and the pipeline differential on a pool.
+# It adds about 80 s of build and 3 min of tests on 4 vCPUs, most of it
+# the differential's no-skip runs.
 echo "== Sanitized build (TSan) + concurrency tests =="
 cmake -B build-tsan -S . -DSSP_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
-  --target tool_parallel_test parallel_test serve_test lazy_analyses_test
+  --target tool_parallel_test parallel_test pipeline_test serve_test \
+  lazy_analyses_test
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ToolParallelDeterminism|Parallel|Serve|LazyAnalyses'
+  -R 'ToolParallelDeterminism|Parallel|SuiteRunnerPool|SuiteRunnerDifferential|Serve|LazyAnalyses'
 
 echo "CI OK"

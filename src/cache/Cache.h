@@ -51,6 +51,7 @@ struct CacheParams {
   uint32_t Assoc;
   uint32_t LineBytes;
   uint32_t LatencyCycles;
+  bool operator==(const CacheParams &) const = default;
 };
 
 /// Full hierarchy configuration. Defaults are the paper's Table 1; the
@@ -63,6 +64,7 @@ struct CacheConfig {
   uint32_t FillBufferEntries = 16;
   static constexpr uint32_t TLBEntries = 64;
   static constexpr uint32_t TLBMissPenalty = 30;
+  bool operator==(const CacheConfig &) const = default;
 };
 
 /// The outcome of one data access.

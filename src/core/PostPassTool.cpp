@@ -486,7 +486,8 @@ Program PostPassTool::adaptWith(const AnalysisCache *ExternalAC,
 
 profile::ProfileData
 ssp::core::profileProgram(const Program &P,
-                          const sim::MemoryBuilder &BuildMemory) {
+                          const sim::MemoryBuilder &BuildMemory,
+                          sim::RunOutcome *Baseline) {
   LinkedProgram LP = LinkedProgram::link(P);
 
   // Pass 1: functional run for block/edge frequencies and dynamic calls.
@@ -495,8 +496,8 @@ ssp::core::profileProgram(const Program &P,
   profile::ProfileData PD = profile::collectControlFlowProfile(LP, FuncMem);
 
   // Pass 2: baseline in-order timing run for the cache profile.
-  profile::addCacheProfile(
-      PD, sim::runProgram(LP, BuildMemory, sim::MachineConfig::inOrder())
-              .Stats);
+  sim::RunOutcome Own, &Run = Baseline ? *Baseline : Own;
+  Run = sim::runProgram(LP, BuildMemory, sim::MachineConfig::inOrder());
+  profile::addCacheProfile(PD, Run.Stats);
   return PD;
 }

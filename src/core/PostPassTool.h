@@ -295,9 +295,12 @@ private:
 
 /// Convenience: profile \p P by running it (functional pass + baseline
 /// in-order timing pass through sim::runProgram) with memory images
-/// produced by the sim::MemoryBuilder \p BuildMemory.
+/// produced by the sim::MemoryBuilder \p BuildMemory. The timing pass runs
+/// sim::MachineConfig::inOrder(); \p Baseline, when non-null, receives it,
+/// so a caller needing that in-order baseline need not simulate it again.
 profile::ProfileData profileProgram(const ir::Program &P,
-                                    const sim::MemoryBuilder &BuildMemory);
+                                    const sim::MemoryBuilder &BuildMemory,
+                                    sim::RunOutcome *Baseline = nullptr);
 
 } // namespace ssp::core
 

@@ -28,73 +28,62 @@ const ir::Program &SuiteRunner::originalOf(const workloads::Workload &W) {
   return E.Value;
 }
 
-const profile::ProfileData &
-SuiteRunner::profileOf(const workloads::Workload &W) {
-  CacheEntry<profile::ProfileData> &E = entryFor(Profiles, W.Name);
+const SuiteRunner::Profiled &
+SuiteRunner::profiledOf(const workloads::Workload &W) {
+  CacheEntry<Profiled> &E = entryFor(Profiles, W.Name);
   std::call_once(E.Once, [&] {
-    E.Value = core::profileProgram(originalOf(W), W.BuildMemory);
+    E.Value.PD = core::profileProgram(originalOf(W), W.BuildMemory,
+                                      &E.Value.Baseline);
+  });
+  return E.Value;
+}
+
+const Adapted &SuiteRunner::adaptedOf(const workloads::Workload &W) {
+  CacheEntry<Adapted> &E = entryFor(Adaptations, W.Name);
+  std::call_once(E.Once, [&] {
+    core::PostPassTool Tool(originalOf(W), profileOf(W), Opts);
+    E.Value.Program = Tool.adapt(&E.Value.Report);
   });
   return E.Value;
 }
 
 std::unordered_set<ir::StaticId>
 SuiteRunner::delinquentIdsOf(const workloads::Workload &W) {
-  const profile::ProfileData &PD = profileOf(W);
-  const ir::Program &P = originalOf(W);
   std::unordered_set<ir::StaticId> Ids;
   for (const profile::DelinquentLoad &D : profile::selectDelinquentLoads(
-           P, PD, Opts.DelinquentCoverage, Opts.MaxDelinquentLoads))
+           originalOf(W), profileOf(W), Opts.DelinquentCoverage,
+           Opts.MaxDelinquentLoads))
     Ids.insert(D.Sid);
   return Ids;
 }
 
 sim::SimStats SuiteRunner::simulateOriginal(const workloads::Workload &W,
-                                            sim::MachineConfig Cfg) {
-  return simulate(originalOf(W), W, std::move(Cfg));
+                                            sim::MachineConfig Cfg,
+                                            bool *ChecksumOk) {
+  if (Cfg != sim::MachineConfig::inOrder())
+    return simulate(originalOf(W), W, std::move(Cfg), ChecksumOk);
+  const sim::RunOutcome &Base = profiledOf(W).Baseline;
+  if (ChecksumOk)
+    *ChecksumOk = Base.checksumOk();
+  return Base.Stats;
 }
 
 void SuiteRunner::computeResult(const workloads::Workload &W, BenchResult &R,
                                 support::ThreadPool *Pool) {
   R.Name = W.Name;
-  const ir::Program &Orig = originalOf(W);
+  const Adapted &A = adaptedOf(W);
+  R.Report = A.Report;
 
-  bool OkBaseIO = true, OkSspIO = true, OkBaseOOO = true, OkSspOOO = true;
-  if (Pool && Pool->numThreads() > 1) {
-    // The baseline simulations need no profile: start them immediately so
-    // they overlap the profiling run and the adaptation.
-    std::future<void> FBaseIO = Pool->submit([&] {
-      R.BaseIO = simulate(Orig, W, ioCfg(), &OkBaseIO);
-    });
-    std::future<void> FBaseOOO = Pool->submit([&] {
-      R.BaseOOO =
-          simulate(Orig, W, oooCfg(), &OkBaseOOO);
-    });
-    const profile::ProfileData &PD = profileOf(W);
-    core::PostPassTool Tool(Orig, PD, Opts);
-    ir::Program Enhanced = Tool.adapt(&R.Report);
-    std::future<void> FSspIO = Pool->submit([&] {
-      R.SspIO =
-          simulate(Enhanced, W, ioCfg(), &OkSspIO);
-    });
-    // Run the fourth simulation here instead of idling on the futures.
-    R.SspOOO =
-        simulate(Enhanced, W, oooCfg(), &OkSspOOO);
-    FBaseIO.get();
-    FBaseOOO.get();
-    FSspIO.get();
-  } else {
-    const profile::ProfileData &PD = profileOf(W);
-    core::PostPassTool Tool(Orig, PD, Opts);
-    ir::Program Enhanced = Tool.adapt(&R.Report);
-    R.BaseIO = simulate(Orig, W, ioCfg(), &OkBaseIO);
-    R.SspIO =
-        simulate(Enhanced, W, ioCfg(), &OkSspIO);
-    R.BaseOOO =
-        simulate(Orig, W, oooCfg(), &OkBaseOOO);
-    R.SspOOO =
-        simulate(Enhanced, W, oooCfg(), &OkSspOOO);
-  }
-  R.ChecksumsOk = OkBaseIO && OkSspIO && OkBaseOOO && OkSspOOO;
+  // Runs in BenchResult order: original then adapted, in-order first.
+  sim::SimStats *Outs[] = {&R.BaseIO, &R.SspIO, &R.BaseOOO, &R.SspOOO};
+  bool Ok[] = {false, false, false, false};
+  support::ThreadPool Inline(1);
+  (Pool ? *Pool : Inline).parallelFor(4, [&](size_t I) {
+    sim::MachineConfig Cfg = cfgFor(I >= 2);
+    *Outs[I] = I % 2 == 0 ? simulateOriginal(W, Cfg, &Ok[I])
+                          : simulate(A.Program, W, Cfg, &Ok[I]);
+  });
+  R.ChecksumsOk = Ok[0] && Ok[1] && Ok[2] && Ok[3];
   if (!R.ChecksumsOk)
     fatalError("workload checksum mismatch: adaptation corrupted results");
 }
@@ -108,12 +97,7 @@ const BenchResult &SuiteRunner::run(const workloads::Workload &W,
 
 void SuiteRunner::runAll(const std::vector<workloads::Workload> &Ws,
                          support::ThreadPool &Pool) {
-  // Phase 1: every profile (one full functional + one timing run each) in
-  // parallel. Phase 2: one pipeline job per workload; each runs its four
-  // simulations serially inside the job, so pool workers never block on
-  // nested submissions. call_once makes both phases idempotent.
-  Pool.parallelFor(Ws.size(), [&](size_t I) { profileOf(Ws[I]); });
-  Pool.parallelFor(Ws.size(), [&](size_t I) { run(Ws[I], nullptr); });
+  Pool.parallelFor(Ws.size(), [&](size_t I) { run(Ws[I], &Pool); });
 }
 
 BenchArgs ssp::harness::parseBenchArgs(int argc, char **argv,

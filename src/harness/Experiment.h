@@ -11,13 +11,17 @@
 /// memory modes of Figure 2), validates checksums, and caches results so
 /// one bench binary never simulates the same configuration twice.
 ///
+/// SuiteRunner is the one profile -> adapt -> simulate pipeline outside
+/// perfbench. As in the paper's Figure 1, the profile's timing run is the
+/// in-order baseline (simulateOriginal; DESIGN.md, "Running a binary").
+///
 /// Parallel experiment engine: SuiteRunner's caches are mutex-guarded with
 /// per-key once-initialization, so independent jobs may share one runner
-/// without ever simulating the same key twice; each simulation job owns its
+/// without ever computing the same key twice; each simulation job owns its
 /// SimMemory image, CacheHierarchy and BranchPredictor (all private to its
 /// Simulator), so Simulator itself needs no locking and results are
 /// bit-identical to the serial path regardless of thread count. Given a
-/// support::ThreadPool, run fans the four simulations of a BenchResult out
+/// support::ThreadPool, run fans the simulations of a BenchResult out
 /// across it, and runAll overlaps independent workloads.
 ///
 //===----------------------------------------------------------------------===//
@@ -32,7 +36,6 @@
 
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 
 namespace ssp::harness {
@@ -63,6 +66,12 @@ struct BenchResult {
   }
 };
 
+/// A workload's binary adapted under a runner's tool options.
+struct Adapted {
+  ir::Program Program;
+  core::AdaptationReport Report;
+};
+
 /// Runs workloads through the full pipeline with caching. Thread-safe: all
 /// public methods may be called concurrently; each cache key is computed
 /// exactly once (other callers block until it is ready) and references
@@ -72,35 +81,40 @@ public:
   explicit SuiteRunner(core::ToolOptions Opts = core::ToolOptions())
       : Opts(std::move(Opts)) {}
 
-  /// Full result for \p W (profile -> adapt -> 4 simulations). Cached.
-  /// When \p Pool is non-null (and has real workers), the four simulations
-  /// run concurrently on it; pass a pool only from a thread that is not
-  /// itself a pool worker, or the nested wait can deadlock.
+  /// Full result for \p W (profile -> adapt -> simulations). Cached. When
+  /// \p Pool is non-null the simulations run through its cooperative
+  /// parallelFor, so a pool task may pass its own pool; while \p W is
+  /// being computed, no task on \p Pool may request \p W again.
   const BenchResult &run(const workloads::Workload &W,
                          support::ThreadPool *Pool = nullptr);
 
-  /// Warms the cache for all of \p Ws with maximal overlap on \p Pool:
-  /// all profiles in parallel, then one pipeline job per workload.
-  /// Subsequent run() calls return the cached results instantly.
+  /// Warms the cache for all of \p Ws (distinct names): one run(W, &Pool)
+  /// job per workload. Subsequent run() calls return the cached results.
   void runAll(const std::vector<workloads::Workload> &Ws,
               support::ThreadPool &Pool);
 
   /// Simulates \p W's original binary under \p Cfg (Figure 2's idealized
-  /// modes are reached through Cfg.PerfectMemory / Cfg.PerfectLoads).
+  /// modes are reached through Cfg.PerfectMemory / Cfg.PerfectLoads), or,
+  /// under the profiling config sim::MachineConfig::inOrder(), returns the
+  /// cached profile's timing run. Reports the checksum like simulate().
   sim::SimStats simulateOriginal(const workloads::Workload &W,
-                                 sim::MachineConfig Cfg);
+                                 sim::MachineConfig Cfg,
+                                 bool *ChecksumOk = nullptr);
 
   /// The profile of \p W's original binary. Cached.
-  const profile::ProfileData &profileOf(const workloads::Workload &W);
+  const profile::ProfileData &profileOf(const workloads::Workload &W) {
+    return profiledOf(W).PD;
+  }
 
   /// \p W's original (pre-adaptation) binary. Cached.
   const ir::Program &originalOf(const workloads::Workload &W);
 
+  /// \p W's binary adapted from profileOf(W). Cached.
+  const Adapted &adaptedOf(const workloads::Workload &W);
+
   /// StaticIds of the delinquent loads the tool would select for \p W.
   std::unordered_set<ir::StaticId>
   delinquentIdsOf(const workloads::Workload &W);
-
-  const core::ToolOptions &options() const { return Opts; }
 
   /// Controls event-driven idle-cycle skipping for the runner's own
   /// simulations (run/computeResult). Stats are bit-identical either way;
@@ -130,6 +144,12 @@ private:
     T Value;
   };
 
+  /// A profile and its timing run (core::profileProgram's Baseline).
+  struct Profiled {
+    profile::ProfileData PD;
+    sim::RunOutcome Baseline;
+  };
+
   /// Finds or creates the node for \p Key under the cache mutex. The lock
   /// covers only the map operation, never a simulation.
   template <typename T>
@@ -139,19 +159,15 @@ private:
     return M[Key];
   }
 
+  const Profiled &profiledOf(const workloads::Workload &W);
+
   void computeResult(const workloads::Workload &W, BenchResult &R,
                      support::ThreadPool *Pool);
 
-  /// Table 1 machine configs with the runner's skip/sampling settings
-  /// applied.
-  sim::MachineConfig ioCfg() const {
-    sim::MachineConfig C = sim::MachineConfig::inOrder();
-    C.SkipIdleCycles = SkipIdle;
-    C.Sample = SamplePlan;
-    return C;
-  }
-  sim::MachineConfig oooCfg() const {
-    sim::MachineConfig C = sim::MachineConfig::outOfOrder();
+  /// The Table 1 machine with the runner's skip/sampling settings.
+  sim::MachineConfig cfgFor(bool OutOfOrder) const {
+    sim::MachineConfig C = OutOfOrder ? sim::MachineConfig::outOfOrder()
+                                      : sim::MachineConfig::inOrder();
     C.SkipIdleCycles = SkipIdle;
     C.Sample = SamplePlan;
     return C;
@@ -162,7 +178,8 @@ private:
   sim::SamplingPlan SamplePlan;
   std::mutex CacheMutex;
   std::map<std::string, CacheEntry<BenchResult>> Cache;
-  std::map<std::string, CacheEntry<profile::ProfileData>> Profiles;
+  std::map<std::string, CacheEntry<Adapted>> Adaptations;
+  std::map<std::string, CacheEntry<Profiled>> Profiles;
   std::map<std::string, CacheEntry<ir::Program>> Originals;
 };
 

@@ -14,10 +14,15 @@
 /// additionally kept in a flat insertion-order vector, so iteration visits
 /// only occupied keys, in a deterministic order.
 ///
-/// The map intentionally mirrors the subset of the std::unordered_map API
-/// its former users relied on: operator[], find/at/count, empty/size/clear,
-/// and iteration over (StaticId, T) pairs. There is no erase — neither user
-/// removes entries.
+/// SparseSidMap is the same map over a hashed slot index, for keys read
+/// from input text (profile::ProfileData::Loads): a dense row is as wide
+/// as the largest id in its function, and no id in an input may size a
+/// table.
+///
+/// The maps intentionally mirror the subset of the std::unordered_map API
+/// their users rely on: operator[], find/at/count, empty/size/clear, and
+/// iteration over (StaticId, T) pairs. There is no erase — no user removes
+/// entries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,12 +33,14 @@
 
 #include <cassert>
 #include <cstdint>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace ssp::ir {
 
-template <typename T> class DenseSidMap {
+template <typename T, bool Sparse> class SidMap {
   using EntryVec = std::vector<std::pair<StaticId, T>>;
 
 public:
@@ -62,7 +69,7 @@ public:
 
   const T &at(StaticId Sid) const {
     int32_t Slot = peekSlot(Sid);
-    assert(Slot >= 0 && "DenseSidMap::at on absent key");
+    assert(Slot >= 0 && "SidMap::at on absent key");
     return Entries[static_cast<size_t>(Slot)].second;
   }
 
@@ -84,29 +91,44 @@ public:
 private:
   /// Slot reference for \p Sid, growing the table as needed (-1 = absent).
   int32_t &slotOf(StaticId Sid) {
-    uint32_t Func = staticIdFunc(Sid);
-    uint32_t Inst = staticIdInst(Sid);
-    // Widen before the + 1: an id of 2^32 - 1 must not wrap to size 0.
-    if (Func >= Slots.size())
-      Slots.resize(size_t(Func) + 1);
-    std::vector<int32_t> &Row = Slots[Func];
-    if (Inst >= Row.size())
-      Row.resize(size_t(Inst) + 1, -1);
-    return Row[Inst];
+    if constexpr (Sparse) {
+      return Slots.try_emplace(Sid, -1).first->second;
+    } else {
+      uint32_t Func = staticIdFunc(Sid);
+      uint32_t Inst = staticIdInst(Sid);
+      // Widen before the + 1: an id of 2^32 - 1 must not wrap to size 0.
+      if (Func >= Slots.size())
+        Slots.resize(size_t(Func) + 1);
+      std::vector<int32_t> &Row = Slots[Func];
+      if (Inst >= Row.size())
+        Row.resize(size_t(Inst) + 1, -1);
+      return Row[Inst];
+    }
   }
 
   /// Slot for \p Sid without growing (-1 = absent).
   int32_t peekSlot(StaticId Sid) const {
-    uint32_t Func = staticIdFunc(Sid);
-    uint32_t Inst = staticIdInst(Sid);
-    if (Func >= Slots.size() || Inst >= Slots[Func].size())
-      return -1;
-    return Slots[Func][Inst];
+    if constexpr (Sparse) {
+      auto It = Slots.find(Sid);
+      return It == Slots.end() ? -1 : It->second;
+    } else {
+      uint32_t Func = staticIdFunc(Sid);
+      uint32_t Inst = staticIdInst(Sid);
+      if (Func >= Slots.size() || Inst >= Slots[Func].size())
+        return -1;
+      return Slots[Func][Inst];
+    }
   }
 
-  std::vector<std::vector<int32_t>> Slots; ///< [func][inst] -> entry index.
-  EntryVec Entries;                        ///< Occupied keys, insertion order.
+  /// [func][inst] -> entry index, or one hash node per key when Sparse.
+  std::conditional_t<Sparse, std::unordered_map<StaticId, int32_t>,
+                     std::vector<std::vector<int32_t>>>
+      Slots;
+  EntryVec Entries; ///< Occupied keys, insertion order.
 };
+
+template <typename T> using DenseSidMap = SidMap<T, false>;
+template <typename T> using SparseSidMap = SidMap<T, true>;
 
 } // namespace ssp::ir
 

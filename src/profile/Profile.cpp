@@ -207,7 +207,9 @@ ssp::profile::collectControlFlowProfile(const LinkedProgram &LP,
 
 void ssp::profile::addCacheProfile(ProfileData &PD,
                                    const sim::SimStats &Stats) {
-  PD.Loads = Stats.LoadProfile;
+  PD.Loads.clear();
+  for (const auto &[Sid, St] : Stats.LoadProfile)
+    PD.Loads[Sid] = St;
   PD.BaselineCycles = Stats.Cycles;
 }
 

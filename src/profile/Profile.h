@@ -49,8 +49,10 @@ struct ProfileData {
   /// Dynamic counts of direct call sites, sorted by Site.
   std::vector<analysis::DirectCallCount> CallSiteCounts;
 
-  /// Per-static-load cache behaviour from the baseline timing run.
-  cache::CacheProfile Loads;
+  /// Per-static-load cache behaviour from the baseline timing run, in the
+  /// run's insertion order. Sparse, unlike the simulator's
+  /// cache::CacheProfile: a parsed `load` record's id sizes no table.
+  ir::SparseSidMap<cache::PcCacheStats> Loads;
 
   /// Baseline cycles of the timing run that produced `Loads`.
   uint64_t BaselineCycles = 0;

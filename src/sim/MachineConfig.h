@@ -121,6 +121,8 @@ struct MachineConfig {
     return Pipeline == PipelineKind::InOrder ? 8 : 12;
   }
 
+  bool operator==(const MachineConfig &) const = default;
+
   static MachineConfig inOrder() { return MachineConfig(); }
   static MachineConfig outOfOrder() {
     MachineConfig C;

@@ -78,6 +78,7 @@ struct SamplingPlan {
       S += ":" + std::to_string(RampInsts);
     return S;
   }
+  bool operator==(const SamplingPlan &) const = default;
 };
 
 /// Parses "W:D:F" or "W:D:F:R" (warmup:detail:fastforward[:ramp], all

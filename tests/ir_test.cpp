@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace ssp::ir;
 using ssp::tests::reportsCheck;
 using ssp::tests::wellFormed;
@@ -311,4 +313,26 @@ TEST(DenseSidMap, ClearEmpties) {
   EXPECT_EQ(M.find(makeStaticId(1, 2)), M.end());
   M[makeStaticId(1, 2)] = 4; // Reusable after clear.
   EXPECT_EQ(M.size(), 1u);
+}
+
+// SparseSidMap: the same API over a hashed index, whose memory follows
+// the entry count rather than the largest id.
+TEST(SparseSidMap, MatchesDenseSidMapOnTheSameKeys) {
+  DenseSidMap<int> D;
+  SparseSidMap<int> S;
+  StaticId Ids[] = {makeStaticId(599, MaxInstId - 1), makeStaticId(0, 0),
+                    makeStaticId(3, 100), makeStaticId(599, MaxInstId - 1)};
+  int V = 10;
+  for (StaticId Sid : Ids) {
+    D[Sid] += V;
+    S[Sid] += V++;
+  }
+  ASSERT_EQ(S.size(), 3u);
+  EXPECT_TRUE(std::equal(D.begin(), D.end(), S.begin(), S.end()));
+  EXPECT_EQ(S.at(Ids[0]), 23);
+  EXPECT_EQ(S.count(makeStaticId(3, 101)), 0u);
+  EXPECT_EQ(S.find(makeStaticId(4, 100)), S.end());
+  S.clear();
+  EXPECT_TRUE(S.empty());
+  EXPECT_EQ(S.find(Ids[1]), S.end());
 }

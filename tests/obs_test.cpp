@@ -102,9 +102,7 @@ SuiteRunner &runner() {
 }
 
 ir::Program enhance(const workloads::Workload &W) {
-  core::PostPassTool Tool(runner().originalOf(W), runner().profileOf(W),
-                          runner().options());
-  return Tool.adapt();
+  return runner().adaptedOf(W).Program.clone();
 }
 
 sim::MachineConfig cfgFor(sim::PipelineKind Pipe, bool SkipEnabled) {
@@ -214,7 +212,7 @@ INSTANTIATE_TEST_SUITE_P(Pipelines, TracingOverhead,
 // the per-stage timers and counters populated.
 TEST(ToolMetrics, RegistryDoesNotPerturbAdaptation) {
   workloads::Workload W = workloads::makeEm3d();
-  core::ToolOptions Base = runner().options();
+  core::ToolOptions Base;
 
   core::AdaptationReport RepOff, RepOn;
   core::PostPassTool Off(runner().originalOf(W), runner().profileOf(W),

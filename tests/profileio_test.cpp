@@ -546,6 +546,28 @@ TEST(ProfileIO, InstCountIdsSizeNoTable) {
   EXPECT_EQ(writeProfileText(PD), Text);
 }
 
+// A `load` id sizes nothing either: one record at the top id in each of
+// 600 functions used to grow a 4 MiB slot row per function (2.4 GiB for
+// this 33 KB text). It parses into 600 entries, in file order, and writes
+// back byte-identically.
+TEST(ProfileIO, LoadIdsSizeNoTable) {
+  std::string Text = "sspprof v1\nbaseline 0\nfuncs 600\n";
+  for (unsigned F = 0; F < 600; ++F)
+    Text += "blockcounts " + std::to_string(F) + " 0:\n";
+  for (unsigned F = 600; F-- > 0;)
+    Text += "load " + std::to_string(F) + " 1048575 1 0 0 0 1 0 0 0 0 230\n";
+  ProfileData PD;
+  std::string Err;
+  ASSERT_TRUE(parseProfileText(Text, PD, Err)) << Err;
+  ASSERT_EQ(PD.Loads.size(), 600u);
+  uint32_t F = 600;
+  for (const auto &[Sid, St] : PD.Loads) {
+    EXPECT_EQ(Sid, ir::makeStaticId(--F, ir::MaxInstId - 1));
+    EXPECT_EQ(St.MissCycles, 230u);
+  }
+  EXPECT_EQ(writeProfileText(PD), Text);
+}
+
 // checkProfileMatches: a `load` record naming an instruction that is not a
 // load is rejected (slicing starts from it); a sid the program lacks is
 // accepted and later ignored by load selection.

@@ -49,9 +49,7 @@ SuiteRunner &runner() {
 }
 
 ir::Program enhance(const workloads::Workload &W) {
-  core::PostPassTool Tool(runner().originalOf(W), runner().profileOf(W),
-                          runner().options());
-  return Tool.adapt();
+  return runner().adaptedOf(W).Program.clone();
 }
 
 sim::MachineConfig sampledCfg(const char *Plan) {

@@ -326,6 +326,14 @@ TEST(Serve, BadRequestContentIsRejectedWithoutKillingTheBatch) {
   ManyFuncsProf += "depevidence 1\n";
   for (unsigned F = 0; F < 600; ++F)
     ManyFuncsProf += "instcount " + std::to_string(F) + " 1048575 1\n";
+  // The same with one `load` record at the top id per function (4 MiB
+  // per function while load rows were dense).
+  std::string ManyLoadsProf = "sspprof v1\nfuncs 600\n";
+  for (unsigned F = 0; F < 600; ++F)
+    ManyLoadsProf += "blockcounts " + std::to_string(F) + " 0:\n";
+  for (unsigned F = 0; F < 600; ++F)
+    ManyLoadsProf += "load " + std::to_string(F) +
+                     " 1048575 1 0 0 0 1 0 0 0 0 230\n";
   struct Case {
     const char *Name;
     std::string Session;
@@ -377,6 +385,10 @@ TEST(Serve, BadRequestContentIsRejectedWithoutKillingTheBatch) {
        "expected 1099511627776 counts"},
       {"profile instcount ids in many functions",
        frameRequest("x", J.Prog, ManyFuncsProf),
+       "profile: function count 600 does not match program (" +
+           std::to_string(NF) + " functions)"},
+      {"profile load ids in many functions",
+       frameRequest("x", J.Prog, ManyLoadsProf),
        "profile: function count 600 does not match program (" +
            std::to_string(NF) + " functions)"},
       {"unparsable profile",

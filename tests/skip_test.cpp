@@ -69,9 +69,7 @@ SuiteRunner &runner() {
 }
 
 ir::Program enhance(const workloads::Workload &W) {
-  core::PostPassTool Tool(runner().originalOf(W), runner().profileOf(W),
-                          runner().options());
-  return Tool.adapt();
+  return runner().adaptedOf(W).Program.clone();
 }
 
 class SkipDifferential

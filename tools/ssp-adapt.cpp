@@ -178,8 +178,10 @@ int main(int argc, char **argv) {
 
   // Pass 1 (Figure 1): profile the original binary on its data image —
   // or load a recorded `.sspprof` (the form adaptation requests arrive
-  // in over the daemon protocol).
+  // in over the daemon protocol). The in-process profile's timing pass is
+  // the in-order baseline --run prints.
   profile::ProfileData PD;
+  sim::RunOutcome ProfileRun;
   if (ProfilePath) {
     std::ifstream PIn(ProfilePath);
     if (!PIn) {
@@ -198,7 +200,7 @@ int main(int argc, char **argv) {
       return 1;
     }
   } else {
-    PD = core::profileProgram(Orig, Image);
+    PD = core::profileProgram(Orig, Image, &ProfileRun);
   }
   if (EmitProfilePath) {
     std::ofstream POut(EmitProfilePath);
@@ -262,7 +264,9 @@ int main(int argc, char **argv) {
                                    ? sim::MachineConfig::inOrder()
                                    : sim::MachineConfig::outOfOrder();
       Cfg.EnableSSPThrottle = Throttle;
-      sim::SimStats Base = sim::runProgram(OrigLP, Image, Cfg).Stats;
+      sim::SimStats Base = !ProfilePath && Cfg == sim::MachineConfig::inOrder()
+                               ? ProfileRun.Stats
+                               : sim::runProgram(OrigLP, Image, Cfg).Stats;
       sim::SimStats Ssp = sim::runProgram(EnhancedLP, Image, Cfg).Stats;
       std::printf("\n%s: baseline %llu cycles, SSP %llu cycles "
                   "(%.2fx); %llu triggers, %llu spawns\n",
