@@ -61,6 +61,9 @@ int main(int argc, char **argv) {
     sim::MachineConfig Cfg = Slot % 2 == 0
                                  ? sim::MachineConfig::inOrder()
                                  : sim::MachineConfig::outOfOrder();
+    // The runner's estimator: under --sample the hand speedup divides two
+    // sampled cycle counts, never a sampled one by an exact one.
+    Cfg.Sample = Args.Sample;
     ir::Program HandProg = P.Hand.Build();
     HandStats[Slot] =
         SuiteRunner::simulate(HandProg, P.Hand, Cfg, &HandOk[Slot]);

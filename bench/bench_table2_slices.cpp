@@ -17,7 +17,7 @@ using namespace ssp;
 using namespace ssp::harness;
 
 int main(int argc, char **argv) {
-  const BenchArgs Args = parseBenchArgs(argc, argv, JobsFlag | SampleFlag);
+  const BenchArgs Args = parseBenchArgs(argc, argv, JobsFlag);
   std::printf("=== Table 2: slice characteristics ===\n");
   printMachineBanner();
 
@@ -29,18 +29,21 @@ int main(int argc, char **argv) {
       {"vpr", {6, 0, 13.5, 4.0}},
   };
 
+  // The table reads adaptation reports only: profile and adapt each
+  // workload, with no timing simulation. The spec-deps arm adapts with
+  // profile-cold may-dependences pruned from the slices (the "spec
+  // size/drops" columns below).
+  const std::vector<workloads::Workload> Suite = workloads::paperSuite();
   SuiteRunner Runner;
-  Runner.setSamplingPlan(Args.Sample);
-  support::ThreadPool Pool(Args.Jobs);
-  Runner.runAll(workloads::paperSuite(), Pool);
-  // The spec-deps arm: same pipeline with profile-cold may-dependences
-  // pruned from the slices (the "spec size/drops" columns below).
   core::ToolOptions SpecOpts;
   SpecOpts.EnableSpecDeps = true;
   SpecOpts.SpecDepThreshold = 0.05;
   SuiteRunner SpecRunner(SpecOpts);
-  SpecRunner.setSamplingPlan(Args.Sample);
-  SpecRunner.runAll(workloads::paperSuite(), Pool);
+  support::ThreadPool Pool(Args.Jobs);
+  Pool.parallelFor(2 * Suite.size(), [&](size_t I) {
+    (I < Suite.size() ? Runner : SpecRunner)
+        .adaptedOf(Suite[I % Suite.size()]);
+  });
   TablePrinter T;
   T.row();
   T.cell(std::string("benchmark"));
@@ -53,9 +56,9 @@ int main(int argc, char **argv) {
   T.cell(std::string("model(s)"));
   T.cell(std::string("paper: n/ip/size/li"));
 
-  for (const workloads::Workload &W : workloads::paperSuite()) {
-    const BenchResult &R = Runner.run(W);
-    const BenchResult &Spec = SpecRunner.run(W);
+  for (const workloads::Workload &W : Suite) {
+    const Adapted &R = Runner.adaptedOf(W);
+    const Adapted &Spec = SpecRunner.adaptedOf(W);
     size_t Drops = 0;
     for (const verify::SliceManifest &SM : Spec.Report.Manifest.Slices)
       Drops += SM.SpecDrops.size();

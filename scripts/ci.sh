@@ -90,6 +90,28 @@ serve_request() { # id program profile [key=value...]
 } | ./build-ci/tools/ssp-adaptd >build-ci/served.txt
 grep -q '^response r1 ok$' build-ci/served.txt
 grep -q '^response r2 ok$' build-ci/served.txt
+# The hit shares the miss's cached result: after the id line, r2's
+# response is byte-identical to r1's.
+test "$(head -n 1 build-ci/served.txt)" = 'response r1 ok'
+r2_at=$(grep -n '^response r2 ok$' build-ci/served.txt | cut -d: -f1)
+sed -n "2,$((r2_at - 1))p" build-ci/served.txt >build-ci/served-r1.txt
+sed -n "$((r2_at + 1)),\$p" build-ci/served.txt >build-ci/served-r2.txt
+cmp build-ci/served-r1.txt build-ci/served-r2.txt
+# A framing error after a payload is located by counting the payload's
+# lines as stdin is read: r1 spans lines 1-178 (136 program and 38
+# profile lines), the bad request's program ends on line 316, and its
+# stray `bogus` line is line 317.
+{
+  serve_request r1 examples/listsum.ssp build-ci/listsum.sspprof
+  printf 'request bad\n'
+  printf 'program %s\n' "$(wc -c <examples/listsum.ssp)"
+  cat examples/listsum.ssp
+  printf 'bogus\nend\n'
+} | ./build-ci/tools/ssp-adaptd >build-ci/served-framing.txt
+grep -q '^response r1 ok$' build-ci/served-framing.txt
+grep -q '^response bad error$' build-ci/served-framing.txt
+grep -qx "line 317: expected 'program', 'profile', 'option', or 'end', got 'bogus'" \
+  build-ci/served-framing.txt
 # A profile whose icall record names no function (inserted before the
 # first load record, where the parser accepts it): ssp-adapt rejects it
 # with a `profile:` message and exit 1, and the daemon fails only that

@@ -12,25 +12,23 @@ using namespace ssp::core;
 uint64_t ServeCache::hashOf(const ServeKey &K) const {
   if (HashFn)
     return HashFn(K);
-  // Chain the three sections with their lengths folded in, so
-  // ("ab", "c") and ("a", "bc") key differently even at the hash level.
+  // Chain the three sections; each hash folds its section's length in,
+  // so ("ab", "c") and ("a", "bc") key differently even at the hash
+  // level.
   uint64_t H = support::hashString(K.Program);
-  H = support::hashValue(K.Program.size(), H);
-  H = support::hashBytes(K.Profile.data(), K.Profile.size(), H);
-  H = support::hashValue(K.Profile.size(), H);
-  H = support::hashBytes(K.Options.data(), K.Options.size(), H);
-  return H;
+  H = support::hashString(K.Profile, H);
+  return support::hashString(K.Options, H);
 }
 
-const ServeResult *ServeCache::lookup(const ServeKey &K) {
-  uint64_t H = hashOf(K);
+std::shared_ptr<const ServeResult> ServeCache::lookup(const ServeKey &K,
+                                                     uint64_t H) {
   auto BucketIt = Buckets.find(H);
   if (BucketIt != Buckets.end()) {
     for (EntryList::iterator It : BucketIt->second) {
       if (It->Key == K) {
         ++St.Hits;
         Entries.splice(Entries.begin(), Entries, It); // Refresh LRU.
-        return &It->Result;
+        return It->Result;
       }
       ++St.Collisions; // Same hash, different bytes: keep scanning.
     }
@@ -39,15 +37,15 @@ const ServeResult *ServeCache::lookup(const ServeKey &K) {
   return nullptr;
 }
 
-void ServeCache::insert(const ServeKey &K, ServeResult R) {
-  uint64_t H = hashOf(K);
+void ServeCache::insert(ServeKey K, uint64_t H,
+                        std::shared_ptr<const ServeResult> R) {
   std::vector<EntryList::iterator> &Bucket = Buckets[H];
   for (EntryList::iterator It : Bucket)
     if (It->Key == K)
       return; // Already cached (two identical requests in one batch).
-  Entries.push_front(Entry{K, std::move(R), H});
+  UsedBytes += K.bytes() + R->bytes();
+  Entries.push_front(Entry{std::move(K), std::move(R), H});
   Bucket.push_back(Entries.begin());
-  UsedBytes += K.bytes() + Entries.front().Result.bytes();
   evictToBudget();
 }
 
@@ -64,6 +62,6 @@ void ServeCache::erase(EntryList::iterator It) {
   Bucket.erase(std::find(Bucket.begin(), Bucket.end(), It));
   if (Bucket.empty())
     Buckets.erase(BucketIt);
-  UsedBytes -= It->Key.bytes() + It->Result.bytes();
+  UsedBytes -= It->Key.bytes() + It->Result->bytes();
   Entries.erase(It);
 }

@@ -8,9 +8,15 @@
 /// The daemon's memo of finished adaptations: a content-addressed store
 /// keyed by the full request content — program text, profile text, and
 /// canonical option text — holding the rendered report and the adapted
-/// binary text. The 64-bit FNV key (support/Hash.h) only narrows the
+/// binary text. The 64-bit key hash (support/Hash.h) only narrows the
 /// search to a bucket; every probe compares the complete key bytes, so a
 /// hash collision degrades to a scan, never to a wrong response.
+///
+/// Each key is hashed once per request: the caller computes hashOf(K)
+/// and passes it to lookup() and, on a miss, to insert(). Keys and
+/// results move in, and a hit shares the stored result rather than
+/// copying it, so a hit's result stays valid even after a later insert
+/// evicts its entry.
 ///
 /// Eviction is LRU over a byte budget covering keys and payloads: on
 /// insert, least-recently-used entries are dropped until the store fits.
@@ -28,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -72,13 +79,16 @@ public:
   ServeCache(const ServeCache &) = delete;
   ServeCache &operator=(const ServeCache &) = delete;
 
-  /// Looks \p K up; a hit refreshes its LRU position and returns the
-  /// stored result (valid until the next insert). Null on miss.
-  const ServeResult *lookup(const ServeKey &K);
+  /// The bucket hash of \p K, to pass to lookup() and insert().
+  uint64_t hashOf(const ServeKey &K) const;
 
-  /// Inserts \p K -> \p R (no-op if the key is already present) and
-  /// evicts LRU entries until the byte budget holds.
-  void insert(const ServeKey &K, ServeResult R);
+  /// Looks \p K up under its hash \p H; a hit refreshes its LRU position
+  /// and shares the stored result. Null on miss.
+  std::shared_ptr<const ServeResult> lookup(const ServeKey &K, uint64_t H);
+
+  /// Inserts \p K -> \p R under \p K's hash \p H (no-op if the key is
+  /// already present) and evicts LRU entries until the byte budget holds.
+  void insert(ServeKey K, uint64_t H, std::shared_ptr<const ServeResult> R);
 
   const Stats &stats() const { return St; }
   size_t size() const { return Entries.size(); }
@@ -93,12 +103,11 @@ public:
 private:
   struct Entry {
     ServeKey Key;
-    ServeResult Result;
+    std::shared_ptr<const ServeResult> Result;
     uint64_t Hash = 0;
   };
   using EntryList = std::list<Entry>;
 
-  uint64_t hashOf(const ServeKey &K) const;
   void evictToBudget();
   void erase(EntryList::iterator It);
 

@@ -5,15 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A stable 64-bit content hash (FNV-1a) for the adaptation service's
+/// A stable 64-bit content hash for the adaptation service's
 /// content-addressed cache: request payloads (program text, profile text,
 /// canonical option text) are keyed by their hash, with the full bytes
 /// compared on every hit — the hash narrows the search, it is never
-/// trusted alone. FNV-1a is used deliberately instead of std::hash:
-/// the value is part of the serving contract (logged, reported in
-/// metrics, usable across processes), so it must not vary by standard
-/// library, platform, or process (std::hash<std::string> may be seeded
-/// per process).
+/// trusted alone.
+///
+/// The function is XXH64 (xxHash's 64-bit variant): four independent
+/// 64-bit lanes consume 32 bytes per step through 8-byte loads, so a
+/// payload costs a fraction of a nanosecond per byte instead of the
+/// multiply per byte of a byte-serial hash. Words are read little-endian
+/// on every host (byte-swapped on big-endian ones).
+///
+/// Stability rule: a value depends only on the bytes and the seed — not
+/// on the platform, the standard library or the process (std::hash may
+/// be seeded per process) — and equals the reference XXH64 of the same
+/// bytes and seed. `tests/support_test.cpp` pins golden values; changing
+/// the function changes every value a client or a stored record may hold.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,10 +34,12 @@
 
 namespace ssp::support {
 
-/// FNV-1a offset basis: the hash of zero bytes.
-inline constexpr uint64_t HashSeed = 0xcbf29ce484222325ULL;
+/// The default seed.
+inline constexpr uint64_t HashSeed = 0;
 
-/// Folds \p Len bytes at \p Data into \p H (FNV-1a step).
+/// XXH64 of \p Len bytes at \p Data under seed \p H. Chaining — passing
+/// one call's result as the next call's seed — hashes a sequence of
+/// pieces.
 uint64_t hashBytes(const void *Data, size_t Len, uint64_t H = HashSeed);
 
 /// Content hash of a string's bytes.
@@ -37,8 +47,8 @@ inline uint64_t hashString(const std::string &S, uint64_t H = HashSeed) {
   return hashBytes(S.data(), S.size(), H);
 }
 
-/// Mixes \p Value into \p H as 8 little-endian bytes (endian-independent:
-/// the bytes are derived by shifting, not by reinterpreting memory).
+/// Chains \p Value into \p H: hashBytes of its 8 little-endian bytes,
+/// seeded with \p H (the same value on every host).
 uint64_t hashValue(uint64_t Value, uint64_t H);
 
 } // namespace ssp::support

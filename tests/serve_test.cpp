@@ -219,6 +219,111 @@ void expectErrorResponse(const std::string &Out, const std::string &Id,
   EXPECT_NE(Out.find(MsgSubstring), std::string::npos) << Out;
 }
 
+// The largest program the serving benchmark sends (about 155 KB of
+// program text and 307 KB of profile text): the payload-sized paths — the
+// word-wide key hash, the newline count, the shared result — answer it as
+// a miss, as a hit and as the one-shot library path would, byte for byte.
+TEST(Serve, StressProgramIsByteIdenticalAsMissHitAndOneShot) {
+  Job J = makeJob(makeStress(48, 12, 3));
+  AdaptService S(ServeOptions{});
+  EXPECT_EQ(S.processBatch(frameRequest("miss", J.Prog, J.Prof)),
+            okResponse("miss", J.Report, J.Binary));
+  EXPECT_EQ(S.processBatch(frameRequest("hit", J.Prog, J.Prof)),
+            okResponse("hit", J.Report, J.Binary));
+  EXPECT_EQ(S.cache().stats().Hits, 1u);
+  EXPECT_EQ(S.cache().stats().Misses, 1u);
+}
+
+// A hit shares its cache entry's result. When a miss earlier in the same
+// batch inserts and evicts that entry before the hit's response is
+// written, the hit still answers with its own bytes. The evicted result
+// is the large stress one, so a dangling reference would read memory
+// already returned to the system.
+TEST(Serve, HitOutlivesTheEvictionOfItsEntry) {
+  Job A = makeJob(makeStress(48, 12, 3));
+  Job B = makeJob(makeMcf());
+  ServeOptions O;
+  O.CacheBytes = A.Prog.size() + A.Prof.size() + A.Report.size() +
+                 A.Binary.size() + 1024;
+  AdaptService S(O);
+  S.processBatch(frameRequest("a", A.Prog, A.Prof));
+  ASSERT_EQ(S.cache().size(), 1u);
+  std::string Out = S.processBatch(frameRequest("b", B.Prog, B.Prof) +
+                                   frameRequest("hit", A.Prog, A.Prof));
+  EXPECT_EQ(Out, okResponse("b", B.Report, B.Binary) +
+                     okResponse("hit", A.Report, A.Binary));
+  EXPECT_EQ(S.cache().stats().Hits, 1u);
+  EXPECT_GE(S.cache().stats().Evictions, 1u);
+}
+
+namespace {
+
+/// The session line counter as a plain byte-at-a-time count: the
+/// reference for the reader's word-wide one.
+uint64_t referenceNewlines(const std::string &S) {
+  return static_cast<uint64_t>(std::count(S.begin(), S.end(), '\n'));
+}
+
+} // namespace
+
+// Framing errors after a payload are located by counting the payload's
+// lines; the count must match the byte-at-a-time one for any payload.
+TEST(Serve, LineNumbersAfterPayloadsMatchAByteCount) {
+  std::string Many;
+  for (int I = 0; I < 300; ++I)
+    Many += "line " + std::to_string(I) + (I % 7 ? "\n" : "\n\n");
+  // Over one read chunk (1 MiB), with a newline on each side of the chunk
+  // boundary and lines of varied length across it.
+  std::string Straddle;
+  for (size_t I = 0; Straddle.size() < (1u << 20) + 4096; ++I)
+    Straddle += std::string(I % 61, 'x') + "\n";
+  Straddle[(1u << 20) - 1] = '\n';
+  Straddle[1u << 20] = '\n';
+  // Every byte value, so bytes that differ from '\n' only in the top
+  // bit (0x8a) are counted as what they are.
+  std::string AllBytes;
+  for (int Rep = 0; Rep < 3; ++Rep)
+    for (int B = 0; B < 256; ++B)
+      AllBytes += static_cast<char>(B);
+  const std::pair<const char *, std::string> Payloads[] = {
+      {"empty", ""},
+      {"one line", "abc\n"},
+      {"one unterminated line", "abc"},
+      {"only a newline", "\n"},
+      {"many lines", Many},
+      {"many lines, unterminated", Many + "tail"},
+      {"every byte value", AllBytes},
+      {"straddles the read chunk", Straddle},
+      {"straddles the read chunk, unterminated", Straddle + "tail"},
+  };
+  AdaptService S(ServeOptions{});
+  for (const auto &[Name, Payload] : Payloads) {
+    for (bool FrameNewline : {false, true}) {
+      SCOPED_TRACE(std::string(Name) +
+                   (FrameNewline ? ", framed" : ", cat-style"));
+      // A valid request ahead of the bad one keeps the count session-wide.
+      std::string Lead = "request lead\nprogram " +
+                         std::to_string(Payload.size()) + "\n" + Payload +
+                         (FrameNewline ? "\n" : "") + "end\n";
+      std::string Bad = "request bad\nprogram " +
+                        std::to_string(Payload.size()) + "\n" + Payload +
+                        (FrameNewline ? "\n" : "") + "bogus\nend\n";
+      // Lines through the bad request's `bogus`: the lead request's
+      // header, payload and `end`, then the bad one's header, payload
+      // and `bogus`. A frame newline adds one line; a payload without a
+      // trailing newline shares its last line with what follows.
+      uint64_t Frame = FrameNewline ? 1 : 0;
+      uint64_t Line = 2 + referenceNewlines(Payload) + Frame + 1 + 2 +
+                      referenceNewlines(Payload) + Frame + 1;
+      std::string Out = S.processBatch(Lead + Bad);
+      expectErrorResponse(Out, "bad",
+                          "line " + std::to_string(Line) +
+                              ": expected 'program', 'profile', 'option', "
+                              "or 'end', got 'bogus'");
+    }
+  }
+}
+
 TEST(Serve, MalformedFramingIsRejectedWithLocatedErrors) {
   Job J = makeJob(makeTreeaddDF());
   AdaptService S(ServeOptions{});
