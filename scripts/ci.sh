@@ -307,6 +307,12 @@ if json.loads(sys.stdin.read()).get("correct") is not True:
     "$workload"
 done
 
+echo "== Simulator A/B harness (A/A against HEAD) =="
+# Keeps scripts/sim_ab building: HEAD against the working tree, one
+# repetition. The harness exits 1 unless every simulation's SimStats
+# digest and checksum agree between the two sides.
+SIM_AB_JOBS="$JOBS" scripts/sim_ab/sim_ab.sh HEAD --reps 1
+
 echo "== Sanitized build (ASan+UBSan) + tests =="
 cmake -B build-asan -S . -DSSP_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$JOBS"

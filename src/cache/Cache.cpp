@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 using namespace ssp;
 using namespace ssp::cache;
@@ -80,8 +81,8 @@ void CacheLevel::reset() {
 // TLB
 //===----------------------------------------------------------------------===//
 
-void TLB::unlink(uint32_t Slot) {
-  uint32_t P = PrevS[Slot], N = NextS[Slot];
+void TLB::unlink(uint8_t Slot) {
+  uint8_t P = PrevS[Slot], N = NextS[Slot];
   if (P != NoSlot)
     NextS[P] = N;
   else
@@ -92,7 +93,7 @@ void TLB::unlink(uint32_t Slot) {
     Tail = P;
 }
 
-void TLB::pushFront(uint32_t Slot) {
+void TLB::pushFront(uint8_t Slot) {
   PrevS[Slot] = NoSlot;
   NextS[Slot] = Head;
   if (Head != NoSlot)
@@ -102,39 +103,57 @@ void TLB::pushFront(uint32_t Slot) {
     Tail = Slot;
 }
 
-bool TLB::touch(uint64_t Page) {
-  auto It = Map.find(Page);
-  if (It != Map.end()) {
-    uint32_t Slot = It->second;
-    if (Head != Slot) {
-      unlink(Slot);
-      pushFront(Slot);
+void TLB::eraseCell(uint32_t Hole) {
+  // A later entry of the run may fill the hole when the hole lies on its
+  // probe path, i.e. between its home cell and its cell.
+  for (uint32_t J = (Hole + 1) & (Cells - 1); Index[J] != NoSlot;
+       J = (J + 1) & (Cells - 1)) {
+    uint32_t Home = homeOf(PageOf[Index[J]]);
+    if (((J - Home) & (Cells - 1)) >= ((J - Hole) & (Cells - 1))) {
+      Index[Hole] = Index[J];
+      Hole = J;
     }
-    return true;
   }
-  uint32_t Slot;
-  if (PageOf.size() < CacheConfig::TLBEntries) {
-    Slot = static_cast<uint32_t>(PageOf.size());
-    PageOf.push_back(Page);
-    PrevS.push_back(NoSlot);
-    NextS.push_back(NoSlot);
+  Index[Hole] = NoSlot;
+}
+
+bool TLB::touch(uint64_t Page) {
+  uint32_t Cell = homeOf(Page);
+  for (; Index[Cell] != NoSlot; Cell = (Cell + 1) & (Cells - 1)) {
+    uint8_t Slot = Index[Cell];
+    if (PageOf[Slot] == Page) {
+      if (Head != Slot) {
+        unlink(Slot);
+        pushFront(Slot);
+      }
+      return true;
+    }
+  }
+  uint8_t Slot;
+  if (Used < Slots) {
+    Slot = static_cast<uint8_t>(Used++);
   } else {
     Slot = Tail;
-    Map.erase(PageOf[Slot]);
+    uint32_t Victim = homeOf(PageOf[Slot]);
+    while (Index[Victim] != Slot)
+      Victim = (Victim + 1) & (Cells - 1);
+    eraseCell(Victim);
     unlink(Slot);
-    PageOf[Slot] = Page;
+    // The shift may have opened a cell earlier on Page's probe path.
+    Cell = homeOf(Page);
+    while (Index[Cell] != NoSlot)
+      Cell = (Cell + 1) & (Cells - 1);
   }
-  Map.emplace(Page, Slot);
+  PageOf[Slot] = Page;
+  Index[Cell] = Slot;
   pushFront(Slot);
   return false;
 }
 
 void TLB::clear() {
-  PageOf.clear();
-  PrevS.clear();
-  NextS.clear();
+  std::fill(std::begin(Index), std::end(Index), NoSlot);
+  Used = 0;
   Head = Tail = NoSlot;
-  Map.clear();
 }
 
 //===----------------------------------------------------------------------===//

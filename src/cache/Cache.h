@@ -22,7 +22,6 @@
 #include "ir/Program.h"
 
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -116,15 +115,19 @@ private:
   uint64_t UseClock = 0;
 };
 
-/// One fully-associative exact-LRU translation buffer in O(1) per touch:
-/// a page->slot hash map plus an intrusive LRU list over fixed slots.
-/// Eviction picks the list tail — the same entry a least-use-stamp scan
-/// would pick — so the resident-page set evolves identically to the
-/// classic stamp implementation while costing a hash probe instead of a
-/// capacity-long scan (which sat on both the detailed issue path and the
-/// functional-warming path for every access).
+/// One fully-associative exact-LRU translation buffer in O(1) per touch,
+/// with no allocation after construction. CacheConfig::TLBEntries fixed
+/// page slots carry an intrusive LRU list (MRU at Head), and a page->slot
+/// index twice that size resolves a page in a probe or two: open
+/// addressing with a multiplicative hash and linear probing, where an
+/// eviction closes its gap by backward-shift deletion, so the index needs
+/// no tombstones. Eviction picks the list tail — the same entry a
+/// least-use-stamp scan would pick — so the resident-page set evolves
+/// exactly as in the classic stamp implementation.
 class TLB {
 public:
+  TLB() { clear(); }
+
   /// Touches \p Page: returns true on a hit (refreshing recency), false
   /// on a miss (inserting, evicting the LRU page when all
   /// CacheConfig::TLBEntries slots are full).
@@ -134,15 +137,28 @@ public:
   void clear();
 
 private:
-  static constexpr uint32_t NoSlot = UINT32_MAX;
+  static constexpr uint32_t Slots = CacheConfig::TLBEntries;
+  static constexpr uint32_t Cells = 2 * Slots; ///< Index load <= 1/2.
+  static constexpr unsigned LogCells = 7;
+  static_assert(Cells == 1u << LogCells && Slots < 255,
+                "the index is a power of two and slot numbers fit a byte");
+  static constexpr uint8_t NoSlot = 0xff;
 
-  void unlink(uint32_t Slot);
-  void pushFront(uint32_t Slot);
+  /// The index cell where a probe for \p Page starts.
+  static uint32_t homeOf(uint64_t Page) {
+    return static_cast<uint32_t>((Page * 0x9E3779B97F4A7C15ULL) >>
+                                 (64 - LogCells));
+  }
+  /// Empties index cell \p Hole, shifting the rest of its probe run back.
+  void eraseCell(uint32_t Hole);
+  void unlink(uint8_t Slot);
+  void pushFront(uint8_t Slot);
 
-  std::vector<uint64_t> PageOf; ///< Slot -> resident page.
-  std::vector<uint32_t> PrevS, NextS; ///< Intrusive LRU list (MRU at Head).
-  uint32_t Head = NoSlot, Tail = NoSlot;
-  std::unordered_map<uint64_t, uint32_t> Map; ///< Page -> slot.
+  uint64_t PageOf[Slots] = {};                  ///< Slot -> resident page.
+  uint8_t PrevS[Slots] = {}, NextS[Slots] = {}; ///< Intrusive LRU list.
+  uint8_t Index[Cells];                         ///< Page -> slot, or NoSlot.
+  uint32_t Used = 0;                            ///< Slots [0, Used) hold pages.
+  uint8_t Head = NoSlot, Tail = NoSlot;
 };
 
 /// Per-static-load hit/miss statistics, keyed by ir::StaticId. This is both

@@ -537,7 +537,6 @@ unsigned Simulator::fetchThread(unsigned Tid, unsigned MaxBundles) {
         bool Correct =
             Bpred.predictAndTrainDirection(FetchPC, Tid, S.Out.Taken);
         if (!Correct) {
-          S.Mispredicted = true;
           S.Resume = ResumeEvent::AtIssue; // Resolves at execute.
           S.ResumeDelay = 1;
           T.FetchWaitingOnEvent = true;
@@ -552,7 +551,6 @@ unsigned Simulator::fetchThread(unsigned Tid, unsigned MaxBundles) {
       case CtrlKind::IndirectJump: {
         bool Correct = Bpred.predictAndTrainTarget(FetchPC, T.Ctx.PC);
         if (!Correct) {
-          S.Mispredicted = true;
           S.Resume = ResumeEvent::AtIssue;
           S.ResumeDelay = 1;
           T.FetchWaitingOnEvent = true;
@@ -613,13 +611,13 @@ void Simulator::applyIssueTiming(unsigned Tid, InstSlot &S) {
   const DecodedInst &D = *S.DI;
   S.Issued = true;
   uint64_t Complete = Now + D.Latency;
+  cache::Level ServedBy = cache::Level::L1;
 
   if (S.Out.IsMem) {
     bool Collect = !T.Speculative && S.Out.IsLoad;
     cache::AccessResult R =
         Cache.access(S.Out.MemAddr, Now, S.LI->Sid, Tid, Collect);
-    S.ServedBy = R.ServedBy;
-    S.Partial = R.Partial;
+    ServedBy = R.ServedBy;
     noteDataAccess(Tid, S, R);
     if (S.Out.IsLoad) {
       Complete = R.ReadyCycle;
@@ -646,9 +644,7 @@ void Simulator::applyIssueTiming(unsigned Tid, InstSlot &S) {
   if (D.Def != DecodedInst::NoReg) {
     T.RegReady[D.Def] = Complete;
     T.RegSrcLevel[D.Def] =
-        S.Out.IsLoad ? static_cast<uint8_t>(1 + static_cast<unsigned>(
-                                                    S.ServedBy))
-                     : 0;
+        S.Out.IsLoad ? 1 + static_cast<uint8_t>(ServedBy) : 0;
   }
 
   if (S.Out.HasSpawn)
@@ -796,7 +792,6 @@ void Simulator::oooWriteback() {
         I = C->NextWaiterIdx[I];
         C = Next;
       }
-      S.FirstWaiter = nullptr;
     }
   }
 }

@@ -93,15 +93,10 @@ private:
     uint8_t NextWaiterIdx[2] = {0, 0};
     uint8_t NumProd = 0;
 
-    uint32_t ResumeDelay = 0;
+    uint32_t ResumeDelay = 0; ///< Set with Resume; read only then.
     ResumeEvent Resume = ResumeEvent::None;
-    bool Mispredicted = false;
     bool Issued = false;
     bool Completed = false;
-
-    // Load service classification (set at issue).
-    cache::Level ServedBy = cache::Level::L1;
-    bool Partial = false;
   };
 
   /// A pending completion: (CompleteCycle, ROB entry).
@@ -134,11 +129,21 @@ private:
     size_t frontSize() const { return Tail - Disp; }
     InstSlot &frontHead() { return Buf[Disp & Mask]; }
     const InstSlot &frontHead() const { return Buf[Disp & Mask]; }
-    /// Appends a reset slot for fetch to fill in.
+    /// Appends a recycled slot for fetch to fill in. Only the fields a
+    /// later stage reads before writing are reset; rebuilding the whole
+    /// slot for every fetched instruction was a measurable host cost.
+    /// Fetch writes LI, DI, FetchCycle, EligibleCycle and (through
+    /// executeStep) all of Out; issue writes CompleteCycle, which is read
+    /// only once Issued or Completed is set; dispatch writes the
+    /// operand-tracking fields; and ResumeDelay is read only with the
+    /// Resume that sets it.
     InstSlot &fetchSlot() {
       assert(Tail - Head <= Mask && "instruction window overflow");
       InstSlot &S = Buf[Tail++ & Mask];
-      S = InstSlot();
+      S.FirstWaiter = nullptr;
+      S.Resume = ResumeEvent::None;
+      S.Issued = false;
+      S.Completed = false;
       return S;
     }
     /// In-order issue: the front-queue head leaves the pipeline.

@@ -1,10 +1,11 @@
 //===- tests/flat_structures_test.cpp - Flat host structures vs. originals ===//
 //
 // The simulator's per-access host structures are flat arrays: SimMemory's
-// page directory, CacheLevel's split tag/stamp arrays and the growing
-// PrefetchedLineTable. Each test here drives one of them and a test-local
-// copy of the structure it replaced with the same seeded operation stream,
-// and requires every answer to agree.
+// page directory, CacheLevel's split tag/stamp arrays, the growing
+// PrefetchedLineTable and the TLB's fixed slots and open-addressed index.
+// Each test here drives one of them and a test-local copy of the
+// structure it replaced with the same seeded operation stream, and
+// requires every answer to agree.
 //
 //===----------------------------------------------------------------------===//
 
@@ -205,6 +206,66 @@ private:
   std::unordered_map<uint64_t, std::vector<uint64_t>> Pages;
 };
 
+/// Exact-LRU TLB as a page->slot hash map over growing slot vectors and
+/// an intrusive LRU list.
+class MapTLB {
+public:
+  bool touch(uint64_t Page) {
+    auto It = Map.find(Page);
+    if (It != Map.end()) {
+      uint32_t Slot = It->second;
+      if (Head != Slot) {
+        unlink(Slot);
+        pushFront(Slot);
+      }
+      return true;
+    }
+    uint32_t Slot;
+    if (PageOf.size() < cache::CacheConfig::TLBEntries) {
+      Slot = static_cast<uint32_t>(PageOf.size());
+      PageOf.push_back(Page);
+      PrevS.push_back(NoSlot);
+      NextS.push_back(NoSlot);
+    } else {
+      Slot = Tail;
+      Map.erase(PageOf[Slot]);
+      unlink(Slot);
+      PageOf[Slot] = Page;
+    }
+    Map.emplace(Page, Slot);
+    pushFront(Slot);
+    return false;
+  }
+  void clear() {
+    PageOf.clear();
+    PrevS.clear();
+    NextS.clear();
+    Head = Tail = NoSlot;
+    Map.clear();
+  }
+
+private:
+  static constexpr uint32_t NoSlot = UINT32_MAX;
+  void unlink(uint32_t Slot) {
+    uint32_t P = PrevS[Slot], N = NextS[Slot];
+    (P != NoSlot ? NextS[P] : Head) = N;
+    (N != NoSlot ? PrevS[N] : Tail) = P;
+  }
+  void pushFront(uint32_t Slot) {
+    PrevS[Slot] = NoSlot;
+    NextS[Slot] = Head;
+    if (Head != NoSlot)
+      PrevS[Head] = Slot;
+    Head = Slot;
+    if (Tail == NoSlot)
+      Tail = Slot;
+  }
+  std::vector<uint64_t> PageOf;
+  std::vector<uint32_t> PrevS, NextS;
+  uint32_t Head = NoSlot, Tail = NoSlot;
+  std::unordered_map<uint64_t, uint32_t> Map;
+};
+
 bool sameOrigin(const sim::PrefetchOrigin &A, const sim::PrefetchOrigin &B) {
   return A.Trigger == B.Trigger && A.Slice == B.Slice && A.Depth == B.Depth &&
          A.Wild == B.Wild;
@@ -372,4 +433,61 @@ TEST(FlatStructures, SimMemoryMatchesTheMapMemory) {
       ASSERT_EQ(M.read(Addr), Want) << Step;
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// TLB
+//===----------------------------------------------------------------------===//
+
+// Working sets below, at, one past and far past the 64 entries, each
+// touched sequentially (a cyclic sweep, LRU's worst case past capacity),
+// at random, and as runs of one repeated page. The pool mixes runs of
+// consecutive pages with random pages anywhere in the 64-bit space, page
+// 0 included, and the TLB is cleared in mid-stream.
+TEST(FlatStructures, TLBMatchesTheMapTLB) {
+  const uint64_t WorkingSets[] = {16, 64, 65, 200};
+  enum Pattern { Sequential, Random, Repeated };
+  uint64_t Seed = 0;
+  for (uint64_t Pages : WorkingSets)
+    for (Pattern Pat : {Sequential, Random, Repeated}) {
+      SCOPED_TRACE(::testing::Message()
+                   << Pages << " pages, pattern " << Pat);
+      std::mt19937_64 Rng(++Seed);
+      std::vector<uint64_t> Pool(Pages);
+      for (uint64_t I = 0; I < Pages; ++I) // Page 0, runs and far pages.
+        Pool[I] = I == 0 ? 0 : I % 3 == 0 ? Rng() : Pool[I - 1] + 1;
+      cache::TLB T;
+      MapTLB Ref;
+      uint64_t Hits = 0, Next = 0, Run = 0, Page = 0;
+      for (int Step = 0; Step < 40000; ++Step) {
+        if (Step == 20000 || Rng() % 8192 == 0) {
+          T.clear();
+          Ref.clear();
+        }
+        switch (Pat) {
+        case Sequential:
+          Page = Pool[Next++ % Pages];
+          break;
+        case Random:
+          Page = Pool[Rng() % Pages];
+          break;
+        case Repeated:
+          if (Run == 0) {
+            Page = Pool[Rng() % Pages];
+            Run = 1 + Rng() % 8;
+          }
+          --Run;
+          break;
+        }
+        bool Hit = T.touch(Page);
+        ASSERT_EQ(Hit, Ref.touch(Page)) << Step;
+        Hits += Hit;
+      }
+      // Every stream both hits and misses, except the sweep past
+      // capacity, which LRU makes miss on every touch.
+      EXPECT_GT(40000 - Hits, 0u);
+      if (Pat != Sequential || Pages <= cache::CacheConfig::TLBEntries) {
+        EXPECT_GT(Hits, 0u);
+      }
+    }
 }
