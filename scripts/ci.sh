@@ -309,9 +309,14 @@ done
 
 echo "== Simulator A/B harness (A/A against HEAD) =="
 # Keeps scripts/sim_ab building: HEAD against the working tree, one
-# repetition. The harness exits 1 unless every simulation's SimStats
-# digest and checksum agree between the two sides.
+# repetition in each namespace assignment. The harness exits 1 unless
+# every simulation's SimStats digest and checksum agree between the two
+# sides and the two binaries. The profile smoke runs the base in-order
+# simulations once under the sampler and must name a simulator frame.
 SIM_AB_JOBS="$JOBS" scripts/sim_ab/sim_ab.sh HEAD --reps 1
+SIM_AB_JOBS="$JOBS" scripts/sim_ab/sim_ab.sh HEAD --profile 0 --reps 1 \
+  >build-ci/sim_ab_profile.txt
+grep -q 'Simulator::' build-ci/sim_ab_profile.txt
 
 echo "== Sanitized build (ASan+UBSan) + tests =="
 cmake -B build-asan -S . -DSSP_SANITIZE=ON >/dev/null

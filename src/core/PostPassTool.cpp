@@ -491,9 +491,13 @@ ssp::core::profileProgram(const Program &P,
   LinkedProgram LP = LinkedProgram::link(P);
 
   // Pass 1: functional run for block/edge frequencies and dynamic calls.
-  mem::SimMemory FuncMem;
-  BuildMemory(FuncMem);
-  profile::ProfileData PD = profile::collectControlFlowProfile(LP, FuncMem);
+  // Its image is freed before pass 2 builds a second one.
+  profile::ProfileData PD;
+  {
+    mem::SimMemory FuncMem;
+    BuildMemory(FuncMem);
+    PD = profile::collectControlFlowProfile(LP, FuncMem);
+  }
 
   // Pass 2: baseline in-order timing run for the cache profile.
   sim::RunOutcome Own, &Run = Baseline ? *Baseline : Own;

@@ -63,6 +63,9 @@ LinkedProgram LinkedProgram::link(const Program &P) {
     }
   }
 
+  LP.Entry = LP.FuncEntries[P.getEntry()];
+  LP.Streams = P.streams();
+
   // Third pass: predecode. Everything the executor and the timing cores
   // consult per dynamic instance — dense operand indices, function unit,
   // latency, final targets — is resolved here, once per static instruction.

@@ -147,10 +147,14 @@ struct DecodedInst {
 
 /// The executable image: a flat array of instructions with resolved control
 /// transfer targets. Immutable snapshot of a Program; relink after rewriting.
+/// Simulation reads only the image: the entry address, the predecoded
+/// instructions and a copy of the stream descriptors are recorded at link
+/// time, so the Program may move (its functions are heap-allocated, and
+/// LinkedInst::I stays valid) once it is linked.
 class LinkedProgram {
 public:
-  /// Lays out and links \p P. The Program must outlive the result and must
-  /// not be mutated while the LinkedProgram is in use.
+  /// Lays out and links \p P. The Program's functions must outlive the
+  /// result and must not be mutated while the LinkedProgram is in use.
   static LinkedProgram link(const Program &P);
 
   const LinkedInst &at(uint32_t Addr) const { return Code[Addr]; }
@@ -167,13 +171,26 @@ public:
     return BlockStarts[FuncIdx][BlockIdx];
   }
 
-  /// Address of the program entry point.
-  uint32_t entry() const { return FuncEntries[Prog->getEntry()]; }
+  /// Number of functions (the bound of an indirect call's index).
+  uint32_t numFuncs() const {
+    return static_cast<uint32_t>(FuncEntries.size());
+  }
 
+  /// Address of the program entry point.
+  uint32_t entry() const { return Entry; }
+
+  /// The stream descriptors of the linked program, copied at link time.
+  const std::vector<StreamDescriptor> &streams() const { return Streams; }
+
+  /// The source Program, as it was linked. Only the profiler and the
+  /// tools' listings read it (the simulator never does); the Program must
+  /// still be at the address it was linked from.
   const Program &program() const { return *Prog; }
 
 private:
   const Program *Prog = nullptr;
+  uint32_t Entry = 0;
+  std::vector<StreamDescriptor> Streams;
   std::vector<LinkedInst> Code;
   std::vector<DecodedInst> Decoded;
   std::vector<uint32_t> FuncEntries;

@@ -3,9 +3,11 @@
 #include "sim/Simulator.h"
 
 #include "obs/TraceSink.h"
+#include "sim/ExecCore.h"
 #include "support/Assert.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -36,24 +38,21 @@ void sortSmall(T *Begin, size_t N, LessT Less) {
 constexpr size_t QueueCap =
     MachineConfig::ExpansionQueueBundles * BundleSlots;
 
-/// Heap order for the completion calendars: earliest CompleteCycle on top.
-constexpr auto LaterCompletion = [](const auto &A, const auto &B) {
-  return A.first > B.first;
-};
-
 } // namespace
 
 Simulator::Simulator(const MachineConfig &Cfg, const LinkedProgram &LP,
                      mem::SimMemory &Mem)
     : Cfg(Cfg), LP(LP), Mem(Mem), Cache(Cfg.Cache, Cfg.NumThreads),
-      Bpred(Cfg.NumThreads), Threads(Cfg.NumThreads) {
+      Bpred(Cfg.NumThreads), Threads(Cfg.NumThreads),
+      AllContexts(static_cast<uint32_t>((uint64_t(1) << Cfg.NumThreads) - 1)) {
+  assert(Cfg.NumThreads >= 1 && Cfg.NumThreads <= 8 &&
+         "the arbitration arrays hold at most 8 contexts");
   Cache.setPerfectMemory(Cfg.PerfectMemory);
   Cache.setPerfectLoads(Cfg.PerfectLoads);
   for (Thread &T : Threads)
     T.Window.setCapacity(QueueCap + (Cfg.Pipeline == PipelineKind::OutOfOrder
                                          ? Cfg.RobEntries
                                          : 0));
-  Threads[0].Active = true;
   Threads[0].Speculative = false;
   Threads[0].Ctx.PC = LP.entry();
 
@@ -62,7 +61,7 @@ Simulator::Simulator(const MachineConfig &Cfg, const LinkedProgram &LP,
   // spawn exception. Binaries without descriptors leave the map empty and
   // every simulation path bit-identical to pre-stream builds.
   if (Cfg.EnableStreamEngine) {
-    for (const StreamDescriptor &D : LP.program().streams()) {
+    for (const StreamDescriptor &D : LP.streams()) {
       StreamInfo SI;
       SI.Desc = &D;
       // The slice sid is what the stub's spawn would have tagged threads
@@ -72,20 +71,13 @@ Simulator::Simulator(const MachineConfig &Cfg, const LinkedProgram &LP,
            A < LP.size() && LP.at(A).Func == D.Func &&
            LP.at(A).Block == D.StubBlock;
            ++A)
-        if (LP.at(A).I->Op == Opcode::Spawn) {
+        if (LP.decoded(A).Op == Opcode::Spawn) {
           SI.SliceSid = LP.at(LP.at(A).TargetAddr).Sid;
           break;
         }
       StreamByStubAddr.emplace(Addr, SI);
     }
   }
-}
-
-bool Simulator::hasFreeContext() const {
-  for (const Thread &T : Threads)
-    if (!T.Active)
-      return true;
-  return false;
 }
 
 bool Simulator::triggerThrottled(StaticId Sid) const {
@@ -251,12 +243,13 @@ void Simulator::trySpawn(const ExecOutcome &Out, const uint64_t *Frame,
   const Thread &Spawner = Threads[SpawnerTid];
   ir::StaticId Origin = Spawner.Speculative ? Spawner.OriginTrigger
                                             : Spawner.LastFiredTrigger;
-  for (unsigned NewTid = 0; NewTid < Threads.size(); ++NewTid) {
+  if (hasFreeContext()) {
+    // The lowest free context, as a scan over Threads would pick.
+    const unsigned NewTid =
+        static_cast<unsigned>(std::countr_zero(~LiveMask & AllContexts));
     Thread &T = Threads[NewTid];
-    if (T.Active)
-      continue;
     T.resetForSpawn();
-    T.Active = true;
+    LiveMask |= 1u << NewTid;
     T.Speculative = true;
     T.OriginTrigger = Origin;
     // Attribution tags: which slice this context runs and how deep in the
@@ -438,9 +431,10 @@ void Simulator::fetchCycle() {
   // Candidate threads, least-recently-fetched first.
   unsigned Order[8];
   unsigned N = 0;
-  for (unsigned Tid = 0; Tid < Threads.size(); ++Tid) {
-    Thread &T = Threads[Tid];
-    if (!T.Active || T.FetchStopped || T.FetchWaitingOnEvent)
+  for (uint32_t Live = LiveMask; Live; Live &= Live - 1) {
+    const unsigned Tid = static_cast<unsigned>(std::countr_zero(Live));
+    const Thread &T = Threads[Tid];
+    if (T.FetchStopped || T.FetchWaitingOnEvent)
       continue;
     if (Now < T.FetchResumeCycle)
       continue;
@@ -498,6 +492,8 @@ unsigned Simulator::fetchThread(unsigned Tid, unsigned MaxBundles) {
       InstSlot &S = T.Window.fetchSlot();
       S.LI = &LP.at(T.Ctx.PC);
       S.DI = &LP.decoded(T.Ctx.PC); // Before executeStep advances the PC.
+      if (T.Speculative) // The main context is never reset.
+        T.Written.note(*S.DI);
       S.FetchCycle = Now;
       S.EligibleCycle = Now + Cfg.frontLatency();
       uint64_t FetchPC = T.Ctx.PC;
@@ -515,7 +511,7 @@ unsigned Simulator::fetchThread(unsigned Tid, unsigned MaxBundles) {
         else
           Fire = hasFreeContext() && !triggerThrottled(S.LI->Sid);
       }
-      executeStep(T.Ctx, LP, Mem, T.Speculative, Fire, S.Out);
+      detail::executeStepInline(T.Ctx, LP, Mem, T.Speculative, Fire, S.Out);
       FetchedAny = true;
 
       bool InOrder = Cfg.Pipeline == PipelineKind::InOrder;
@@ -609,7 +605,6 @@ unsigned Simulator::fetchThread(unsigned Tid, unsigned MaxBundles) {
 void Simulator::applyIssueTiming(unsigned Tid, InstSlot &S) {
   Thread &T = Threads[Tid];
   const DecodedInst &D = *S.DI;
-  S.Issued = true;
   uint64_t Complete = Now + D.Latency;
   cache::Level ServedBy = cache::Level::L1;
 
@@ -621,8 +616,10 @@ void Simulator::applyIssueTiming(unsigned Tid, InstSlot &S) {
     noteDataAccess(Tid, S, R);
     if (S.Out.IsLoad) {
       Complete = R.ReadyCycle;
-      if (!T.Speculative && R.ServedBy != cache::Level::L1)
+      if (!T.Speculative && R.ServedBy != cache::Level::L1) {
         MainOutstanding.push_back({R.ReadyCycle, R.ServedBy});
+        MainOutstandingExpiry = std::min(MainOutstandingExpiry, R.ReadyCycle);
+      }
     } else {
       // Stores and prefetches occupy the port but never block the thread.
       Complete = Now + 1;
@@ -635,8 +632,7 @@ void Simulator::applyIssueTiming(unsigned Tid, InstSlot &S) {
   if (Cfg.Pipeline == PipelineKind::OutOfOrder) {
     // Completion is always in the future (latencies and store/prefetch
     // port occupancy are >= 1): the entry waits in the calendar.
-    T.Calendar.push_back({Complete, &S});
-    std::push_heap(T.Calendar.begin(), T.Calendar.end(), LaterCompletion);
+    T.Calendar.push(&S);
   }
 
   // In-order scoreboard update (harmless for OOO; its consumers use the
@@ -679,11 +675,12 @@ void Simulator::issueCycleInOrder() {
 
   unsigned Order[8];
   unsigned N = 0;
-  for (unsigned Tid = 0; Tid < Threads.size(); ++Tid) {
+  for (uint32_t Live = LiveMask; Live; Live &= Live - 1) {
+    const unsigned Tid = static_cast<unsigned>(std::countr_zero(Live));
     const Thread &T = Threads[Tid];
     // A thread whose head is known to stall this cycle would issue
     // nothing, so leaving it out changes no arbitration outcome.
-    if (T.Active && !T.Window.frontEmpty() && T.IssueReadyAt <= Now)
+    if (!T.Window.frontEmpty() && T.IssueReadyAt <= Now)
       Order[N++] = Tid;
   }
   sortSmall(Order, N, [this](unsigned A, unsigned B) {
@@ -743,7 +740,7 @@ unsigned Simulator::issueFromThreadInOrder(unsigned Tid, unsigned MaxBundles,
     bool WasKill = S.Out.Kind == CtrlKind::Kill;
     T.Window.popFront();
     if (WasKill) {
-      T.Active = false;
+      LiveMask &= ~(1u << Tid);
       break;
     }
   }
@@ -755,13 +752,13 @@ unsigned Simulator::issueFromThreadInOrder(unsigned Tid, unsigned MaxBundles,
 //===----------------------------------------------------------------------===//
 
 void Simulator::oooWriteback() {
-  for (Thread &T : Threads) {
-    // The calendar's head is the earliest pending completion, so a thread
-    // with nothing due costs one comparison.
-    while (!T.Calendar.empty() && T.Calendar.front().first <= Now) {
-      std::pop_heap(T.Calendar.begin(), T.Calendar.end(), LaterCompletion);
-      InstSlot &S = *T.Calendar.back().second;
-      T.Calendar.pop_back();
+  for (uint32_t Live = LiveMask; Live; Live &= Live - 1) {
+    Thread &T = Threads[std::countr_zero(Live)];
+    // Everything a completion changes is a max, a min, an age-ordered
+    // insertion or a write guarded by the rename map, so the calendar may
+    // hand out the due completions in any order.
+    for (InstSlot *Due = T.Calendar.popDue(Now); Due; Due = Due->NextDue) {
+      InstSlot &S = *Due;
       S.Completed = true;
       ActivityThisCycle = true;
       const DecodedInst &D = *S.DI;
@@ -797,7 +794,8 @@ void Simulator::oooWriteback() {
 }
 
 void Simulator::oooRetire() {
-  for (unsigned Tid = 0; Tid < Threads.size(); ++Tid) {
+  for (uint32_t Live = LiveMask; Live; Live &= Live - 1) {
+    const unsigned Tid = static_cast<unsigned>(std::countr_zero(Live));
     Thread &T = Threads[Tid];
     unsigned Retired = 0;
     while (!T.Window.robEmpty() && Retired < 6) {
@@ -817,7 +815,7 @@ void Simulator::oooRetire() {
       ++Retired;
       ActivityThisCycle = true;
       if (WasKill) {
-        T.Active = false;
+        LiveMask &= ~(1u << Tid);
         break;
       }
       if (WasHalt && !T.Speculative)
@@ -832,14 +830,19 @@ void Simulator::oooIssue() {
   // yet due is skipped without looking at its RS, and only entries with no
   // producer in flight are looked at.
   ReadyBuf.clear();
-  for (unsigned Tid = 0; Tid < Threads.size(); ++Tid) {
+  for (uint32_t Live = LiveMask; Live; Live &= Live - 1) {
+    const unsigned Tid = static_cast<unsigned>(std::countr_zero(Live));
     Thread &T = Threads[Tid];
     if (T.RsReadyAt > Now)
       continue;
-    for (InstSlot *S : T.RsNoProd)
+    for (unsigned I = 0; I < T.RsNoProd.size(); ++I) {
+      InstSlot *S = T.RsNoProd[I];
       if (S->OperandReadyCycle <= Now)
-        ReadyBuf.push_back({S, Tid});
+        ReadyBuf.push_back({S, Tid, I});
+    }
   }
+  if (ReadyBuf.empty())
+    return;
   // Oldest fetch first, then lowest thread; the stable sort keeps ROB age
   // order between entries of one thread fetched in the same cycle.
   sortSmall(ReadyBuf.data(), ReadyBuf.size(), [](const Cand &A, const Cand &B) {
@@ -850,6 +853,7 @@ void Simulator::oooIssue() {
 
   unsigned FUUsed[5] = {0, 0, 0, 0, 0};
   unsigned IssuedCount = 0;
+  uint32_t IssuedFrom = 0;
   const unsigned IssueWidth = Cfg.IssueBundlesPerCycle * BundleSlots;
   for (Cand &C : ReadyBuf) {
     if (IssuedCount >= IssueWidth)
@@ -860,17 +864,18 @@ void Simulator::oooIssue() {
       continue;
     ++Used;
     applyIssueTiming(C.Tid, *C.S);
+    Threads[C.Tid].RsNoProd[C.Idx] = nullptr; // Dropped below.
+    IssuedFrom |= 1u << C.Tid;
     ++IssuedCount;
   }
 
   // Drop the issued entries from the RS and recompute the earliest
   // issuable cycle of the threads that issued.
-  for (unsigned Tid = 0; Tid < Threads.size(); ++Tid) {
-    if (IssuedThisCycle[Tid] == 0)
-      continue;
+  for (; IssuedFrom; IssuedFrom &= IssuedFrom - 1) {
+    const unsigned Tid = static_cast<unsigned>(std::countr_zero(IssuedFrom));
     Thread &T = Threads[Tid];
     T.RsCount -= IssuedThisCycle[Tid];
-    std::erase_if(T.RsNoProd, [](const InstSlot *S) { return S->Issued; });
+    std::erase(T.RsNoProd, nullptr);
     T.RsReadyAt = UINT64_MAX;
     for (const InstSlot *S : T.RsNoProd)
       T.RsReadyAt = std::min(T.RsReadyAt, S->OperandReadyCycle);
@@ -880,9 +885,11 @@ void Simulator::oooIssue() {
 void Simulator::oooDispatch() {
   unsigned Order[8];
   unsigned N = 0;
-  for (unsigned Tid = 0; Tid < Threads.size(); ++Tid)
-    if (Threads[Tid].Active && !Threads[Tid].Window.frontEmpty())
+  for (uint32_t Live = LiveMask; Live; Live &= Live - 1) {
+    const unsigned Tid = static_cast<unsigned>(std::countr_zero(Live));
+    if (!Threads[Tid].Window.frontEmpty())
       Order[N++] = Tid;
+  }
   sortSmall(Order, N, [this](unsigned A, unsigned B) {
     if (Threads[A].LastIssueCycle != Threads[B].LastIssueCycle)
       return Threads[A].LastIssueCycle < Threads[B].LastIssueCycle;
@@ -960,9 +967,13 @@ unsigned Simulator::oooDispatchThread(unsigned Tid, unsigned MaxBundles) {
 
 void Simulator::pruneMainOutstanding() {
   size_t Keep = 0;
+  MainOutstandingExpiry = UINT64_MAX;
   for (size_t I = 0; I < MainOutstanding.size(); ++I)
-    if (MainOutstanding[I].first > Now)
+    if (MainOutstanding[I].first > Now) {
+      MainOutstandingExpiry =
+          std::min(MainOutstandingExpiry, MainOutstanding[I].first);
       MainOutstanding[Keep++] = MainOutstanding[I];
+    }
   MainOutstanding.resize(Keep);
 }
 
@@ -1040,9 +1051,8 @@ uint64_t Simulator::nextEventCycle() const {
   };
 
   const bool InOrder = Cfg.Pipeline == PipelineKind::InOrder;
-  for (const Thread &T : Threads) {
-    if (!T.Active)
-      continue;
+  for (uint32_t Live = LiveMask; Live; Live &= Live - 1) {
+    const Thread &T = Threads[std::countr_zero(Live)];
     // A fetch-capable thread fetches as soon as its resume cycle arrives
     // (a fetch candidate always fetches at least one bundle).
     if (!FetchDisabled && !T.FetchStopped && !T.FetchWaitingOnEvent &&
@@ -1071,8 +1081,7 @@ uint64_t Simulator::nextEventCycle() const {
       }
     }
     if (!InOrder) {
-      if (!T.Calendar.empty())
-        Consider(std::max(T.Calendar.front().first, Now + 1));
+      Consider(std::max(T.Calendar.earliest(), Now + 1));
       if (!T.Window.robEmpty() && T.Window.robHead().Completed)
         Consider(Now + 1); // Retirement backlog (the 6-per-cycle cap).
       if (T.RsReadyAt != UINT64_MAX)
@@ -1108,7 +1117,8 @@ void Simulator::stepCycle() {
   ++Now;
   if (Now > Cfg.MaxCycles)
     fatalError("simulation exceeded MaxCycles (livelock?)");
-  pruneMainOutstanding();
+  if (MainOutstandingExpiry <= Now)
+    pruneMainOutstanding();
   if (Cfg.EnableSSPThrottle && (Now & (ThrottlePeriod - 1)) == 0)
     evaluateThrottle();
   std::memset(IssuedThisCycle, 0, sizeof(IssuedThisCycle));
@@ -1290,11 +1300,9 @@ SimStats Simulator::runSampled() {
     // thread only). Contexts are freed — the ramp before the next window
     // re-populates them — and every still-pending prefetched line
     // resolves its fate now, so fates are measured per detail interval.
-    for (Thread &T : Threads)
-      if (T.Speculative) {
-        T.Active = false;
-        T.resetForSpawn(); // Drops its ROB with every pointer into it.
-      }
+    LiveMask = 1; // Only the main context stays live.
+    for (unsigned Tid = 1; Tid < Threads.size(); ++Tid)
+      Threads[Tid].resetForSpawn(); // Drops its ROB and every pointer into it.
     ActiveStreams.clear();
     drainPendingFates();
     PrefetchedLines.clear();

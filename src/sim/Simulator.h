@@ -28,11 +28,13 @@
 #include "ir/DenseSidMap.h"
 #include "ir/Program.h"
 #include "mem/SimMemory.h"
+#include "sim/CompletionCalendar.h"
 #include "sim/Executor.h"
 #include "sim/MachineConfig.h"
 #include "sim/PrefetchTable.h"
 #include "sim/SimStats.h"
 #include "sim/ThreadContext.h"
+#include "sim/WrittenRegs.h"
 
 #include <array>
 #include <cassert>
@@ -87,6 +89,7 @@ private:
     // C continues it through (C->NextWaiter[I], C->NextWaiterIdx[I]),
     // where I is the operand link binding C to that producer.
     uint64_t OperandReadyCycle = 0;
+    InstSlot *NextDue = nullptr; ///< Thread::Calendar's link.
     InstSlot *FirstWaiter = nullptr;
     InstSlot *NextWaiter[2] = {nullptr, nullptr};
     uint8_t FirstWaiterIdx = 0;
@@ -95,12 +98,8 @@ private:
 
     uint32_t ResumeDelay = 0; ///< Set with Resume; read only then.
     ResumeEvent Resume = ResumeEvent::None;
-    bool Issued = false;
     bool Completed = false;
   };
-
-  /// A pending completion: (CompleteCycle, ROB entry).
-  using Completion = std::pair<uint64_t, InstSlot *>;
 
   /// One context's in-flight instructions in program order: the ROB
   /// (out-of-order pipeline only) followed by the front queue, in a
@@ -133,16 +132,15 @@ private:
     /// later stage reads before writing are reset; rebuilding the whole
     /// slot for every fetched instruction was a measurable host cost.
     /// Fetch writes LI, DI, FetchCycle, EligibleCycle and (through
-    /// executeStep) all of Out; issue writes CompleteCycle, which is read
-    /// only once Issued or Completed is set; dispatch writes the
-    /// operand-tracking fields; and ResumeDelay is read only with the
-    /// Resume that sets it.
+    /// executeStep) all of Out; issue writes CompleteCycle and NextDue,
+    /// which are read only once the slot is in the calendar or Completed
+    /// is set; dispatch writes the operand-tracking fields; and
+    /// ResumeDelay is read only with the Resume that sets it.
     InstSlot &fetchSlot() {
       assert(Tail - Head <= Mask && "instruction window overflow");
       InstSlot &S = Buf[Tail++ & Mask];
       S.FirstWaiter = nullptr;
       S.Resume = ResumeEvent::None;
-      S.Issued = false;
       S.Completed = false;
       return S;
     }
@@ -177,9 +175,9 @@ private:
     uint64_t Tail = 0; ///< Next fetch slot; the front queue is [Disp, Tail).
   };
 
-  /// Per-hardware-context simulation state.
+  /// Per-hardware-context simulation state. Whether the context is live
+  /// is its bit in Simulator::LiveMask.
   struct Thread {
-    bool Active = false;
     bool Speculative = false;
     bool FetchStopped = false; ///< Saw halt/kill; no further fetch.
     /// The chk.c whose firing (transitively) created this speculative
@@ -203,10 +201,10 @@ private:
     size_t RsCount = 0; ///< Dispatched, not issued (RS occupancy).
     /// The RS entries with no producer in flight, oldest first: added at
     /// dispatch and at the wakeup that clears their last producer. Only
-    /// these can issue.
+    /// these can issue. Issue nulls the entries it issues, then drops them.
     std::vector<InstSlot *> RsNoProd;
-    /// Issued, not completed: a min-heap on CompleteCycle.
-    std::vector<Completion> Calendar;
+    /// Issued, not completed, filed by CompleteCycle.
+    CompletionCalendar<InstSlot> Calendar;
     /// Earliest OperandReadyCycle in RsNoProd; UINT64_MAX if it is empty.
     uint64_t RsReadyAt = UINT64_MAX;
 
@@ -229,8 +227,21 @@ private:
     // OOO rename map: in-flight producer of each register, if any.
     InstSlot *RegProd[ir::Reg::NumDenseIndices] = {};
 
+    /// Speculative contexts: the registers fetch has seen defined since
+    /// the last reset. Every index of Ctx.Regs, RegReady, RegSrcLevel and
+    /// RegProd outside it still holds its reset value. The main context
+    /// is never reset and leaves it empty.
+    WrittenRegs Written;
+
     void resetForSpawn() {
-      Ctx.reset();
+      Written.drain([this](unsigned I) {
+        Ctx.Regs[I] = 0;
+        RegReady[I] = 0;
+        RegSrcLevel[I] = 0;
+        RegProd[I] = nullptr;
+      });
+      Ctx.Regs[ThreadContext::P0Index] = 1; // p0 is hardwired true.
+      Ctx.resetControl();
       Window.clear();
       RsCount = 0;
       RsNoProd.clear();
@@ -240,11 +251,6 @@ private:
       FetchResumeCycle = 0;
       FetchWaitingOnEvent = false;
       FetchStopped = false;
-      for (unsigned I = 0; I < ir::Reg::NumDenseIndices; ++I) {
-        RegReady[I] = 0;
-        RegSrcLevel[I] = 0;
-        RegProd[I] = nullptr;
-      }
     }
   };
 
@@ -263,10 +269,11 @@ private:
   /// Earliest cycle after Now at which any pipeline state can change, the
   /// min over: (a) fetch-resume cycles; (b) front-queue head eligibility;
   /// (c) the scoreboard ready-cycles a stalled in-order head waits on;
-  /// (d) the head of each OOO context's completion calendar; (e) each OOO
-  /// context's RsReadyAt (its earliest-issuable RS entry); (f) outstanding
-  /// main-thread misses and active streams; (g) with throttling on, the
-  /// next throttle-evaluation boundary. Every term is O(1) per context.
+  /// (d) the earliest due cycle in each OOO context's completion
+  /// calendar; (e) each OOO context's RsReadyAt (its earliest-issuable RS
+  /// entry); (f) outstanding main-thread misses and active streams; (g)
+  /// with throttling on, the next throttle-evaluation boundary. Every term
+  /// is O(1) per live context.
   /// Returns Now + 1 if nothing is pending (the livelock guard in run()
   /// then fires as in serial mode).
   uint64_t nextEventCycle() const;
@@ -276,7 +283,7 @@ private:
   void fireResume(unsigned Tid, const InstSlot &S);
   void trySpawn(const ExecOutcome &Out, const uint64_t *Frame,
                 unsigned SpawnerTid);
-  bool hasFreeContext() const;
+  bool hasFreeContext() const { return LiveMask != AllContexts; }
   /// Whether dynamic throttling currently disables trigger \p Sid (a
   /// chk.c then reports no free context; a stream trigger is ignored).
   bool triggerThrottled(ir::StaticId Sid) const;
@@ -298,6 +305,8 @@ private:
   /// Periodic per-trigger verdicts; runs only with throttling on.
   void evaluateThrottle();
   bool mainMissOutstanding() const;
+  /// Drops the outstanding main-thread misses that have expired. Called
+  /// only once the earliest of them has (MainOutstandingExpiry <= Now).
   void pruneMainOutstanding();
 
   // Main-loop structure. stepCycle is one full simulated cycle (all
@@ -326,6 +335,11 @@ private:
   cache::CacheHierarchy Cache;
   branch::BranchPredictor Bpred;
   std::vector<Thread> Threads;
+  /// Bit Tid set while context Tid is live (a spawned thread until its
+  /// kill retires; the main thread throughout). Per-cycle phases walk the
+  /// set bits in ascending Tid, the order a walk over Threads had.
+  uint32_t LiveMask = 1;
+  const uint32_t AllContexts;
   SimStats Stats;
 
   uint64_t Now = 0;
@@ -338,12 +352,15 @@ private:
   bool ActivityThisCycle = false;
   unsigned IssuedThisCycle[8] = {};
   std::vector<std::pair<uint64_t, cache::Level>> MainOutstanding;
+  /// Earliest ready cycle in MainOutstanding; UINT64_MAX if it is empty.
+  uint64_t MainOutstandingExpiry = UINT64_MAX;
 
   /// Reused issue-candidate buffer for oooIssue (hoisted out of the
   /// per-cycle hot path; cleared, never shrunk).
   struct Cand {
     InstSlot *S;
     unsigned Tid;
+    unsigned Idx; ///< Its position in Threads[Tid].RsNoProd.
   };
   std::vector<Cand> ReadyBuf;
 

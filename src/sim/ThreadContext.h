@@ -51,6 +51,11 @@ struct ThreadContext {
   void reset() {
     std::memset(Regs, 0, sizeof(Regs));
     Regs[P0Index] = 1; // p0 is hardwired true.
+    resetControl();
+  }
+
+  /// Resets everything but the register files.
+  void resetControl() {
     PC = 0;
     CallStack.clear();
     ResumeStack.clear();

@@ -3,19 +3,26 @@
 // The simulator's per-access host structures are flat arrays: SimMemory's
 // page directory, CacheLevel's split tag/stamp arrays, the growing
 // PrefetchedLineTable and the TLB's fixed slots and open-addressed index.
-// Each test here drives one of them and a test-local copy of the
-// structure it replaced with the same seeded operation stream, and
-// requires every answer to agree.
+// Its per-cycle and per-spawn bookkeeping is too: the out-of-order
+// completion calendar's ring of per-cycle buckets, and the written-register
+// set that bounds a spawn's reset. Each test here drives one of them and a
+// test-local copy of the structure it replaced with the same seeded
+// operation stream, and requires every answer to agree.
 //
 //===----------------------------------------------------------------------===//
 
 #include "cache/Cache.h"
 #include "mem/SimMemory.h"
+#include "sim/CompletionCalendar.h"
 #include "sim/PrefetchTable.h"
+#include "sim/ThreadContext.h"
+#include "sim/WrittenRegs.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <deque>
 #include <iterator>
 #include <random>
 #include <tuple>
@@ -271,6 +278,66 @@ bool sameOrigin(const sim::PrefetchOrigin &A, const sim::PrefetchOrigin &B) {
          A.Wild == B.Wild;
 }
 
+/// A pending completion as the calendar files it.
+struct CalNode {
+  uint64_t CompleteCycle = 0;
+  CalNode *NextDue = nullptr;
+};
+
+/// The out-of-order core's completion calendar before the ring: a min-heap
+/// of (CompleteCycle, entry).
+class HeapCalendar {
+public:
+  bool empty() const { return Heap.empty(); }
+  void push(CalNode *N) {
+    Heap.push_back({N->CompleteCycle, N});
+    std::push_heap(Heap.begin(), Heap.end(), Later);
+  }
+  uint64_t earliest() const {
+    return Heap.empty() ? UINT64_MAX : Heap.front().first;
+  }
+  void popDue(uint64_t Now, std::vector<CalNode *> &Out) {
+    while (!Heap.empty() && Heap.front().first <= Now) {
+      std::pop_heap(Heap.begin(), Heap.end(), Later);
+      Out.push_back(Heap.back().second);
+      Heap.pop_back();
+    }
+  }
+  void clear() { Heap.clear(); }
+
+private:
+  static bool Later(const std::pair<uint64_t, CalNode *> &A,
+                    const std::pair<uint64_t, CalNode *> &B) {
+    return A.first > B.first;
+  }
+  std::vector<std::pair<uint64_t, CalNode *>> Heap;
+};
+
+/// One context's per-register state: what a spawn's reset restores.
+struct RegState {
+  static constexpr unsigned N = ir::Reg::NumDenseIndices;
+  uint64_t Regs[N];
+  uint64_t Ready[N];
+  uint8_t SrcLevel[N];
+  const void *Prod[N];
+
+  RegState() { fullClear(); }
+  /// The reset the written-register set replaced: every index.
+  void fullClear() {
+    std::memset(Regs, 0, sizeof(Regs));
+    std::memset(Ready, 0, sizeof(Ready));
+    std::memset(SrcLevel, 0, sizeof(SrcLevel));
+    std::fill(std::begin(Prod), std::end(Prod), nullptr);
+    Regs[sim::ThreadContext::P0Index] = 1;
+  }
+  bool operator==(const RegState &O) const {
+    return std::memcmp(Regs, O.Regs, sizeof(Regs)) == 0 &&
+           std::memcmp(Ready, O.Ready, sizeof(Ready)) == 0 &&
+           std::memcmp(SrcLevel, O.SrcLevel, sizeof(SrcLevel)) == 0 &&
+           std::equal(std::begin(Prod), std::end(Prod), std::begin(O.Prod));
+  }
+};
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -490,4 +557,142 @@ TEST(FlatStructures, TLBMatchesTheMapTLB) {
         EXPECT_GT(Hits, 0u);
       }
     }
+}
+
+//===----------------------------------------------------------------------===//
+// Completion calendar
+//===----------------------------------------------------------------------===//
+
+// Completions filed at random distances: mostly within a memory latency,
+// some exactly at the ring's edge and some far past it (the overflow),
+// with time advancing one cycle, to the next due cycle (an idle skip), or
+// far past the ring in one jump, and the calendar cleared now and then as
+// a spawn's reset does. After every advance the due sets and the earliest
+// due cycle must match the heap's. A small ring wraps and overflows often.
+template <unsigned LogBuckets> void compareCalendars(uint64_t Seed) {
+  using Ring = sim::CompletionCalendar<CalNode, LogBuckets>;
+  const uint64_t R = Ring::NumBuckets;
+  std::mt19937_64 Rng(Seed);
+  std::deque<CalNode> Nodes;
+  Ring Cal;
+  HeapCalendar Ref;
+  std::vector<CalNode *> Got, Want;
+  uint64_t Now = 0, Overflowed = 0, Popped = 0;
+  for (int Step = 0; Step < 60000; ++Step) {
+    switch (Rng() % 16) {
+    case 0: // Far past the ring: overflow entries come due directly.
+      Now += 1 + Rng() % (3 * R);
+      break;
+    case 1:
+    case 2:
+    case 3: // An idle skip to the next event.
+      Now = std::max(Now + 1, std::min(Ref.earliest(), Now + 4 * R));
+      break;
+    default:
+      ++Now;
+    }
+    Got.clear();
+    Want.clear();
+    for (CalNode *N = Cal.popDue(Now); N; N = N->NextDue)
+      Got.push_back(N);
+    Ref.popDue(Now, Want);
+    std::sort(Got.begin(), Got.end());
+    std::sort(Want.begin(), Want.end());
+    ASSERT_EQ(Got, Want) << Step;
+    Popped += Got.size();
+    if (Rng() % 2048 == 0) {
+      Cal.clear();
+      Ref.clear();
+    }
+    for (unsigned K = Rng() % 4; K > 0; --K) {
+      uint64_t Delta;
+      switch (Rng() % 8) {
+      case 0:
+        Delta = R - 1 + Rng() % 3; // At the ring's edge.
+        break;
+      case 1:
+        Delta = 1 + Rng() % (4 * R); // Often past it.
+        break;
+      default:
+        Delta = 1 + Rng() % 300; // Up to a memory access.
+      }
+      Overflowed += Delta >= R;
+      CalNode &N = Nodes.emplace_back();
+      N.CompleteCycle = Now + Delta;
+      Cal.push(&N);
+      Ref.push(&N);
+    }
+    ASSERT_EQ(Cal.earliest(), Ref.earliest()) << Step;
+  }
+  EXPECT_GT(Overflowed, 1000u);
+  EXPECT_GT(Popped, 50000u);
+}
+
+TEST(FlatStructures, CompletionCalendarMatchesTheHeap) {
+  for (uint64_t Seed : {1, 2, 3}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << Seed);
+    compareCalendars<9>(Seed); // The simulator's ring.
+    compareCalendars<6>(Seed + 100);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Written-register reset
+//===----------------------------------------------------------------------===//
+
+// Seeded def sequences as fetch sees them, hardwired r0/p0 defs included
+// (their Def takes a scoreboard slot while WDst drops the write), written
+// the way the pipelines write: the value to WDst, the scoreboard and the
+// rename map at Def. Resetting only the written registers must leave the
+// same state as clearing every one.
+TEST(FlatStructures, WrittenRegisterResetMatchesAFullClear) {
+  const unsigned P0 = sim::ThreadContext::P0Index;
+  std::mt19937_64 Rng(7);
+  RegState Masked, Full;
+  sim::WrittenRegs Written;
+  unsigned Hardwired = 0;
+  for (int Spawn = 0; Spawn < 400; ++Spawn) {
+    for (unsigned K = Rng() % 300; K > 0; --K) {
+      ir::DecodedInst D;
+      switch (Rng() % 10) {
+      case 0:
+        break; // No def (a store, a branch).
+      case 1:
+        D.Def = Rng() % 2 ? 0 : static_cast<uint16_t>(P0);
+        break; // Hardwired: WDst stays NoReg.
+      default:
+        D.Def = static_cast<uint16_t>(1 + Rng() % (RegState::N - 1));
+        if (D.Def != P0)
+          D.WDst = D.Def;
+      }
+      Hardwired += D.Def != ir::DecodedInst::NoReg &&
+                   D.WDst == ir::DecodedInst::NoReg;
+      Written.note(D);
+      for (RegState *S : {&Masked, &Full}) {
+        if (D.WDst != ir::DecodedInst::NoReg)
+          S->Regs[D.WDst] = Rng() | 1;
+        if (D.Def != ir::DecodedInst::NoReg) {
+          S->Ready[D.Def] = 1 + Rng() % 1000;
+          S->SrcLevel[D.Def] = static_cast<uint8_t>(1 + Rng() % 4);
+          S->Prod[D.Def] = &D;
+        }
+      }
+      if (D.Def != ir::DecodedInst::NoReg) {
+        ASSERT_TRUE(Written.contains(D.Def));
+      }
+    }
+    // The simulator's reset (Simulator::Thread::resetForSpawn).
+    Written.drain([&](unsigned I) {
+      Masked.Regs[I] = 0;
+      Masked.Ready[I] = 0;
+      Masked.SrcLevel[I] = 0;
+      Masked.Prod[I] = nullptr;
+    });
+    Masked.Regs[P0] = 1;
+    Full.fullClear();
+    ASSERT_TRUE(Masked == Full) << "spawn " << Spawn;
+    for (unsigned I = 0; I < RegState::N; ++I)
+      ASSERT_FALSE(Written.contains(I));
+  }
+  EXPECT_GT(Hardwired, 1000u);
 }

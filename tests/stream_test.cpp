@@ -12,7 +12,8 @@
 //    nothing (no descriptors, identical text, bit-identical simulation
 //    whatever the engine knob says);
 //  * the simulator's stream engine serves triggers without spawning,
-//    preserves checksums, and the descriptors survive a text round-trip;
+//    preserves checksums, and the descriptors survive a text round-trip
+//    and a move of the linked Program;
 //  * the `stream.*` verify pass accepts a real adaptation (with audit
 //    notes) and rejects tampered kinds, strides, offsets, and descriptor
 //    presence/absence mismatches.
@@ -25,6 +26,8 @@
 #include "sim/Run.h"
 #include "verify/PassManager.h"
 #include "workloads/Workload.h"
+
+#include "SimStatsEq.h"
 
 #include <gtest/gtest.h>
 
@@ -266,6 +269,31 @@ TEST(StreamEngine, ServesTriggersWithoutSpawning) {
   sim::SimStats Stats = S.run(E, sim::MachineConfig::inOrder());
   EXPECT_GT(Stats.StreamActivations, 0u);
   EXPECT_GT(Stats.StreamSteps, Stats.StreamActivations);
+}
+
+TEST(StreamEngine, SimulationReadsOnlyTheLinkedImage) {
+  // The entry address and the stream descriptors are copied at link time,
+  // so moving the source Program after linking (into a vector that then
+  // reallocates, freeing the object it was linked from) changes no
+  // counter; the sanitized build catches any read through the old address.
+  StreamSetup S(makeHashJoin());
+  for (const sim::MachineConfig &Cfg :
+       {sim::MachineConfig::inOrder(), sim::MachineConfig::outOfOrder()}) {
+    ir::Program E = S.adapt(true);
+    ASSERT_FALSE(E.streams().empty());
+    sim::SimStats Expected = S.run(E, Cfg);
+    std::vector<ir::Program> Moved;
+    Moved.push_back(std::move(E));
+    ir::LinkedProgram LP = ir::LinkedProgram::link(Moved.front());
+    const ir::Program *LinkedFrom = &Moved.front();
+    ASSERT_EQ(Moved.size(), Moved.capacity());
+    Moved.emplace_back(); // Reallocates, destroying the linked-from object.
+    ASSERT_NE(&Moved.front(), LinkedFrom);
+    sim::RunOutcome Out = sim::runProgram(LP, S.W.BuildMemory, Cfg);
+    EXPECT_TRUE(Out.checksumOk());
+    EXPECT_GT(Out.Stats.StreamActivations, 0u);
+    sim::expectStatsEqual(Expected, Out.Stats, "linked, then moved");
+  }
 }
 
 TEST(StreamEngine, EngineKnobFallsBackToSlices) {
